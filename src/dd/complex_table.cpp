@@ -83,13 +83,14 @@ CWeight ComplexTable::lookup(ComplexValue v) {
   const std::uint64_t homeKey = cellKey(cr, ci);
 
   // Any candidate within tolerance lies in a cell intersecting [v ± tol].
-  // With cell = 2*tol that interval spans at most one neighbour per axis,
-  // so at most 3 cells beyond the home cell ever need probing.
+  // With cell = 2*tol that interval spans two cells per axis, or three
+  // when the component is exactly 0 (llround(±0.5) = ±1) — every real or
+  // purely imaginary weight. So up to 3 x 3 cells need probing.
   const std::int64_t crLo = cellOf(v.r - tol_);
   const std::int64_t crHi = cellOf(v.r + tol_);
   const std::int64_t ciLo = cellOf(v.i - tol_);
   const std::int64_t ciHi = cellOf(v.i + tol_);
-  std::array<std::uint64_t, 4> keys{};
+  std::array<std::uint64_t, 9> keys{};
   std::size_t numKeys = 0;
   keys[numKeys++] = homeKey;
   for (std::int64_t pr = crLo; pr <= crHi; ++pr) {
@@ -136,7 +137,7 @@ CWeight ComplexTable::lookup(ComplexValue v) {
   // values within tolerance of each other have overlapping candidate cells,
   // hence overlapping lock sets; whichever inserts first is found by the
   // other's re-probe, keeping the representative unique.
-  std::array<std::size_t, 4> shardIds{};
+  std::array<std::size_t, 9> shardIds{};
   std::size_t numShards = 0;
   for (std::size_t k = 0; k < numKeys; ++k) {
     const std::size_t s = shardOf(keys[k]);

@@ -1,12 +1,13 @@
 #include "dd/migration.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
 #include "dd/package.hpp"
+#include "wire/wire.hpp"
 
 namespace ddsim::dd {
 
@@ -134,96 +135,44 @@ constexpr std::size_t kHeaderSize = 4 + 4 + 4 + 8 + 8 + 8 + 8;
 /// its level (i32) followed by its Arity edges.
 constexpr std::size_t kEdgeSize = 4 + 8 + 8;
 
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int s = 0; s < 32; s += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> s));
+/// The payload: the root edge, then each node's level and its Arity edges.
+/// An edge is its child index and the two weight components.
+template <class IO, class Flat>
+void payloadFields(IO& io, Flat& flat) {
+  const auto edge = [&io](auto& e) {
+    io.i32(e.node);
+    io.f64(e.w.r);
+    io.f64(e.w.i);
+  };
+  edge(flat.root);
+  for (auto& n : flat.nodes) {
+    io.i32(n.v);
+    for (auto& e : n.children) {
+      edge(e);
+    }
   }
-}
-
-void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int s = 0; s < 64; s += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> s));
-  }
-}
-
-void putI32(std::vector<std::uint8_t>& out, std::int32_t v) {
-  putU32(out, static_cast<std::uint32_t>(v));
-}
-
-void putF64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  putU64(out, bits);
-}
-
-std::uint32_t getU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int b = 3; b >= 0; --b) {
-    v = (v << 8) | p[b];
-  }
-  return v;
-}
-
-std::uint64_t getU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int b = 7; b >= 0; --b) {
-    v = (v << 8) | p[b];
-  }
-  return v;
-}
-
-std::int32_t getI32(const std::uint8_t* p) {
-  return static_cast<std::int32_t>(getU32(p));
-}
-
-double getF64(const std::uint8_t* p) {
-  const std::uint64_t bits = getU64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-void putEdge(std::vector<std::uint8_t>& out, const FlatEdge& e) {
-  putI32(out, e.node);
-  putF64(out, e.w.r);
-  putF64(out, e.w.i);
-}
-
-FlatEdge getEdge(const std::uint8_t* p) {
-  FlatEdge e;
-  e.node = getI32(p);
-  e.w.r = getF64(p + 4);
-  e.w.i = getF64(p + 12);
-  return e;
 }
 
 template <std::size_t Arity>
 std::vector<std::uint8_t> serializeImpl(const FlatDD<Arity>& flat) {
   const std::size_t nodeSize = 4 + Arity * kEdgeSize;
   const std::size_t payloadLen = kEdgeSize + flat.nodes.size() * nodeSize;
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payloadLen);
-  putU32(out, kMagic);
-  putU32(out, kVersion);
-  putU32(out, static_cast<std::uint32_t>(Arity));
-  putU64(out, flat.numQubits);
-  putU64(out, flat.nodes.size());
-  putU64(out, payloadLen);
-  putU64(out, 0);  // checksum patched below, once the payload is written
-  putEdge(out, flat.root);
-  for (const FlatNode<Arity>& n : flat.nodes) {
-    putI32(out, n.v);
-    for (const FlatEdge& e : n.children) {
-      putEdge(out, e);
-    }
-  }
+  wire::WireWriter w;
+  w.out.reserve(kHeaderSize + payloadLen);
+  w.u32(kMagic);
+  w.u32(kVersion);
+  w.u32(static_cast<std::uint32_t>(Arity));
+  w.u64(flat.numQubits);
+  w.u64(flat.nodes.size());
+  w.u64(payloadLen);
+  w.u64(0);  // checksum patched below, once the payload is written
+  payloadFields(w, flat);
   // The checksum field still holds its zero placeholder here, so hashing
   // the full buffer implements the zeroed-checksum-field convention.
-  const std::uint64_t checksum = fnv1a(out.data(), out.size());
   std::vector<std::uint8_t> sum;
-  putU64(sum, checksum);
-  std::memcpy(out.data() + (kHeaderSize - 8), sum.data(), 8);
-  return out;
+  wire::putU64(sum, wire::fnv1a(w.out.data(), w.out.size()));
+  std::copy(sum.begin(), sum.end(), w.out.begin() + (kHeaderSize - 8));
+  return std::move(w.out);
 }
 
 template <std::size_t Arity>
@@ -236,22 +185,23 @@ FlatDD<Arity> deserializeImpl(const std::uint8_t* data, std::size_t size) {
          " bytes is shorter than the header (" + std::to_string(kHeaderSize) +
          " bytes)");
   }
-  if (getU32(data) != kMagic) {
+  if (wire::peekU32(data) != kMagic) {
     fail("bad magic (not a serialized DD)");
   }
-  if (const std::uint32_t version = getU32(data + 4); version != kVersion) {
+  if (const std::uint32_t version = wire::peekU32(data + 4);
+      version != kVersion) {
     fail("unsupported format version " + std::to_string(version) +
          " (expected " + std::to_string(kVersion) + ")");
   }
-  if (const std::uint32_t arity = getU32(data + 8); arity != Arity) {
+  if (const std::uint32_t arity = wire::peekU32(data + 8); arity != Arity) {
     fail("arity " + std::to_string(arity) + " does not match the requested " +
          (Arity == 2 ? std::string("vector") : std::string("matrix")) +
          " DD");
   }
-  const std::uint64_t numQubits = getU64(data + 12);
-  const std::uint64_t nodeCount = getU64(data + 20);
-  const std::uint64_t payloadLen = getU64(data + 28);
-  const std::uint64_t checksum = getU64(data + 36);
+  const std::uint64_t numQubits = wire::peekU64(data + 12);
+  const std::uint64_t nodeCount = wire::peekU64(data + 20);
+  const std::uint64_t payloadLen = wire::peekU64(data + 28);
+  const std::uint64_t checksum = wire::peekU64(data + 36);
   const std::size_t nodeSize = 4 + Arity * kEdgeSize;
   if (nodeCount >
       static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) {
@@ -269,9 +219,9 @@ FlatDD<Arity> deserializeImpl(const std::uint8_t* data, std::size_t size) {
   // Re-derive the zeroed-checksum-field hash by chaining: header prefix,
   // eight zero bytes in place of the checksum field, then the payload.
   const std::uint8_t zeros[8] = {};
-  std::uint64_t expected = fnv1a(data, kHeaderSize - 8);
-  expected = fnv1a(zeros, 8, expected);
-  expected = fnv1a(payload, payloadLen, expected);
+  std::uint64_t expected = wire::fnv1a(data, kHeaderSize - 8);
+  expected = wire::fnv1a(zeros, 8, expected);
+  expected = wire::fnv1a(payload, payloadLen, expected);
   if (expected != checksum) {
     fail("checksum mismatch (corrupted header or edge list)");
   }
@@ -280,32 +230,13 @@ FlatDD<Arity> deserializeImpl(const std::uint8_t* data, std::size_t size) {
   }
   FlatDD<Arity> flat;
   flat.numQubits = numQubits;
-  flat.root = getEdge(payload);
-  const std::uint8_t* p = payload + kEdgeSize;
   flat.nodes.resize(nodeCount);
-  for (std::uint64_t i = 0; i < nodeCount; ++i) {
-    FlatNode<Arity>& n = flat.nodes[i];
-    n.v = getI32(p);
-    p += 4;
-    for (std::size_t j = 0; j < Arity; ++j) {
-      n.children[j] = getEdge(p);
-      p += kEdgeSize;
-    }
-  }
+  wire::WireReader r(payload, payloadLen);
+  payloadFields(r, flat);
   return flat;
 }
 
 }  // namespace
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size,
-                    std::uint64_t seed) noexcept {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::vector<std::uint8_t> serializeDD(const FlatVectorDD& flat) {
   return serializeImpl<2>(flat);

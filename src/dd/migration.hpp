@@ -104,23 +104,14 @@ using FlatMatrixDD = FlatDD<4>;
 [[nodiscard]] VEdge importDD(Package& dst, const FlatVectorDD& flat);
 [[nodiscard]] MEdge importDD(Package& dst, const FlatMatrixDD& flat);
 
-/// FNV-1a over a byte range — the integrity checksum of the serialized
-/// migration format (and of the checkpoint / cache-spill formats built on
-/// top of it). Stable, platform-independent, not cryptographic: it detects
-/// truncation and bit flips, not adversaries. Pass a previous result as
-/// \p seed to chain the hash over discontiguous ranges.
-[[nodiscard]] std::uint64_t fnv1a(
-    const std::uint8_t* data, std::size_t size,
-    std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
-
-/// Byte-level wire format of a FlatDD, for checkpoints, disk spill and
-/// (eventually) cross-process shipping. Layout: a fixed header — magic,
-/// format version, arity, qubit count, node count, payload length, FNV-1a
-/// checksum over the entire blob (checksum field zeroed) — followed by the
-/// payload (root edge, then the nodes in
-/// their children-before-parents order). Numbers are little-endian,
-/// weights are IEEE-754 doubles by bit pattern, so a blob re-imports
-/// bit-identically on any supported host.
+/// Byte-level wire format of a FlatDD, for checkpoints and cross-process
+/// shipping. Layout: a fixed header — magic, format version, arity, qubit
+/// count, node count, payload length, wire::fnv1a checksum over the entire
+/// blob (checksum field zeroed) — followed by the payload (root edge, then
+/// the nodes in their children-before-parents order). Numbers are encoded
+/// by the shared byte codec (wire/wire.hpp): little-endian, weights as
+/// IEEE-754 doubles by bit pattern, so a blob re-imports bit-identically
+/// on any supported host.
 [[nodiscard]] std::vector<std::uint8_t> serializeDD(const FlatVectorDD& flat);
 [[nodiscard]] std::vector<std::uint8_t> serializeDD(const FlatMatrixDD& flat);
 

@@ -762,7 +762,6 @@ VEdge Package::multiply(const MEdge& m, const VEdge& v) {
 // edges are factored out by the caller, so the cache is keyed on node pairs
 // and a cached product is reusable under any scalar prefactor.
 VEdge Package::mulNodesMV(MNode* a, VNode* b, std::size_t spawn) {
-  ++stats_.recursiveMulVCalls;
   pollAbort();
   assert(!a->isTerminal() && a->v == b->v);
   // I·v = v: gate DDs pad every non-target level with explicit identity
@@ -772,6 +771,9 @@ VEdge Package::mulNodesMV(MNode* a, VNode* b, std::size_t spawn) {
     ++stats_.identitySkipsMV;
     return {b, cone()};
   }
+  // Counted past the identity check: every sub-product is either a skip
+  // or a recursive call, never both (see identitySkipRate()).
+  ++stats_.recursiveMulVCalls;
   const MEdge ka{a, cone()};
   const VEdge kb{b, cone()};
   if (CachedVEdge cached; mulMVTable_.lookup(ka, kb, cached, revalidator())) {
@@ -846,7 +848,6 @@ MEdge Package::multiply(const MEdge& a, const MEdge& b) {
 }
 
 MEdge Package::mulNodesMM(MNode* a, MNode* b, std::size_t spawn) {
-  ++stats_.recursiveMulMCalls;
   pollAbort();
   assert(!a->isTerminal() && a->v == b->v);
   // I·M = M / M·I = M without touching the cache or descending the chain.
@@ -858,6 +859,7 @@ MEdge Package::mulNodesMM(MNode* a, MNode* b, std::size_t spawn) {
     ++stats_.identitySkipsMM;
     return {a, cone()};
   }
+  ++stats_.recursiveMulMCalls;  // past the identity check, as in MxV
   const MEdge ka{a, cone()};
   const MEdge kb{b, cone()};
   if (CachedMEdge cached; mulMMTable_.lookup(ka, kb, cached, revalidator())) {

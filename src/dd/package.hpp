@@ -114,6 +114,7 @@ struct PackageStats {
   std::uint64_t matrixMatrixMultiplications = 0;  ///< top-level M x M
   // The recursive/fast-path counters are bumped from inside (possibly
   // task-parallel) recursions, hence relaxed-atomic (see RelaxedCounter).
+  /// Multiply recursions past the identity check (skips are not calls).
   RelaxedCounter recursiveMulVCalls;
   RelaxedCounter recursiveMulMCalls;
   RelaxedCounter recursiveAddCalls;
@@ -134,13 +135,16 @@ struct PackageStats {
   /// Bytes returned to the OS by chunk release during emergency collections.
   std::uint64_t bytesReleased = 0;
 
-  /// Fraction of recursive multiply calls resolved by the identity fast
-  /// path (0 when no multiplies ran).
+  /// Fraction of multiply sub-products resolved by the identity fast path
+  /// (0 when no multiplies ran). Each sub-product either takes a fast path
+  /// (top level, per quadrant or on entry to the recursion) or is counted
+  /// as one recursive call past the identity check, so the rate stays in
+  /// [0, 1].
   [[nodiscard]] double identitySkipRate() const noexcept {
-    const std::uint64_t calls = recursiveMulVCalls + recursiveMulMCalls;
-    return calls == 0 ? 0.0
-                      : static_cast<double>(identitySkipsMV + identitySkipsMM) /
-                            static_cast<double>(calls);
+    const std::uint64_t skips = identitySkipsMV + identitySkipsMM;
+    const std::uint64_t total = skips + recursiveMulVCalls + recursiveMulMCalls;
+    return total == 0 ? 0.0
+                      : static_cast<double>(skips) / static_cast<double>(total);
   }
 };
 

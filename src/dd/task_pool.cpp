@@ -125,8 +125,11 @@ void TaskPool::execute(Task& task) {
       task.group->exception_ = std::current_exception();
     }
   }
+  // Decrement under the group mutex: the group lives on the waiter's stack,
+  // and wait() takes this mutex before returning, so a waiter that sees
+  // pending == 0 cannot destroy the group while this thread still uses it.
+  const std::lock_guard<std::mutex> lock(task.group->mutex_);
   if (task.group->pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    const std::lock_guard<std::mutex> lock(task.group->mutex_);
     task.group->cv_.notify_all();
   }
 }

@@ -1,26 +1,16 @@
 #include "net/frame.hpp"
 
-#include "dd/migration.hpp"  // dd::fnv1a — the shared integrity checksum
-#include "net/wire.hpp"
-#include "sim/checkpoint.hpp"  // sim::encodeStats / decodeStats
+#include <type_traits>
+
+#include "sim/checkpoint.hpp"  // sim::statsFields
+#include "wire/wire.hpp"
 
 namespace ddsim::net {
 
 namespace {
 
-/// Rethrow bounds-check failures as protocol errors so callers handle one
-/// exception type per layer.
-template <typename F>
-auto decodeGuard(const char* what, F&& f) {
-  try {
-    return f();
-  } catch (const WireError& e) {
-    throw FrameError(std::string(what) + ": " + e.what());
-  } catch (const sim::CheckpointError& e) {
-    // decodeStats shares the checkpoint blob's stats encoding.
-    throw FrameError(std::string(what) + ": " + e.what());
-  }
-}
+using wire::WireReader;
+using wire::WireWriter;
 
 /// Frame checksum: FNV-1a chained over the 12-byte canonical header
 /// prefix (magic, version, type, reserved, length) and then the payload.
@@ -29,110 +19,247 @@ auto decodeGuard(const char* what, F&& f) {
 /// field validators cannot catch) still fails verification.
 std::uint64_t frameChecksum(FrameType type, const std::uint8_t* payload,
                             std::size_t size) {
-  std::vector<std::uint8_t> prefix;
-  prefix.reserve(12);
-  putU32(prefix, kFrameMagic);
-  putU16(prefix, kWireVersion);
-  putU8(prefix, static_cast<std::uint8_t>(type));
-  putU8(prefix, 0);
-  putU32(prefix, static_cast<std::uint32_t>(size));
-  return dd::fnv1a(payload, size,
-                   dd::fnv1a(prefix.data(), prefix.size()));
+  WireWriter prefix;
+  prefix.out.reserve(12);
+  prefix.u32(kFrameMagic);
+  prefix.u16(kWireVersion);
+  prefix.u8(static_cast<std::uint8_t>(type));
+  prefix.u8(0);
+  prefix.u32(static_cast<std::uint32_t>(size));
+  return wire::fnv1a(payload, size,
+                     wire::fnv1a(prefix.out.data(), prefix.out.size()));
 }
 
-void putHistogram(std::vector<std::uint8_t>& out,
-                  const obs::HistogramSnapshot& h) {
-  putU64(out, h.count);
-  putF64(out, h.sum);
-  putF64(out, h.max);
-  putF64(out, h.p50);
-  putF64(out, h.p95);
-  putF64(out, h.p99);
-  putU32(out, static_cast<std::uint32_t>(h.buckets.size()));
-  for (const auto& [bound, count] : h.buckets) {
-    putF64(out, bound);
-    putU64(out, count);
+/// A one-byte enum; decoding rejects values above \p last.
+template <class IO, class E>
+void enumField(IO& io, E& e, std::remove_const_t<E> last, const char* name) {
+  if constexpr (IO::kWrites) {
+    io.u8(static_cast<std::uint8_t>(e));
+  } else {
+    const std::uint8_t v = io.u8();
+    if (v > static_cast<std::uint8_t>(last)) {
+      throw wire::WireError(std::string("unknown ") + name + " " +
+                            std::to_string(v));
+    }
+    e = static_cast<E>(v);
   }
 }
 
-obs::HistogramSnapshot getHistogram(WireReader& r) {
-  obs::HistogramSnapshot h;
-  h.count = r.u64();
-  h.sum = r.f64();
-  h.max = r.f64();
-  h.p50 = r.f64();
-  h.p95 = r.f64();
-  h.p99 = r.f64();
-  const std::uint32_t n = r.u32();
-  h.buckets.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const double bound = r.f64();
-    const std::uint64_t count = r.u64();
-    h.buckets.emplace_back(bound, count);
+/// A u32 element count, then each element through \p each.
+template <class IO, class Vec, class F>
+void listField(IO& io, Vec& v, F each) {
+  if constexpr (IO::kWrites) {
+    io.u32(static_cast<std::uint32_t>(v.size()));
+  } else {
+    const std::uint32_t n = io.u32();
+    if (n > io.remaining()) {  // every element takes at least one byte
+      throw wire::WireError("list length exceeds payload");
+    }
+    v.resize(n);
   }
-  return h;
-}
-
-void putStrategyConfig(std::vector<std::uint8_t>& out,
-                       const sim::StrategyConfig& c) {
-  putU8(out, static_cast<std::uint8_t>(c.schedule));
-  putU64(out, c.k);
-  putU64(out, c.maxSize);
-  putF64(out, c.adaptiveRatio);
-  putU8(out, c.reuseRepeatedBlocks ? 1 : 0);
-  putU8(out, c.collectTrace ? 1 : 0);
-  putF64(out, c.timeLimitSeconds);
-  putF64(out, c.approximateFidelity);
-  putU64(out, c.approximateThreshold);
-  putU64(out, c.nodeBudget);
-  putU64(out, c.byteBudget);
-  putF64(out, c.softBudgetFraction);
-  putU64(out, c.degradeCooldownOps);
-  putU8(out, c.pipeline ? 1 : 0);
-  putU64(out, c.pipelineDepth);
-  putU64(out, c.threads);
-  putU64(out, c.checkpointIntervalOps);
-}
-
-sim::StrategyConfig getStrategyConfig(WireReader& r) {
-  sim::StrategyConfig c;
-  const std::uint8_t schedule = r.u8();
-  if (schedule > static_cast<std::uint8_t>(sim::Schedule::Adaptive)) {
-    throw FrameError("decodeSubmit: unknown schedule " +
-                     std::to_string(schedule));
+  for (auto& x : v) {
+    each(x);
   }
-  c.schedule = static_cast<sim::Schedule>(schedule);
-  c.k = r.u64();
-  c.maxSize = r.u64();
-  c.adaptiveRatio = r.f64();
-  c.reuseRepeatedBlocks = r.u8() != 0;
-  c.collectTrace = r.u8() != 0;
-  c.timeLimitSeconds = r.f64();
-  c.approximateFidelity = r.f64();
-  c.approximateThreshold = r.u64();
-  c.nodeBudget = r.u64();
-  c.byteBudget = r.u64();
-  c.softBudgetFraction = r.f64();
-  c.degradeCooldownOps = r.u64();
-  c.pipeline = r.u8() != 0;
-  c.pipelineDepth = r.u64();
-  c.threads = r.u64();
-  c.checkpointIntervalOps = r.u64();
-  return c;
 }
 
-void putStats(std::vector<std::uint8_t>& out, const sim::SimulationStats& s) {
-  // Reuse the flat encoding shared with checkpoint blobs and spill records,
-  // length-prefixed so the reader can skip it as one unit.
-  std::vector<std::uint8_t> flat;
-  sim::encodeStats(flat, s);
-  putBytes(out, flat);
+/// The flat stats, u32-length-prefixed so a reader can skip them whole.
+template <class IO, class S>
+void statsBlock(IO& io, S& s) {
+  if constexpr (IO::kWrites) {
+    WireWriter flat;
+    sim::statsFields(flat, s);
+    io.bytes(flat.out);
+  } else {
+    WireReader flat(io.raw(io.u32()));
+    sim::statsFields(flat, s);
+  }
 }
 
-sim::SimulationStats getStats(WireReader& r) {
-  const std::vector<std::uint8_t> flat = r.bytes();
-  std::size_t off = 0;
-  return sim::decodeStats(flat.data(), flat.size(), off);
+template <class IO, class H>
+void histogramFields(IO& io, H& h) {
+  io.u64(h.count);
+  io.f64(h.sum);
+  io.f64(h.max);
+  io.f64(h.p50);
+  io.f64(h.p95);
+  io.f64(h.p99);
+  listField(io, h.buckets, [&](auto& b) {
+    io.f64(b.first);
+    io.u64(b.second);
+  });
+}
+
+template <class IO, class C>
+void configFields(IO& io, C& c) {
+  enumField(io, c.schedule, sim::Schedule::Adaptive, "schedule");
+  io.u64(c.k);
+  io.u64(c.maxSize);
+  io.f64(c.adaptiveRatio);
+  io.flag(c.reuseRepeatedBlocks);
+  io.flag(c.collectTrace);
+  io.f64(c.timeLimitSeconds);
+  io.f64(c.approximateFidelity);
+  io.u64(c.approximateThreshold);
+  io.u64(c.nodeBudget);
+  io.u64(c.byteBudget);
+  io.f64(c.softBudgetFraction);
+  io.u64(c.degradeCooldownOps);
+  io.flag(c.pipeline);
+  io.u64(c.pipelineDepth);
+  io.u64(c.threads);
+  io.u64(c.checkpointIntervalOps);
+}
+
+// One field list per payload: fields(WireWriter&, const P&) encodes,
+// fields(WireReader&, P&) decodes.
+template <class IO, class T>
+using Ref = std::conditional_t<IO::kWrites, const T, T>&;
+
+template <class IO>
+void fields(IO& io, Ref<IO, HelloPayload> p) {
+  io.u16(p.wireVersion);
+  io.string(p.software);
+}
+
+template <class IO>
+void fields(IO& io, Ref<IO, SubmitPayload> p) {
+  io.u64(p.jobId);
+  io.string(p.label);
+  io.string(p.qasm);
+  configFields(io, p.config);
+  io.u64(p.seed);
+  enumField(io, p.priority, serve::JobPriority::Low, "priority");
+  io.f64(p.deadlineSeconds);
+  io.flag(p.detectRepetitions);
+  io.bytes(p.checkpoint);
+}
+
+template <class IO>
+void fields(IO& io, Ref<IO, ResultPayload> p) {
+  io.u64(p.jobId);
+  io.u8(p.status);
+  if constexpr (!IO::kWrites) {
+    if (p.status != kWireStatusRejected &&
+        p.status > static_cast<std::uint8_t>(serve::JobStatus::Failed)) {
+      throw wire::WireError("unknown status " + std::to_string(p.status));
+    }
+  }
+  io.bits(p.classicalBits);
+  statsBlock(io, p.stats);
+  io.flag(p.hasPartial);
+  if (p.hasPartial) {
+    io.u64(p.partial.opsCompleted);
+    io.u64(p.partial.peakLiveNodes);
+    io.f64(p.partial.elapsedSeconds);
+    statsBlock(io, p.partial.stats);
+  }
+  io.string(p.error);
+  io.f64(p.queueSeconds);
+  io.f64(p.runSeconds);
+  io.flag(p.fromCache);
+  io.flag(p.coalesced);
+  io.u64(p.attempts);
+  io.flag(p.resumed);
+}
+
+template <class IO>
+void fields(IO& io, Ref<IO, CheckpointPayload> p) {
+  io.u64(p.jobId);
+  io.bytes(p.blob);
+}
+
+template <class IO>
+void fields(IO& io, Ref<IO, GoodbyePayload> p) {
+  io.string(p.reason);
+}
+
+template <class IO>
+void fields(IO& io, Ref<IO, ErrorPayload> p) {
+  io.string(p.message);
+}
+
+template <class IO>
+void fields(IO& io, Ref<IO, serve::ServiceStats> s) {
+  io.u64(s.workers);
+  io.f64(s.elapsedSeconds);
+  io.u64(s.queueDepth);
+  io.u64(s.submitted);
+  io.u64(s.rejected);
+  io.u64(s.coalesced);
+  io.u64(s.simulationsRun);
+  io.u64(s.completed);
+  io.u64(s.cached);
+  io.u64(s.timedOut);
+  io.u64(s.expired);
+  io.u64(s.cancelled);
+  io.u64(s.resourceExhausted);
+  io.u64(s.failed);
+  io.f64(s.queueLatencyMeanSeconds);
+  io.f64(s.queueLatencyMaxSeconds);
+  io.f64(s.execSecondsTotal);
+  io.f64(s.jobsPerSecond);
+  io.f64(s.queueLatencyP50Seconds);
+  io.f64(s.queueLatencyP95Seconds);
+  io.f64(s.queueLatencyP99Seconds);
+  io.f64(s.execP50Seconds);
+  io.f64(s.execP95Seconds);
+  io.f64(s.execP99Seconds);
+  histogramFields(io, s.queueLatencyHistogram);
+  histogramFields(io, s.execHistogram);
+  histogramFields(io, s.degradationPerJobHistogram);
+  io.u64(s.cacheBypassed);
+  io.u64(s.cache.hits);
+  io.u64(s.cache.misses);
+  io.u64(s.cache.insertions);
+  io.u64(s.cache.evictions);
+  io.u64(s.cache.entries);
+  io.u64(s.blockCache.hits);
+  io.u64(s.blockCache.misses);
+  io.u64(s.blockCache.insertions);
+  io.u64(s.blockCache.evictions);
+  io.u64(s.blockCache.entries);
+  io.u64(s.blockCache.sharedNodes);
+  io.u64(s.spill.appended);
+  io.u64(s.spill.loaded);
+  io.u64(s.spill.corruptSkipped);
+  io.u64(s.spill.snapshots);
+  io.u64(s.retriesScheduled);
+  io.u64(s.resumedAttempts);
+  io.u64(s.restartedAttempts);
+  io.f64(s.backoffSecondsTotal);
+  io.u64(s.checkpointsTaken);
+  io.u64(s.degradationEvents);
+  io.u64(s.pressureFlushes);
+  io.u64(s.sequentialFallbackOps);
+  io.u64(s.pressureApproximations);
+  io.u64(s.resourceRecoveries);
+  io.u64(s.pipelinedBlocks);
+  io.u64(s.pipelineStalls);
+  io.u64(s.pipelineBowOuts);
+  io.u64(s.pipelineSerialFallbackOps);
+  listField(io, s.perWorkerJobs, [&](auto& jobs) { io.u64(jobs); });
+}
+
+/// Decode a whole payload through its field list. Bounds-check failures
+/// surface as protocol errors, so callers handle one exception type per
+/// layer.
+template <class P>
+P decodePayload(const char* what, const std::vector<std::uint8_t>& b) {
+  try {
+    WireReader r(b);
+    P p;
+    fields(r, p);
+    return p;
+  } catch (const wire::WireError& e) {
+    throw FrameError(std::string(what) + ": " + e.what());
+  }
+}
+
+template <class P>
+std::vector<std::uint8_t> encodePayload(const P& p) {
+  WireWriter w;
+  fields(w, p);
+  return std::move(w.out);
 }
 
 }  // namespace
@@ -171,24 +298,23 @@ std::vector<std::uint8_t> encodeFrame(const Frame& frame) {
                      std::to_string(frame.payload.size()) +
                      " bytes exceeds the frame ceiling");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderSize + frame.payload.size());
-  putU32(out, kFrameMagic);
-  putU16(out, kWireVersion);
-  putU8(out, static_cast<std::uint8_t>(frame.type));
-  putU8(out, 0);  // reserved
-  putU32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  putU64(out, frameChecksum(frame.type, frame.payload.data(),
-                            frame.payload.size()));
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  return out;
+  WireWriter w;
+  w.out.reserve(kFrameHeaderSize + frame.payload.size());
+  w.u32(kFrameMagic);
+  w.u16(kWireVersion);
+  w.u8(static_cast<std::uint8_t>(frame.type));
+  w.u8(0);  // reserved
+  w.u32(static_cast<std::uint32_t>(frame.payload.size()));
+  w.u64(frameChecksum(frame.type, frame.payload.data(), frame.payload.size()));
+  wire::putRaw(w.out, frame.payload);
+  return std::move(w.out);
 }
 
 FrameHeader decodeFrameHeader(const std::uint8_t* data) {
-  if (peekU32(data) != kFrameMagic) {
+  if (wire::peekU32(data) != kFrameMagic) {
     throw FrameError("frame: bad magic (not a ddsim frame)");
   }
-  const std::uint16_t version = peekU16(data + 4);
+  const std::uint16_t version = wire::peekU16(data + 4);
   if (version != kWireVersion) {
     throw FrameError("frame: unsupported protocol version " +
                      std::to_string(version) + " (expected " +
@@ -204,13 +330,13 @@ FrameHeader decodeFrameHeader(const std::uint8_t* data) {
   }
   FrameHeader h;
   h.type = static_cast<FrameType>(type);
-  h.payloadLength = peekU32(data + 8);
+  h.payloadLength = wire::peekU32(data + 8);
   if (h.payloadLength > kMaxFramePayload) {
     throw FrameError("frame: payload length " +
                      std::to_string(h.payloadLength) +
                      " exceeds the frame ceiling (corrupted length field)");
   }
-  h.checksum = peekU64(data + 12);
+  h.checksum = wire::peekU64(data + 12);
   return h;
 }
 
@@ -251,293 +377,52 @@ Frame decodeFrame(const std::vector<std::uint8_t>& bytes) {
 // --------------------------------------------------------- payload codecs
 
 std::vector<std::uint8_t> encodeHello(const HelloPayload& p) {
-  std::vector<std::uint8_t> out;
-  putU16(out, p.wireVersion);
-  putString(out, p.software);
-  return out;
+  return encodePayload(p);
 }
-
 HelloPayload decodeHello(const std::vector<std::uint8_t>& b) {
-  return decodeGuard("decodeHello", [&] {
-    WireReader r(b);
-    HelloPayload p;
-    p.wireVersion = r.u16();
-    p.software = r.string();
-    return p;
-  });
+  return decodePayload<HelloPayload>("decodeHello", b);
 }
 
 std::vector<std::uint8_t> encodeSubmit(const SubmitPayload& p) {
-  std::vector<std::uint8_t> out;
-  putU64(out, p.jobId);
-  putString(out, p.label);
-  putString(out, p.qasm);
-  putStrategyConfig(out, p.config);
-  putU64(out, p.seed);
-  putU8(out, static_cast<std::uint8_t>(p.priority));
-  putF64(out, p.deadlineSeconds);
-  putU8(out, p.detectRepetitions ? 1 : 0);
-  putBytes(out, p.checkpoint);
-  return out;
+  return encodePayload(p);
 }
-
 SubmitPayload decodeSubmit(const std::vector<std::uint8_t>& b) {
-  return decodeGuard("decodeSubmit", [&] {
-    WireReader r(b);
-    SubmitPayload p;
-    p.jobId = r.u64();
-    p.label = r.string();
-    p.qasm = r.string();
-    p.config = getStrategyConfig(r);
-    p.seed = r.u64();
-    const std::uint8_t priority = r.u8();
-    if (priority > static_cast<std::uint8_t>(serve::JobPriority::Low)) {
-      throw FrameError("decodeSubmit: unknown priority " +
-                       std::to_string(priority));
-    }
-    p.priority = static_cast<serve::JobPriority>(priority);
-    p.deadlineSeconds = r.f64();
-    p.detectRepetitions = r.u8() != 0;
-    p.checkpoint = r.bytes();
-    return p;
-  });
+  return decodePayload<SubmitPayload>("decodeSubmit", b);
 }
 
 std::vector<std::uint8_t> encodeResult(const ResultPayload& p) {
-  std::vector<std::uint8_t> out;
-  putU64(out, p.jobId);
-  putU8(out, p.status);
-  putBits(out, p.classicalBits);
-  putStats(out, p.stats);
-  putU8(out, p.hasPartial ? 1 : 0);
-  if (p.hasPartial) {
-    putU64(out, p.partial.opsCompleted);
-    putU64(out, p.partial.peakLiveNodes);
-    putF64(out, p.partial.elapsedSeconds);
-    putStats(out, p.partial.stats);
-  }
-  putString(out, p.error);
-  putF64(out, p.queueSeconds);
-  putF64(out, p.runSeconds);
-  putU8(out, p.fromCache ? 1 : 0);
-  putU8(out, p.coalesced ? 1 : 0);
-  putU64(out, p.attempts);
-  putU8(out, p.resumed ? 1 : 0);
-  return out;
+  return encodePayload(p);
 }
-
 ResultPayload decodeResult(const std::vector<std::uint8_t>& b) {
-  return decodeGuard("decodeResult", [&] {
-    WireReader r(b);
-    ResultPayload p;
-    p.jobId = r.u64();
-    p.status = r.u8();
-    if (p.status != kWireStatusRejected &&
-        p.status > static_cast<std::uint8_t>(serve::JobStatus::Failed)) {
-      throw FrameError("decodeResult: unknown status " +
-                       std::to_string(p.status));
-    }
-    p.classicalBits = r.bits();
-    p.stats = getStats(r);
-    p.hasPartial = r.u8() != 0;
-    if (p.hasPartial) {
-      p.partial.opsCompleted = r.u64();
-      p.partial.peakLiveNodes = r.u64();
-      p.partial.elapsedSeconds = r.f64();
-      p.partial.stats = getStats(r);
-    }
-    p.error = r.string();
-    p.queueSeconds = r.f64();
-    p.runSeconds = r.f64();
-    p.fromCache = r.u8() != 0;
-    p.coalesced = r.u8() != 0;
-    p.attempts = r.u64();
-    p.resumed = r.u8() != 0;
-    return p;
-  });
+  return decodePayload<ResultPayload>("decodeResult", b);
 }
 
 std::vector<std::uint8_t> encodeCheckpoint(const CheckpointPayload& p) {
-  std::vector<std::uint8_t> out;
-  putU64(out, p.jobId);
-  putBytes(out, p.blob);
-  return out;
+  return encodePayload(p);
 }
-
 CheckpointPayload decodeCheckpoint(const std::vector<std::uint8_t>& b) {
-  return decodeGuard("decodeCheckpoint", [&] {
-    WireReader r(b);
-    CheckpointPayload p;
-    p.jobId = r.u64();
-    p.blob = r.bytes();
-    return p;
-  });
+  return decodePayload<CheckpointPayload>("decodeCheckpoint", b);
 }
 
 std::vector<std::uint8_t> encodeGoodbye(const GoodbyePayload& p) {
-  std::vector<std::uint8_t> out;
-  putString(out, p.reason);
-  return out;
+  return encodePayload(p);
 }
-
 GoodbyePayload decodeGoodbye(const std::vector<std::uint8_t>& b) {
-  return decodeGuard("decodeGoodbye", [&] {
-    WireReader r(b);
-    GoodbyePayload p;
-    p.reason = r.string();
-    return p;
-  });
+  return decodePayload<GoodbyePayload>("decodeGoodbye", b);
 }
 
 std::vector<std::uint8_t> encodeError(const ErrorPayload& p) {
-  std::vector<std::uint8_t> out;
-  putString(out, p.message);
-  return out;
+  return encodePayload(p);
 }
-
 ErrorPayload decodeError(const std::vector<std::uint8_t>& b) {
-  return decodeGuard("decodeError", [&] {
-    WireReader r(b);
-    ErrorPayload p;
-    p.message = r.string();
-    return p;
-  });
+  return decodePayload<ErrorPayload>("decodeError", b);
 }
 
 std::vector<std::uint8_t> encodeServiceStats(const serve::ServiceStats& s) {
-  std::vector<std::uint8_t> out;
-  putU64(out, s.workers);
-  putF64(out, s.elapsedSeconds);
-  putU64(out, s.queueDepth);
-  putU64(out, s.submitted);
-  putU64(out, s.rejected);
-  putU64(out, s.coalesced);
-  putU64(out, s.simulationsRun);
-  putU64(out, s.completed);
-  putU64(out, s.cached);
-  putU64(out, s.timedOut);
-  putU64(out, s.expired);
-  putU64(out, s.cancelled);
-  putU64(out, s.resourceExhausted);
-  putU64(out, s.failed);
-  putF64(out, s.queueLatencyMeanSeconds);
-  putF64(out, s.queueLatencyMaxSeconds);
-  putF64(out, s.execSecondsTotal);
-  putF64(out, s.jobsPerSecond);
-  putF64(out, s.queueLatencyP50Seconds);
-  putF64(out, s.queueLatencyP95Seconds);
-  putF64(out, s.queueLatencyP99Seconds);
-  putF64(out, s.execP50Seconds);
-  putF64(out, s.execP95Seconds);
-  putF64(out, s.execP99Seconds);
-  putHistogram(out, s.queueLatencyHistogram);
-  putHistogram(out, s.execHistogram);
-  putHistogram(out, s.degradationPerJobHistogram);
-  putU64(out, s.cacheBypassed);
-  putU64(out, s.cache.hits);
-  putU64(out, s.cache.misses);
-  putU64(out, s.cache.insertions);
-  putU64(out, s.cache.evictions);
-  putU64(out, s.cache.entries);
-  putU64(out, s.blockCache.hits);
-  putU64(out, s.blockCache.misses);
-  putU64(out, s.blockCache.insertions);
-  putU64(out, s.blockCache.evictions);
-  putU64(out, s.blockCache.entries);
-  putU64(out, s.blockCache.sharedNodes);
-  putU64(out, s.spill.appended);
-  putU64(out, s.spill.loaded);
-  putU64(out, s.spill.corruptSkipped);
-  putU64(out, s.spill.snapshots);
-  putU64(out, s.retriesScheduled);
-  putU64(out, s.resumedAttempts);
-  putU64(out, s.restartedAttempts);
-  putF64(out, s.backoffSecondsTotal);
-  putU64(out, s.checkpointsTaken);
-  putU64(out, s.degradationEvents);
-  putU64(out, s.pressureFlushes);
-  putU64(out, s.sequentialFallbackOps);
-  putU64(out, s.pressureApproximations);
-  putU64(out, s.resourceRecoveries);
-  putU64(out, s.pipelinedBlocks);
-  putU64(out, s.pipelineStalls);
-  putU64(out, s.pipelineBowOuts);
-  putU64(out, s.pipelineSerialFallbackOps);
-  putU32(out, static_cast<std::uint32_t>(s.perWorkerJobs.size()));
-  for (const std::uint64_t jobs : s.perWorkerJobs) {
-    putU64(out, jobs);
-  }
-  return out;
+  return encodePayload(s);
 }
-
 serve::ServiceStats decodeServiceStats(const std::vector<std::uint8_t>& b) {
-  return decodeGuard("decodeServiceStats", [&] {
-    WireReader r(b);
-    serve::ServiceStats s;
-    s.workers = r.u64();
-    s.elapsedSeconds = r.f64();
-    s.queueDepth = r.u64();
-    s.submitted = r.u64();
-    s.rejected = r.u64();
-    s.coalesced = r.u64();
-    s.simulationsRun = r.u64();
-    s.completed = r.u64();
-    s.cached = r.u64();
-    s.timedOut = r.u64();
-    s.expired = r.u64();
-    s.cancelled = r.u64();
-    s.resourceExhausted = r.u64();
-    s.failed = r.u64();
-    s.queueLatencyMeanSeconds = r.f64();
-    s.queueLatencyMaxSeconds = r.f64();
-    s.execSecondsTotal = r.f64();
-    s.jobsPerSecond = r.f64();
-    s.queueLatencyP50Seconds = r.f64();
-    s.queueLatencyP95Seconds = r.f64();
-    s.queueLatencyP99Seconds = r.f64();
-    s.execP50Seconds = r.f64();
-    s.execP95Seconds = r.f64();
-    s.execP99Seconds = r.f64();
-    s.queueLatencyHistogram = getHistogram(r);
-    s.execHistogram = getHistogram(r);
-    s.degradationPerJobHistogram = getHistogram(r);
-    s.cacheBypassed = r.u64();
-    s.cache.hits = r.u64();
-    s.cache.misses = r.u64();
-    s.cache.insertions = r.u64();
-    s.cache.evictions = r.u64();
-    s.cache.entries = r.u64();
-    s.blockCache.hits = r.u64();
-    s.blockCache.misses = r.u64();
-    s.blockCache.insertions = r.u64();
-    s.blockCache.evictions = r.u64();
-    s.blockCache.entries = r.u64();
-    s.blockCache.sharedNodes = r.u64();
-    s.spill.appended = r.u64();
-    s.spill.loaded = r.u64();
-    s.spill.corruptSkipped = r.u64();
-    s.spill.snapshots = r.u64();
-    s.retriesScheduled = r.u64();
-    s.resumedAttempts = r.u64();
-    s.restartedAttempts = r.u64();
-    s.backoffSecondsTotal = r.f64();
-    s.checkpointsTaken = r.u64();
-    s.degradationEvents = r.u64();
-    s.pressureFlushes = r.u64();
-    s.sequentialFallbackOps = r.u64();
-    s.pressureApproximations = r.u64();
-    s.resourceRecoveries = r.u64();
-    s.pipelinedBlocks = r.u64();
-    s.pipelineStalls = r.u64();
-    s.pipelineBowOuts = r.u64();
-    s.pipelineSerialFallbackOps = r.u64();
-    const std::uint32_t n = r.u32();
-    s.perWorkerJobs.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      s.perWorkerJobs.push_back(r.u64());
-    }
-    return s;
-  });
+  return decodePayload<serve::ServiceStats>("decodeServiceStats", b);
 }
 
 }  // namespace ddsim::net

@@ -14,9 +14,10 @@
 ///     12      8     FNV-1a checksum over bytes 0..11 then the payload
 ///     20      ...   payload
 ///
-/// All numbers are explicit little-endian (net/wire.hpp). The checksum is
-/// the same FNV-1a the migration/checkpoint/spill formats use
-/// (dd::fnv1a) — it detects truncation and bit flips, not adversaries.
+/// All numbers are explicit little-endian, written with the byte codec the
+/// migration/checkpoint/spill formats share (wire/wire.hpp); the checksum
+/// is that module's wire::fnv1a — it detects truncation and bit flips, not
+/// adversaries.
 /// Chaining the header prefix into it means a bit flip that turns one
 /// valid header field into another (Submit -> Result in the type byte,
 /// say) still fails verification, even though the field validators alone
@@ -24,8 +25,9 @@
 /// Decoding is defensive end to end: a bad magic, unsupported version,
 /// unknown type, oversized length or checksum mismatch throws FrameError
 /// before any payload structure is interpreted, and payload decoding is
-/// bounds-checked (WireReader), so a corrupted or malicious frame can cost
-/// a connection, never memory safety.
+/// bounds-checked (wire::WireReader; its WireError surfaces as FrameError),
+/// so a corrupted or malicious frame can cost a connection, never memory
+/// safety.
 ///
 /// Frame payloads (codecs below):
 ///  * Submit      router -> worker: one job — QASM source, StrategyConfig,

@@ -4,11 +4,11 @@
 #include <sstream>
 #include <utility>
 
-#include "dd/migration.hpp"  // dd::fnv1a
 #include "ir/hash.hpp"
 #include "ir/qasm.hpp"
 #include "obs/trace.hpp"
 #include "serve/result_cache.hpp"
+#include "wire/wire.hpp"
 
 namespace ddsim::router {
 
@@ -23,7 +23,7 @@ namespace {
 /// then each replica index is mixed in with the SplitMix combiner — the
 /// same primitives as the cache keys, so points spread uniformly.
 std::uint64_t ringPoint(const std::string& worker, std::size_t replica) {
-  const std::uint64_t base = dd::fnv1a(
+  const std::uint64_t base = wire::fnv1a(
       reinterpret_cast<const std::uint8_t*>(worker.data()), worker.size());
   return ir::hashCombine(base, replica);
 }

@@ -9,9 +9,9 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "dd/migration.hpp"
 #include "obs/trace.hpp"
 #include "sim/checkpoint.hpp"
+#include "wire/wire.hpp"
 
 namespace ddsim::serve {
 
@@ -25,100 +25,28 @@ constexpr std::size_t kRecordHeader = 4 + 4 + 8;
 /// field, not a record.
 constexpr std::uint32_t kMaxPayload = 64U * 1024U * 1024U;
 
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int s = 0; s < 32; s += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> s));
-  }
-}
-
-void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int s = 0; s < 64; s += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> s));
-  }
-}
-
-std::uint32_t getU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int b = 3; b >= 0; --b) {
-    v = (v << 8) | p[b];
-  }
-  return v;
-}
-
-std::uint64_t getU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int b = 7; b >= 0; --b) {
-    v = (v << 8) | p[b];
-  }
-  return v;
-}
-
-/// key triple + packed classical bits + flat stats (the encoding shared
-/// with the checkpoint blob).
-std::vector<std::uint8_t> encodeRecordPayload(const CacheKey& key,
-                                              const CachedOutcome& outcome) {
-  std::vector<std::uint8_t> payload;
-  putU64(payload, key.circuitHash);
-  putU64(payload, key.configHash);
-  putU64(payload, key.seed);
-  putU64(payload, outcome.classicalBits.size());
-  std::uint8_t byte = 0;
-  for (std::size_t i = 0; i < outcome.classicalBits.size(); ++i) {
-    byte = static_cast<std::uint8_t>(
-        byte | ((outcome.classicalBits[i] ? 1U : 0U) << (i % 8)));
-    if (i % 8 == 7) {
-      payload.push_back(byte);
-      byte = 0;
-    }
-  }
-  if (outcome.classicalBits.size() % 8 != 0) {
-    payload.push_back(byte);
-  }
-  sim::encodeStats(payload, outcome.stats);
-  return payload;
-}
-
-/// Throws sim::CheckpointError (via decodeStats) or std::runtime_error on
-/// malformed input; the loader catches and counts.
-std::pair<CacheKey, CachedOutcome> decodeRecordPayload(
-    const std::uint8_t* data, std::size_t size) {
-  std::size_t off = 0;
-  const auto need = [&](std::size_t n) {
-    if (n > size - off) {
-      throw std::runtime_error("spill record payload truncated");
-    }
-  };
-  need(8 * 4);
-  CacheKey key;
-  key.circuitHash = getU64(data + off);
-  key.configHash = getU64(data + off + 8);
-  key.seed = getU64(data + off + 16);
-  const std::uint64_t bitCount = getU64(data + off + 24);
-  off += 32;
-  if (bitCount / 8 > size - off) {  // overflow-immune form of the check below
-    throw std::runtime_error("spill record payload truncated");
-  }
-  need((bitCount + 7) / 8);
-  CachedOutcome outcome;
-  outcome.classicalBits.assign(bitCount, false);
-  for (std::uint64_t i = 0; i < bitCount; ++i) {
-    outcome.classicalBits[i] = (data[off + i / 8] >> (i % 8)) & 1U;
-  }
-  off += (bitCount + 7) / 8;
-  outcome.stats = sim::decodeStats(data, size, off);
-  return {key, std::move(outcome)};
+/// Record payload: the cache-key triple, the classical bits, then the flat
+/// stats shared with the checkpoint blob.
+template <class IO, class Key, class Outcome>
+void recordFields(IO& io, Key& key, Outcome& outcome) {
+  io.u64(key.circuitHash);
+  io.u64(key.configHash);
+  io.u64(key.seed);
+  io.bits(outcome.classicalBits);
+  sim::statsFields(io, outcome.stats);
 }
 
 std::vector<std::uint8_t> encodeRecord(const CacheKey& key,
                                        const CachedOutcome& outcome) {
-  const std::vector<std::uint8_t> payload = encodeRecordPayload(key, outcome);
-  std::vector<std::uint8_t> record;
-  record.reserve(kRecordHeader + payload.size());
-  putU32(record, kRecordMagic);
-  putU32(record, static_cast<std::uint32_t>(payload.size()));
-  putU64(record, dd::fnv1a(payload.data(), payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
-  return record;
+  wire::WireWriter payload;
+  recordFields(payload, key, outcome);
+  wire::WireWriter record;
+  record.out.reserve(kRecordHeader + payload.out.size());
+  record.u32(kRecordMagic);
+  record.u32(static_cast<std::uint32_t>(payload.out.size()));
+  record.u64(wire::fnv1a(payload.out.data(), payload.out.size()));
+  wire::putRaw(record.out, payload.out);
+  return std::move(record.out);
 }
 
 bool fsyncFile(std::FILE* f) {
@@ -188,14 +116,14 @@ std::size_t CacheSpill::loadFile(
     }
   };
   while (off + kRecordHeader <= bytes.size()) {
-    if (getU32(bytes.data() + off) != kRecordMagic) {
+    if (wire::peekU32(bytes.data() + off) != kRecordMagic) {
       // Resync: scan forward for the next record magic.
       markCorrupt();
       ++off;
       continue;
     }
-    const std::uint32_t payloadLen = getU32(bytes.data() + off + 4);
-    const std::uint64_t checksum = getU64(bytes.data() + off + 8);
+    const std::uint32_t payloadLen = wire::peekU32(bytes.data() + off + 4);
+    const std::uint64_t checksum = wire::peekU64(bytes.data() + off + 8);
     if (payloadLen > kMaxPayload ||
         payloadLen > bytes.size() - off - kRecordHeader) {
       // Torn tail (the common SIGKILL artifact) or a corrupted length.
@@ -206,13 +134,16 @@ std::size_t CacheSpill::loadFile(
       continue;
     }
     const std::uint8_t* payload = bytes.data() + off + kRecordHeader;
-    if (dd::fnv1a(payload, payloadLen) != checksum) {
+    if (wire::fnv1a(payload, payloadLen) != checksum) {
       markCorrupt();
       off += 4;
       continue;
     }
     try {
-      auto [key, outcome] = decodeRecordPayload(payload, payloadLen);
+      CacheKey key;
+      CachedOutcome outcome;
+      wire::WireReader r(payload, payloadLen);
+      recordFields(r, key, outcome);
       sink(key, std::move(outcome));
       ++restored;
       ++loaded_;

@@ -1,6 +1,8 @@
 #include "sim/checkpoint.hpp"
 
-#include <cstring>
+#include <type_traits>
+
+#include "wire/wire.hpp"
 
 namespace ddsim::sim {
 
@@ -11,202 +13,78 @@ constexpr std::uint32_t kVersion = 1;
 /// magic, version, payload length, payload checksum.
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 8;
 
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int s = 0; s < 32; s += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> s));
+/// Strings and nested blobs are u64-length-prefixed in this format.
+template <class IO, class Bytes>
+void sized(IO& io, Bytes& bytes) {
+  if constexpr (IO::kWrites) {
+    io.u64(bytes.size());
+    wire::putRaw(io.out, bytes);
+  } else {
+    const auto s = io.raw(io.u64());
+    bytes.assign(s.begin(), s.end());
   }
 }
 
-void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int s = 0; s < 64; s += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> s));
+/// Flags are u32 in this format.
+template <class IO, class Flag>
+void flag32(IO& io, Flag& flag) {
+  if constexpr (IO::kWrites) {
+    io.u32(flag ? 1U : 0U);
+  } else {
+    flag = io.u32() != 0;
   }
 }
 
-void putF64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  putU64(out, bits);
-}
-
-void putBlob(std::vector<std::uint8_t>& out,
-             const std::vector<std::uint8_t>& blob) {
-  putU64(out, blob.size());
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-void putString(std::vector<std::uint8_t>& out, const std::string& s) {
-  putU64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void putBits(std::vector<std::uint8_t>& out, const std::vector<bool>& bits) {
-  putU64(out, bits.size());
-  std::uint8_t byte = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    byte = static_cast<std::uint8_t>(byte | ((bits[i] ? 1U : 0U) << (i % 8)));
-    if (i % 8 == 7) {
-      out.push_back(byte);
-      byte = 0;
+/// A FlatDD travels as a nested migration blob (dd/migration.hpp).
+template <class IO, class Flat>
+void ddBlob(IO& io, Flat& flat) {
+  if constexpr (IO::kWrites) {
+    const std::vector<std::uint8_t> blob = dd::serializeDD(flat);
+    sized(io, blob);
+  } else {
+    const auto s = io.raw(io.u64());
+    if constexpr (std::is_same_v<Flat, dd::FlatVectorDD>) {
+      flat = dd::deserializeVectorDD(s.data(), s.size());
+    } else {
+      flat = dd::deserializeMatrixDD(s.data(), s.size());
     }
-  }
-  if (bits.size() % 8 != 0) {
-    out.push_back(byte);
   }
 }
 
-/// Bounds-checked big-blob reader; every get* throws on overrun so a
-/// truncated checkpoint fails cleanly instead of reading past the buffer.
-struct Reader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t off = 0;
-
-  void need(std::size_t n) const {
-    // n > size - off rather than off + n > size: immune to overflow when a
-    // corrupted length field decodes to a near-2^64 value.
-    if (n > size - off) {
-      throw CheckpointError("checkpoint truncated at offset " +
-                            std::to_string(off));
-    }
+template <class IO, class C>
+void checkpointFields(IO& io, C& ck) {
+  io.u64(ck.circuitHash);
+  io.u64(ck.strategyHash);
+  io.u64(ck.seed);
+  io.u64(ck.nextOpIndex);
+  sized(io, ck.rngState);
+  io.bits(ck.classicalBits);
+  ddBlob(io, ck.state);
+  flag32(io, ck.accPending);
+  if (ck.accPending) {
+    ddBlob(io, ck.acc);
   }
-  std::uint32_t getU32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int b = 3; b >= 0; --b) {
-      v = (v << 8) | data[off + static_cast<std::size_t>(b)];
-    }
-    off += 4;
-    return v;
-  }
-  std::uint64_t getU64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int b = 7; b >= 0; --b) {
-      v = (v << 8) | data[off + static_cast<std::size_t>(b)];
-    }
-    off += 8;
-    return v;
-  }
-  double getF64() {
-    const std::uint64_t bits = getU64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::vector<std::uint8_t> getBlob() {
-    const std::uint64_t n = getU64();
-    need(n);
-    std::vector<std::uint8_t> blob(data + off, data + off + n);
-    off += n;
-    return blob;
-  }
-  std::string getString() {
-    const std::uint64_t n = getU64();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data + off), n);
-    off += n;
-    return s;
-  }
-  std::vector<bool> getBits() {
-    const std::uint64_t n = getU64();
-    if (n / 8 > size - off) {  // guards the (n + 7) overflow below too
-      throw CheckpointError("checkpoint truncated in classical-bit vector");
-    }
-    need((n + 7) / 8);
-    std::vector<bool> bits(n, false);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      bits[i] = (data[off + i / 8] >> (i % 8)) & 1U;
-    }
-    off += (n + 7) / 8;
-    return bits;
-  }
-};
+  io.u64(ck.accCount);
+  io.u64(ck.accGates);
+  io.u64(ck.sequentialCooldown);
+  flag32(io, ck.pipelineDisabled);
+  statsFields(io, ck.stats);
+}
 
 }  // namespace
 
-void encodeStats(std::vector<std::uint8_t>& out, const SimulationStats& s) {
-  putF64(out, s.wallSeconds);
-  putU64(out, s.appliedGates);
-  putU64(out, s.mxvCount);
-  putU64(out, s.mxmCount);
-  putU64(out, s.peakStateNodes);
-  putU64(out, s.peakMatrixNodes);
-  putU64(out, s.finalStateNodes);
-  putF64(out, s.approxFidelity);
-  putU64(out, s.approxRounds);
-  putU64(out, s.degradationEvents);
-  putU64(out, s.pressureFlushes);
-  putU64(out, s.sequentialFallbackOps);
-  putU64(out, s.pressureApproximations);
-  putU64(out, s.resourceRecoveries);
-  putU64(out, s.pipelinedBlocks);
-  putU64(out, s.pipelineStalls);
-  putU64(out, s.pipelineBowOuts);
-  putU64(out, s.serialFallbackOps);
-  putU64(out, s.migratedNodes);
-  putU64(out, s.checkpointsTaken);
-  putU64(out, s.resumedFromCheckpoint);
-  putF64(out, s.builderBuildSeconds);
-}
-
-SimulationStats decodeStats(const std::uint8_t* data, std::size_t size,
-                            std::size_t& offset) {
-  Reader r{data, size, offset};
-  SimulationStats s;
-  s.wallSeconds = r.getF64();
-  s.appliedGates = r.getU64();
-  s.mxvCount = r.getU64();
-  s.mxmCount = r.getU64();
-  s.peakStateNodes = r.getU64();
-  s.peakMatrixNodes = r.getU64();
-  s.finalStateNodes = r.getU64();
-  s.approxFidelity = r.getF64();
-  s.approxRounds = r.getU64();
-  s.degradationEvents = r.getU64();
-  s.pressureFlushes = r.getU64();
-  s.sequentialFallbackOps = r.getU64();
-  s.pressureApproximations = r.getU64();
-  s.resourceRecoveries = r.getU64();
-  s.pipelinedBlocks = r.getU64();
-  s.pipelineStalls = r.getU64();
-  s.pipelineBowOuts = r.getU64();
-  s.serialFallbackOps = r.getU64();
-  s.migratedNodes = r.getU64();
-  s.checkpointsTaken = r.getU64();
-  s.resumedFromCheckpoint = r.getU64();
-  s.builderBuildSeconds = r.getF64();
-  offset = r.off;
-  return s;
-}
-
 std::vector<std::uint8_t> Checkpoint::serialize() const {
-  std::vector<std::uint8_t> payload;
-  putU64(payload, circuitHash);
-  putU64(payload, strategyHash);
-  putU64(payload, seed);
-  putU64(payload, nextOpIndex);
-  putString(payload, rngState);
-  putBits(payload, classicalBits);
-  putBlob(payload, dd::serializeDD(state));
-  putU32(payload, accPending ? 1U : 0U);
-  if (accPending) {
-    putBlob(payload, dd::serializeDD(acc));
-  }
-  putU64(payload, accCount);
-  putU64(payload, accGates);
-  putU64(payload, sequentialCooldown);
-  putU32(payload, pipelineDisabled ? 1U : 0U);
-  encodeStats(payload, stats);
+  wire::WireWriter payload;
+  checkpointFields(payload, *this);
 
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload.size());
-  putU32(out, kMagic);
-  putU32(out, kVersion);
-  putU64(out, payload.size());
-  putU64(out, dd::fnv1a(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  wire::WireWriter w;
+  w.out.reserve(kHeaderSize + payload.out.size());
+  w.u32(kMagic);
+  w.u32(kVersion);
+  w.u64(payload.out.size());
+  w.u64(wire::fnv1a(payload.out.data(), payload.out.size()));
+  wire::putRaw(w.out, payload.out);
+  return std::move(w.out);
 }
 
 Checkpoint Checkpoint::deserialize(const std::uint8_t* data,
@@ -214,51 +92,39 @@ Checkpoint Checkpoint::deserialize(const std::uint8_t* data,
   if (data == nullptr || size < kHeaderSize) {
     throw CheckpointError("checkpoint blob shorter than its header");
   }
-  Reader header{data, size};
-  if (header.getU32() != kMagic) {
+  if (wire::peekU32(data) != kMagic) {
     throw CheckpointError("bad magic (not a checkpoint blob)");
   }
-  if (const std::uint32_t version = header.getU32(); version != kVersion) {
+  if (const std::uint32_t version = wire::peekU32(data + 4);
+      version != kVersion) {
     throw CheckpointError("unsupported checkpoint version " +
                           std::to_string(version));
   }
-  const std::uint64_t payloadLen = header.getU64();
-  const std::uint64_t checksum = header.getU64();
-  if (size != kHeaderSize + payloadLen) {
+  const std::uint64_t payloadLen = wire::peekU64(data + 8);
+  const std::uint64_t checksum = wire::peekU64(data + 16);
+  // Compared against size - kHeaderSize, not summed: a forged length near
+  // 2^64 must not wrap around to the buffer size.
+  if (payloadLen != size - kHeaderSize) {
     throw CheckpointError("checkpoint blob truncated (" +
-                          std::to_string(size) + " bytes, expected " +
-                          std::to_string(kHeaderSize + payloadLen) + ")");
+                          std::to_string(size) + " bytes, header declares " +
+                          std::to_string(payloadLen) + " payload bytes)");
   }
   const std::uint8_t* payload = data + kHeaderSize;
-  if (dd::fnv1a(payload, payloadLen) != checksum) {
+  if (wire::fnv1a(payload, payloadLen) != checksum) {
     throw CheckpointError("checkpoint payload checksum mismatch");
   }
 
-  Reader r{payload, payloadLen};
   Checkpoint ck;
-  ck.circuitHash = r.getU64();
-  ck.strategyHash = r.getU64();
-  ck.seed = r.getU64();
-  ck.nextOpIndex = r.getU64();
-  ck.rngState = r.getString();
-  ck.classicalBits = r.getBits();
   try {
-    ck.state = dd::deserializeVectorDD(r.getBlob());
-    ck.accPending = r.getU32() != 0;
-    if (ck.accPending) {
-      ck.acc = dd::deserializeMatrixDD(r.getBlob());
-    }
+    wire::WireReader r(payload, payloadLen);
+    checkpointFields(r, ck);
+  } catch (const wire::WireError& e) {
+    throw CheckpointError(std::string("checkpoint payload: ") + e.what());
   } catch (const dd::MigrationError& e) {
     // The outer checksum passed but a nested DD blob is malformed —
     // surface it as a checkpoint problem, the caller's failure domain.
     throw CheckpointError(std::string("embedded DD rejected: ") + e.what());
   }
-  ck.accCount = r.getU64();
-  ck.accGates = r.getU64();
-  ck.sequentialCooldown = r.getU64();
-  ck.pipelineDisabled = r.getU32() != 0;
-  std::size_t off = r.off;
-  ck.stats = decodeStats(payload, payloadLen, off);
   return ck;
 }
 

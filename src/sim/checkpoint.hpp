@@ -21,9 +21,10 @@
 /// taken at quiescent block boundaries, the RNG position is exact, and DD
 /// import rebuilds canonically in the destination package.
 ///
-/// The serialized form is versioned and checksummed (FNV-1a over the
-/// payload); deserialize() rejects truncated or bit-flipped blobs with a
-/// CheckpointError instead of resuming from garbage.
+/// The serialized form is versioned and checksummed (wire::fnv1a over the
+/// payload) and written with the shared byte codec (wire/wire.hpp);
+/// deserialize() rejects truncated or bit-flipped blobs — nested DD blobs
+/// included — with a CheckpointError instead of resuming from garbage.
 
 #pragma once
 
@@ -92,16 +93,36 @@ struct Checkpoint {
       const std::vector<std::uint8_t>& bytes);
 };
 
-/// Flat binary encoding of the scalar SimulationStats fields, shared by the
-/// checkpoint blob and the serve layer's result-cache spill file. The
-/// package-snapshot sub-structs (dd, cache) are not encoded — they are
-/// refreshed from the live package at the end of every run and would be
-/// stale on disk.
-void encodeStats(std::vector<std::uint8_t>& out, const SimulationStats& s);
-/// Decode what encodeStats wrote, advancing \p offset past it. Throws
-/// CheckpointError when \p bytes is too short.
-[[nodiscard]] SimulationStats decodeStats(const std::uint8_t* data,
-                                          std::size_t size,
-                                          std::size_t& offset);
+/// The flat SimulationStats field list, shared by the checkpoint blob, the
+/// serve layer's spill records and the net Result payload. \p io is a
+/// wire::WireWriter (with a const \p s) or a wire::WireReader
+/// (wire/wire.hpp). The package-snapshot sub-structs (dd, cache) are not
+/// encoded — they are refreshed from the live package at the end of every
+/// run and would be stale on disk.
+template <class IO, class Stats>
+void statsFields(IO& io, Stats& s) {
+  io.f64(s.wallSeconds);
+  io.u64(s.appliedGates);
+  io.u64(s.mxvCount);
+  io.u64(s.mxmCount);
+  io.u64(s.peakStateNodes);
+  io.u64(s.peakMatrixNodes);
+  io.u64(s.finalStateNodes);
+  io.f64(s.approxFidelity);
+  io.u64(s.approxRounds);
+  io.u64(s.degradationEvents);
+  io.u64(s.pressureFlushes);
+  io.u64(s.sequentialFallbackOps);
+  io.u64(s.pressureApproximations);
+  io.u64(s.resourceRecoveries);
+  io.u64(s.pipelinedBlocks);
+  io.u64(s.pipelineStalls);
+  io.u64(s.pipelineBowOuts);
+  io.u64(s.serialFallbackOps);
+  io.u64(s.migratedNodes);
+  io.u64(s.checkpointsTaken);
+  io.u64(s.resumedFromCheckpoint);
+  io.f64(s.builderBuildSeconds);
+}
 
 }  // namespace ddsim::sim

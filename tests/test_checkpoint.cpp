@@ -16,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "test_util.hpp"
+#include "wire/wire.hpp"
 
 namespace ddsim::sim {
 namespace {
@@ -300,11 +301,12 @@ TEST(Checkpoint, StatsEncodingRoundTrips) {
   s.checkpointsTaken = 4;
   s.resumedFromCheckpoint = 1;
 
-  std::vector<std::uint8_t> bytes;
-  encodeStats(bytes, s);
-  std::size_t offset = 0;
-  const SimulationStats back = decodeStats(bytes.data(), bytes.size(), offset);
-  EXPECT_EQ(offset, bytes.size());
+  wire::WireWriter w;
+  statsFields(w, s);
+  wire::WireReader r(w.out);
+  SimulationStats back;
+  statsFields(r, back);
+  EXPECT_TRUE(r.atEnd());
   EXPECT_EQ(back.appliedGates, s.appliedGates);
   EXPECT_EQ(back.mxvCount, s.mxvCount);
   EXPECT_EQ(back.mxmCount, s.mxmCount);
@@ -316,9 +318,9 @@ TEST(Checkpoint, StatsEncodingRoundTrips) {
   EXPECT_EQ(back.resumedFromCheckpoint, s.resumedFromCheckpoint);
 
   // Truncated stats block is rejected, not misread.
-  std::size_t off2 = 0;
-  EXPECT_THROW((void)decodeStats(bytes.data(), bytes.size() - 1, off2),
-               CheckpointError);
+  wire::WireReader cut(w.out.data(), w.out.size() - 1);
+  SimulationStats partial;
+  EXPECT_THROW(statsFields(cut, partial), wire::WireError);
 }
 
 }  // namespace

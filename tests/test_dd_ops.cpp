@@ -97,6 +97,20 @@ struct GateCase {
   std::vector<double> params;
 };
 
+// Named printer: without it gtest dumps the raw struct bytes (padding and
+// the vector's heap pointer), so the discovered test names change from run
+// to run.
+void PrintTo(const GateCase& c, std::ostream* os) {
+  *os << ir::gateName(c.type);
+  if (!c.params.empty()) {
+    *os << '(';
+    for (std::size_t i = 0; i < c.params.size(); ++i) {
+      *os << (i == 0 ? "" : ",") << c.params[i];
+    }
+    *os << ')';
+  }
+}
+
 class GateDDTest : public ::testing::TestWithParam<GateCase> {};
 
 TEST_P(GateDDTest, MatchesDenseExpansion) {

@@ -1,15 +1,15 @@
-/// Tests for the distributed-serving wire layer: explicit little-endian
-/// primitives, the length-prefixed checksummed frame protocol (including
-/// the full corruption matrix — truncation, bit flips, bad magic — which
-/// must always surface as a clean FrameError, never undefined behaviour),
-/// the loopback TCP transport and the WorkerServer conversation.
+/// Tests for the distributed-serving wire layer: the length-prefixed
+/// checksummed frame protocol (including the full corruption matrix —
+/// truncation, bit flips, bad magic — which must always surface as a clean
+/// FrameError, never undefined behaviour), the loopback TCP transport and
+/// the WorkerServer conversation. The byte codec underneath is tested in
+/// test_wire.cpp.
 /// Thread-interleaving tests are written to pass under TSan.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -18,7 +18,6 @@
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
-#include "net/wire.hpp"
 #include "serve/service.hpp"
 
 namespace ddsim {
@@ -33,74 +32,6 @@ cx q[0],q[1];
 measure q[0] -> c[0];
 measure q[1] -> c[1];
 )";
-
-// ------------------------------------------------------- wire primitives
-
-TEST(Wire, LittleEndianGoldenBytes) {
-  std::vector<std::uint8_t> out;
-  net::putU16(out, 0x1234);
-  net::putU32(out, 0xAABBCCDDU);
-  net::putU64(out, 0x1122334455667788ULL);
-  const std::vector<std::uint8_t> expected = {
-      0x34, 0x12,                                      // u16 LSB first
-      0xDD, 0xCC, 0xBB, 0xAA,                          // u32
-      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // u64
-  };
-  EXPECT_EQ(out, expected);
-}
-
-TEST(Wire, RoundTripAllPrimitives) {
-  std::vector<std::uint8_t> out;
-  net::putU8(out, 200);
-  net::putU16(out, 65535);
-  net::putU32(out, 4000000000U);
-  net::putU64(out, std::numeric_limits<std::uint64_t>::max());
-  net::putI32(out, -12345);
-  net::putF64(out, -0.12345678901234567);
-  net::putString(out, "hello \xE2\x9C\x93 world");
-  net::putBytes(out, {1, 2, 3});
-  net::putBits(out, {true, false, true, true, false, true, false, true,
-                     true});  // 9 bits: crosses a byte boundary
-
-  net::WireReader r(out.data(), out.size());
-  EXPECT_EQ(r.u8(), 200);
-  EXPECT_EQ(r.u16(), 65535);
-  EXPECT_EQ(r.u32(), 4000000000U);
-  EXPECT_EQ(r.u64(), std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(r.i32(), -12345);
-  EXPECT_EQ(r.f64(), -0.12345678901234567);
-  EXPECT_EQ(r.string(), "hello \xE2\x9C\x93 world");
-  EXPECT_EQ(r.bytes(), (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_EQ(r.bits(), (std::vector<bool>{true, false, true, true, false,
-                                         true, false, true, true}));
-  EXPECT_EQ(r.remaining(), 0U);
-}
-
-TEST(Wire, TruncatedReadsThrowCleanly) {
-  std::vector<std::uint8_t> out;
-  net::putU64(out, 42);
-  {
-    net::WireReader r(out.data(), 7);  // one byte short
-    EXPECT_THROW((void)r.u64(), net::WireError);
-  }
-  // A string whose declared length exceeds the buffer must not read past
-  // the end.
-  std::vector<std::uint8_t> lying;
-  net::putU32(lying, 1000);
-  lying.push_back('x');
-  net::WireReader r(lying.data(), lying.size());
-  EXPECT_THROW((void)r.string(), net::WireError);
-}
-
-TEST(Wire, BitCountOverflowIsRejected) {
-  // A bit vector claiming ~2^63 entries must not overflow the byte-count
-  // arithmetic into a small allocation.
-  std::vector<std::uint8_t> lying;
-  net::putU64(lying, std::numeric_limits<std::uint64_t>::max() - 6);
-  lying.push_back(0xFF);
-  net::WireReader r(lying.data(), lying.size());
-  EXPECT_THROW((void)r.bits(), net::WireError);
-}
 
 // ----------------------------------------------------------- frame layer
 

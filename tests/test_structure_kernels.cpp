@@ -115,6 +115,23 @@ TEST(IdentityFastPath, MatrixMatrixSkips) {
   EXPECT_GE(pkg.stats().identitySkipsMM, skipsBefore + 2);
 }
 
+TEST(IdentityFastPath, SkipRateStaysAFraction) {
+  // Top-level and per-quadrant skips resolve a sub-product without a
+  // recursive call, so the rate must count each sub-product once — either
+  // as a skip or as a call — to stay a rate.
+  dd::Package pkg(3);
+  const dd::MEdge h = pkg.makeGateDD(kHadamard, 2);
+  (void)pkg.multiply(h, pkg.makeZeroState());
+  EXPECT_GT(pkg.stats().identitySkipsMV, 0U);
+  EXPECT_GE(pkg.stats().identitySkipRate(), 0.0);
+  EXPECT_LE(pkg.stats().identitySkipRate(), 1.0);
+
+  (void)pkg.multiply(h, h);
+  EXPECT_GT(pkg.stats().identitySkipsMM, 0U);
+  EXPECT_GE(pkg.stats().identitySkipRate(), 0.0);
+  EXPECT_LE(pkg.stats().identitySkipRate(), 1.0);
+}
+
 TEST(IdentityFastPath, DiagonalProductPrunesOffDiagonalQuadrants) {
   dd::Package pkg(4);
   const dd::MEdge t0 = pkg.makeGateDD(kTGate, 0);
