@@ -5,7 +5,7 @@
 /// memoization is what makes the recursive DD operations of Figs. 3 and 4
 /// of the paper polynomial in the *DD size* rather than the vector size.
 ///
-/// Two properties matter for the constant factor:
+/// Three properties matter for the constant factor:
 ///
 ///  * **Associativity.** A direct-mapped table drops a still-hot entry on
 ///    every index collision. Each table here is 4-way set-associative with
@@ -23,12 +23,24 @@
 ///    sound even when the memory manager recycles a freed node into a new
 ///    one at the same address, because recycling changes the incarnation.
 ///
-/// Concurrency: in concurrent mode each set is guarded by one of a fixed
-/// pool of stripe mutexes (set index modulo pool size); insert and lookup
-/// take the stripe lock for the duration of the probe, so entries are never
-/// torn. The generation counter stays a plain integer — it only changes at
-/// quiescent points (GC, clear), never while parallel operations are in
-/// flight. Serial mode takes no locks.
+///  * **Demand sizing.** A table starts at kInitialEntries (2^10) and grows
+///    x4, up to its MaxEntries cap, once the inserts since the last resize
+///    reach the current capacity. A small job therefore neither allocates
+///    nor zeroes the multi-megabyte worst case. Growth re-inserts every
+///    entry with its `gen` and `stamp`, so retention is unaffected; each
+///    old set spreads over four new sets, so nothing is evicted. Serial
+///    growth runs inline in insert(): a table that could only grow between
+///    top-level operations would thrash through one large multiplication.
+///    The trigger counts inserts only, so the table size is a pure function
+///    of the operation sequence. A std::bad_alloc while growing keeps the
+///    smaller table (only the hit rate suffers).
+///
+/// Concurrency: in concurrent mode each probe holds the stripe mutex of its
+/// key hash (see stripe_locks.hpp) for the duration of the walk, so entries
+/// are never torn; growth re-indexes the table with every stripe held. The
+/// generation counter stays a plain integer — it only changes at quiescent
+/// points (GC, clear), never while parallel operations are in flight.
+/// Serial mode takes no locks.
 ///
 /// Counter semantics (see also CacheStats): `hits()` counts lookups served
 /// from the table (including revalidated stale entries), `misses()` counts
@@ -38,42 +50,17 @@
 
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <utility>
+#include <new>
 #include <vector>
 
+#include "dd/stripe_locks.hpp"
+
 namespace ddsim::dd {
-
-namespace detail {
-inline void hashMix(std::uint64_t& h, const void* p) noexcept {
-  h ^= reinterpret_cast<std::uintptr_t>(p);
-  h *= 0x100000001b3ULL;
-  h ^= h >> 32;
-}
-
-/// Stripe-mutex pool shared by the compute-table templates. try_lock-first
-/// so contention is observable (lockWaits) without a timing probe.
-template <std::size_t N>
-class StripeLocks {
- public:
-  std::mutex& acquire(std::size_t index,
-                      std::atomic<std::uint64_t>& waits) noexcept {
-    std::mutex& m = locks_[index & (N - 1)];
-    if (!m.try_lock()) {
-      waits.fetch_add(1, std::memory_order_relaxed);
-      m.lock();
-    }
-    return m;
-  }
-
- private:
-  std::array<std::mutex, N> locks_;
-};
-}  // namespace detail
 
 /// Aggregate hit/miss/retention counters of one table, exposed to
 /// Package::cacheStats(). 64-bit so week-long runs cannot wrap them.
@@ -88,66 +75,83 @@ struct ComputeTableCounters {
   std::uint64_t lockWaits = 0;
 };
 
-/// Cache for binary DD operations. Keys are two edges (node and weight are
-/// canonical pointers, so equality is exact); the value is caller-defined —
-/// typically a node pointer plus the result's top weight *by value* (see
-/// Package::CachedVEdge), so that a retained entry does not depend on the
-/// liveness of a canonical weight pointer.
-template <typename LEdge, typename REdge, typename Result,
-          std::size_t NumEntries = (1U << 17)>
-class ComputeTable {
-  static_assert((NumEntries & (NumEntries - 1)) == 0,
-                "table size must be a power of two");
+namespace detail {
+inline void hashMix(std::uint64_t& h, const void* p) noexcept {
+  h ^= reinterpret_cast<std::uintptr_t>(p);
+  h *= 0x100000001b3ULL;
+  h ^= h >> 32;
+}
 
+/// Entry of a binary-operation cache. Keys are two edges (node and weight
+/// are canonical pointers, so equality is exact).
+template <typename LEdge, typename REdge, typename Result>
+struct BinaryEntry {
+  LEdge a{};
+  REdge b{};
+  Result result{};
+  /// Incarnation stamp over every pointer the entry references, computed
+  /// by the caller at insert time (Package::opStamp).
+  std::uint64_t stamp = 0;
+  /// Generation tag; 0 = empty. Valid iff equal to the table generation.
+  std::uint64_t gen = 0;
+
+  [[nodiscard]] std::uint64_t hash() const noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    hashMix(h, a.p);
+    hashMix(h, a.w);
+    hashMix(h, b.p);
+    hashMix(h, b.w);
+    return h;
+  }
+  [[nodiscard]] bool sameKey(const BinaryEntry& o) const noexcept {
+    return a == o.a && b == o.b;
+  }
+};
+
+/// Entry of a unary-operation cache (same fields minus the second key).
+template <typename ArgEdge, typename Result>
+struct UnaryEntry {
+  ArgEdge a{};
+  Result result{};
+  std::uint64_t stamp = 0;
+  std::uint64_t gen = 0;
+
+  [[nodiscard]] std::uint64_t hash() const noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    hashMix(h, a.p);
+    hashMix(h, a.w);
+    return h;
+  }
+  [[nodiscard]] bool sameKey(const UnaryEntry& o) const noexcept {
+    return a == o.a;
+  }
+};
+
+/// Storage, growth, striping and counters shared by ComputeTable and
+/// UnaryComputeTable.
+template <typename Entry, std::size_t MaxEntries>
+class SetAssociativeCache {
  public:
+  using Result = decltype(Entry::result);
   static constexpr std::size_t kWays = 4;
-  static constexpr std::size_t kNumSets = NumEntries / kWays;
+  static constexpr std::size_t kInitialEntries = 1U << 10;
+  static constexpr std::size_t kGrowthFactor = 4;
   static constexpr std::size_t kStripes = 64;
+  static_assert((MaxEntries & (MaxEntries - 1)) == 0 &&
+                    MaxEntries >= kInitialEntries,
+                "table size must be a power of two of at least 2^10");
+  // A set is hash & setMask_ and its stripe is hash & (kStripes - 1): two
+  // probes of one set share a stripe only while there are >= kStripes sets.
+  static_assert(kInitialEntries / kWays >= kStripes,
+                "every table size must have at least one set per stripe");
 
-  struct Entry {
-    LEdge a{};
-    REdge b{};
-    Result result{};
-    /// Incarnation stamp over every pointer the entry references, computed
-    /// by the caller at insert time (Package::opStamp).
-    std::uint64_t stamp = 0;
-    /// Generation tag; 0 = empty. Valid iff equal to the table generation.
-    std::uint64_t gen = 0;
-  };
-
-  ComputeTable() : table_(NumEntries) {}
+  SetAssociativeCache() : table_(kInitialEntries) {}
 
   /// Toggle striped locking. Only flip at quiescent points.
   void setConcurrent(bool on) noexcept { concurrent_ = on; }
 
-  void insert(const LEdge& a, const REdge& b, const Result& r,
-              std::uint64_t stamp) noexcept {
-    const std::size_t set = setIndex(a, b);
-    if (!concurrent_) {
-      insertIn(set, a, b, r, stamp);
-      return;
-    }
-    std::mutex& m = stripes_.acquire(set, lockWaits_);
-    const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
-    insertIn(set, a, b, r, stamp);
-  }
-
-  /// On a hit the cached result is copied into \p out and true is returned
-  /// (returning a pointer would dangle once the stripe lock is released).
-  /// \p revalidate is only invoked for key-matching entries from an older
-  /// generation; it must return true iff the entry's stamp still matches
-  /// the current incarnations of everything it references.
-  template <typename Revalidate>
-  bool lookup(const LEdge& a, const REdge& b, Result& out,
-              Revalidate&& revalidate) noexcept {
-    const std::size_t set = setIndex(a, b);
-    if (!concurrent_) {
-      return lookupIn(set, a, b, out, revalidate);
-    }
-    std::mutex& m = stripes_.acquire(set, lockWaits_);
-    const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
-    return lookupIn(set, a, b, out, revalidate);
-  }
+  /// Entries the table currently holds room for. Quiescent points only.
+  [[nodiscard]] std::size_t capacity() const noexcept { return table_.size(); }
 
   /// O(1) whole-table invalidation: entries become stale and individually
   /// eligible for revalidation on their next lookup. Quiescent points only.
@@ -177,19 +181,97 @@ class ComputeTable {
         lockWaits_.load(std::memory_order_relaxed)};
   }
 
- private:
-  static std::size_t setIndex(const LEdge& a, const REdge& b) noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    detail::hashMix(h, a.p);
-    detail::hashMix(h, a.w);
-    detail::hashMix(h, b.p);
-    detail::hashMix(h, b.w);
-    return static_cast<std::size_t>(h) & (kNumSets - 1);
+ protected:
+  void insertEntry(const Entry& fresh) noexcept {
+    const std::uint64_t h = fresh.hash();
+    if (!concurrent_) {
+      insertIn(h, fresh);
+      if (countInsert()) {
+        grow();
+      }
+      return;
+    }
+    bool full = false;
+    {
+      std::mutex& m = stripes_.acquire(h, lockWaits_);
+      const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
+      insertIn(h, fresh);
+      full = countInsert();
+    }
+    if (full) {
+      stripes_.exclusive([this]() noexcept {
+        if (wantsGrowth()) {  // another inserter may have grown it first
+          grow();
+        }
+      });
+    }
   }
 
-  void insertIn(std::size_t setIdx, const LEdge& a, const REdge& b,
-                const Result& r, std::uint64_t stamp) noexcept {
-    Entry* set = &table_[setIdx * kWays];
+  /// On a hit the cached result is copied into \p out and true is returned
+  /// (returning a pointer would dangle once the stripe lock is released).
+  /// \p revalidate is only invoked for key-matching entries from an older
+  /// generation; it must return true iff the entry's stamp still matches
+  /// the current incarnations of everything it references.
+  template <typename Revalidate>
+  bool findEntry(const Entry& key, Result& out,
+                 Revalidate& revalidate) noexcept {
+    const std::uint64_t h = key.hash();
+    if (!concurrent_) {
+      return lookupIn(h, key, out, revalidate);
+    }
+    std::mutex& m = stripes_.acquire(h, lockWaits_);
+    const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
+    return lookupIn(h, key, out, revalidate);
+  }
+
+ private:
+  Entry* setOf(std::uint64_t h) noexcept {
+    return &table_[(static_cast<std::size_t>(h) & setMask_) * kWays];
+  }
+
+  [[nodiscard]] bool wantsGrowth() const noexcept {
+    return table_.size() < MaxEntries &&
+           inserts_.load(std::memory_order_relaxed) >= table_.size();
+  }
+  /// Count one insert; true once the table should grow.
+  bool countInsert() noexcept {
+    inserts_.fetch_add(1, std::memory_order_relaxed);
+    return wantsGrowth();
+  }
+
+  /// Re-insert every entry (live or stale) into a table kGrowthFactor times
+  /// larger. Serial mode or every stripe held.
+  void grow() noexcept {
+    inserts_.store(0, std::memory_order_relaxed);
+    const std::size_t entries =
+        std::min(table_.size() * kGrowthFactor, MaxEntries);
+    std::vector<Entry> bigger;
+    try {
+      bigger.resize(entries);
+    } catch (const std::bad_alloc&) {
+      return;  // keep the smaller table; retry after another fill
+    }
+    const std::size_t mask = entries / kWays - 1;
+    for (const Entry& e : table_) {
+      if (e.gen == 0) {
+        continue;
+      }
+      // The entries of one old set spread over the new sets congruent to
+      // it, so a free way always exists.
+      Entry* set = &bigger[(static_cast<std::size_t>(e.hash()) & mask) * kWays];
+      for (std::size_t w = 0; w < kWays; ++w) {
+        if (set[w].gen == 0) {
+          set[w] = e;
+          break;
+        }
+      }
+    }
+    table_.swap(bigger);
+    setMask_ = mask;
+  }
+
+  void insertIn(std::uint64_t h, const Entry& fresh) noexcept {
+    Entry* set = setOf(h);
     Entry* victim = nullptr;
     for (std::size_t w = 0; w < kWays; ++w) {
       Entry& e = set[w];
@@ -202,7 +284,7 @@ class ComputeTable {
         }
         continue;
       }
-      if (e.a == a && e.b == b) {
+      if (e.sameKey(fresh)) {
         victim = &e;  // refresh an existing entry in place
         break;
       }
@@ -212,16 +294,17 @@ class ComputeTable {
           &set[roundRobin_.fetch_add(1, std::memory_order_relaxed) &
                (kWays - 1)];
     }
-    *victim = Entry{a, b, r, stamp, gen_};
+    *victim = fresh;
+    victim->gen = gen_;
   }
 
   template <typename Revalidate>
-  bool lookupIn(std::size_t setIdx, const LEdge& a, const REdge& b,
-                Result& out, Revalidate&& revalidate) noexcept {
-    Entry* set = &table_[setIdx * kWays];
+  bool lookupIn(std::uint64_t h, const Entry& key, Result& out,
+                Revalidate& revalidate) noexcept {
+    Entry* set = setOf(h);
     for (std::size_t w = 0; w < kWays; ++w) {
       Entry& e = set[w];
-      if (e.a == a && e.b == b && e.gen != 0) [[likely]] {
+      if (e.sameKey(key) && e.gen != 0) [[likely]] {
         if (e.gen == gen_) [[likely]] {
           hits_.fetch_add(1, std::memory_order_relaxed);
           out = e.result;
@@ -247,159 +330,66 @@ class ComputeTable {
   // Heap storage: a Package aggregates several of these tables, and stack
   // allocation of multi-megabyte members would overflow the stack.
   std::vector<Entry> table_;
+  std::size_t setMask_ = kInitialEntries / kWays - 1;
   std::uint64_t gen_ = 1;
+  /// Inserts since the last resize (the growth trigger).
+  std::atomic<std::size_t> inserts_{0};
   std::atomic<std::uint32_t> roundRobin_{0};
   bool concurrent_ = false;
-  detail::StripeLocks<kStripes> stripes_;
+  StripeLocks<kStripes> stripes_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> retained_{0};
   std::atomic<std::uint64_t> staleDropped_{0};
   std::atomic<std::uint64_t> lockWaits_{0};
 };
+}  // namespace detail
+
+/// Cache for binary DD operations. The value is caller-defined — typically
+/// a node pointer plus the result's top weight *by value* (see
+/// Package::CachedVEdge), so that a retained entry does not depend on the
+/// liveness of a canonical weight pointer.
+template <typename LEdge, typename REdge, typename Result,
+          std::size_t MaxEntries = (1U << 17)>
+class ComputeTable
+    : public detail::SetAssociativeCache<
+          detail::BinaryEntry<LEdge, REdge, Result>, MaxEntries> {
+ public:
+  using Entry = detail::BinaryEntry<LEdge, REdge, Result>;
+
+  void insert(const LEdge& a, const REdge& b, const Result& r,
+              std::uint64_t stamp) noexcept {
+    this->insertEntry(Entry{a, b, r, stamp});
+  }
+
+  /// See SetAssociativeCache::findEntry for the hit and revalidation
+  /// protocol.
+  template <typename Revalidate>
+  bool lookup(const LEdge& a, const REdge& b, Result& out,
+              Revalidate&& revalidate) noexcept {
+    return this->findEntry(Entry{a, b}, out, revalidate);
+  }
+};
 
 /// Cache for unary DD operations (conjugate-transpose, norm, ...). Same
-/// associativity, generation-tag, and striping protocol as ComputeTable.
-template <typename ArgEdge, typename Result, std::size_t NumEntries = (1U << 15)>
-class UnaryComputeTable {
-  static_assert((NumEntries & (NumEntries - 1)) == 0,
-                "table size must be a power of two");
-
+/// associativity, generation-tag, growth and striping protocol as
+/// ComputeTable.
+template <typename ArgEdge, typename Result,
+          std::size_t MaxEntries = (1U << 15)>
+class UnaryComputeTable
+    : public detail::SetAssociativeCache<detail::UnaryEntry<ArgEdge, Result>,
+                                         MaxEntries> {
  public:
-  static constexpr std::size_t kWays = 4;
-  static constexpr std::size_t kNumSets = NumEntries / kWays;
-  static constexpr std::size_t kStripes = 64;
-
-  struct Entry {
-    ArgEdge a{};
-    Result result{};
-    std::uint64_t stamp = 0;
-    std::uint64_t gen = 0;
-  };
-
-  UnaryComputeTable() : table_(NumEntries) {}
-
-  /// Toggle striped locking. Only flip at quiescent points.
-  void setConcurrent(bool on) noexcept { concurrent_ = on; }
+  using Entry = detail::UnaryEntry<ArgEdge, Result>;
 
   void insert(const ArgEdge& a, const Result& r, std::uint64_t stamp) noexcept {
-    const std::size_t set = setIndex(a);
-    if (!concurrent_) {
-      insertIn(set, a, r, stamp);
-      return;
-    }
-    std::mutex& m = stripes_.acquire(set, lockWaits_);
-    const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
-    insertIn(set, a, r, stamp);
+    this->insertEntry(Entry{a, r, stamp});
   }
 
   template <typename Revalidate>
   bool lookup(const ArgEdge& a, Result& out, Revalidate&& revalidate) noexcept {
-    const std::size_t set = setIndex(a);
-    if (!concurrent_) {
-      return lookupIn(set, a, out, revalidate);
-    }
-    std::mutex& m = stripes_.acquire(set, lockWaits_);
-    const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
-    return lookupIn(set, a, out, revalidate);
+    return this->findEntry(Entry{a}, out, revalidate);
   }
-
-  void newGeneration() noexcept { ++gen_; }
-
-  void clear() noexcept {
-    for (auto& entry : table_) {
-      entry.gen = 0;
-    }
-    gen_ = 1;
-  }
-
-  [[nodiscard]] std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] ComputeTableCounters counters() const noexcept {
-    return ComputeTableCounters{
-        hits_.load(std::memory_order_relaxed),
-        misses_.load(std::memory_order_relaxed),
-        retained_.load(std::memory_order_relaxed),
-        staleDropped_.load(std::memory_order_relaxed),
-        lockWaits_.load(std::memory_order_relaxed)};
-  }
-
- private:
-  static std::size_t setIndex(const ArgEdge& a) noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    detail::hashMix(h, a.p);
-    detail::hashMix(h, a.w);
-    return static_cast<std::size_t>(h) & (kNumSets - 1);
-  }
-
-  void insertIn(std::size_t setIdx, const ArgEdge& a, const Result& r,
-                std::uint64_t stamp) noexcept {
-    Entry* set = &table_[setIdx * kWays];
-    Entry* victim = nullptr;
-    for (std::size_t w = 0; w < kWays; ++w) {
-      Entry& e = set[w];
-      if (e.gen != gen_) {
-        if (victim == nullptr) {
-          victim = &e;
-        }
-        continue;
-      }
-      if (e.a == a) {
-        victim = &e;
-        break;
-      }
-    }
-    if (victim == nullptr) {
-      victim =
-          &set[roundRobin_.fetch_add(1, std::memory_order_relaxed) &
-               (kWays - 1)];
-    }
-    *victim = Entry{a, r, stamp, gen_};
-  }
-
-  template <typename Revalidate>
-  bool lookupIn(std::size_t setIdx, const ArgEdge& a, Result& out,
-                Revalidate&& revalidate) noexcept {
-    Entry* set = &table_[setIdx * kWays];
-    for (std::size_t w = 0; w < kWays; ++w) {
-      Entry& e = set[w];
-      if (e.a == a && e.gen != 0) [[likely]] {
-        if (e.gen == gen_) [[likely]] {
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          out = e.result;
-          return true;
-        }
-        if (revalidate(e)) {
-          e.gen = gen_;
-          retained_.fetch_add(1, std::memory_order_relaxed);
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          out = e.result;
-          return true;
-        }
-        e.gen = 0;
-        staleDropped_.fetch_add(1, std::memory_order_relaxed);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
-  std::vector<Entry> table_;
-  std::uint64_t gen_ = 1;
-  std::atomic<std::uint32_t> roundRobin_{0};
-  bool concurrent_ = false;
-  detail::StripeLocks<kStripes> stripes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> retained_{0};
-  std::atomic<std::uint64_t> staleDropped_{0};
-  std::atomic<std::uint64_t> lockWaits_{0};
 };
 
 }  // namespace ddsim::dd

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <list>
 #include <utility>
 
 #include "ir/qasm.hpp"
@@ -14,20 +15,44 @@ namespace ddsim::net {
 
 namespace detail {
 
-/// Per-router-connection state. Shared (shared_ptr) between the connection
-/// thread, per-job waiter threads and checkpoint observers, so a frame can
-/// be written for a job that outlives the conversation that submitted it
-/// (the write then fails quietly against the closed socket).
+/// Per-router-connection state. Owned (shared_ptr) by the server's
+/// connection list and the connection thread. Waiter threads borrow it: the
+/// connection thread joins them before it returns. Checkpoint observers
+/// hold it weakly, because the service may keep a job record (and with it
+/// the observer) after the conversation ended.
 struct Connection {
   TcpConnection socket;
   /// Serializes every frame written to this socket (results, checkpoint
   /// streams and the goodbye race with each other). socket.close() also
   /// happens under this mutex so no writer ever races a reused fd.
   std::mutex writeMutex;
+  /// Guards only the fd's lifetime (close vs. abortHard's shutdown) and is
+  /// never held across I/O, so a shutdown can still interrupt a write that
+  /// stalls under writeMutex.
+  std::mutex fdMutex;
   std::atomic<bool> dead{false};
 
-  std::vector<serve::JobHandle> handles;  ///< in-flight jobs (reader only)
-  std::vector<std::thread> waiters;       ///< one per in-flight job
+  /// One per admitted job: streams its Result back once it resolves.
+  struct Waiter {
+    serve::JobHandle handle;
+    std::atomic<bool> finished{false};  ///< Result sent; thread may be joined
+    std::thread thread;                 ///< declared last: uses the above
+  };
+  /// Jobs whose waiter has not been joined yet (connection thread only).
+  /// std::list keeps addresses stable for the waiter threads.
+  std::list<Waiter> waiters;
+
+  /// Join and drop every waiter that already sent its Result, so state
+  /// stays bounded by the jobs in flight on a long-lived connection.
+  void reapFinishedWaiters() {
+    waiters.remove_if([](Waiter& w) {
+      if (!w.finished.load(std::memory_order_acquire)) {
+        return false;
+      }
+      w.thread.join();
+      return true;
+    });
+  }
 
   /// Best-effort frame write: false (and dead) when the peer is gone.
   bool send(const Frame& frame) {
@@ -45,9 +70,21 @@ struct Connection {
   }
 
   void closeSocket() {
-    const std::lock_guard<std::mutex> lock(writeMutex);
+    const std::lock_guard<std::mutex> write(writeMutex);
+    const std::lock_guard<std::mutex> fd(fdMutex);
     dead.store(true, std::memory_order_relaxed);
     socket.close();
+  }
+
+  /// Unblock any in-flight read or write with shutdown(2), which (unlike
+  /// close) leaves the fd number in place. Under fdMutex, because the
+  /// connection thread may be closing the socket concurrently.
+  void shutdownSocket() {
+    const std::lock_guard<std::mutex> lock(fdMutex);
+    dead.store(true, std::memory_order_relaxed);
+    if (socket.valid()) {
+      ::shutdown(socket.fd(), SHUT_RDWR);
+    }
   }
 };
 
@@ -181,11 +218,16 @@ void WorkerServer::connectionLoop(
           spec.deadlineSeconds = submit.deadlineSeconds;
           spec.label = submit.label;
           spec.initialCheckpoint = std::move(submit.checkpoint);
+          // Weak: the job record holding this observer is owned by the
+          // connection's waiter, so a strong capture would be a cycle.
           spec.checkpointObserver =
-              [conn, jobId](const std::vector<std::uint8_t>& blob) {
+              [weak = std::weak_ptr<detail::Connection>(conn),
+               jobId](const std::vector<std::uint8_t>& blob) {
                 // Best-effort progress stream; a dead router costs nothing.
-                conn->send(Frame{FrameType::Checkpoint,
-                                 encodeCheckpoint({jobId, blob})});
+                if (const auto live = weak.lock()) {
+                  live->send(Frame{FrameType::Checkpoint,
+                                   encodeCheckpoint({jobId, blob})});
+                }
               };
           std::optional<serve::JobHandle> handle =
               service_.trySubmit(std::move(spec));
@@ -197,11 +239,16 @@ void WorkerServer::connectionLoop(
             conn->send(Frame{FrameType::Result, encodeResult(failure)});
             break;
           }
-          conn->handles.push_back(*handle);
-          conn->waiters.emplace_back([conn, jobId, handle = *handle] {
-            const serve::JobResult& result = handle.wait();
-            conn->send(Frame{FrameType::Result,
-                             encodeResult(toResultPayload(jobId, result))});
+          conn->reapFinishedWaiters();
+          detail::Connection::Waiter& waiter = conn->waiters.emplace_back();
+          waiter.handle = *handle;
+          // The connection thread joins every waiter before it returns, so
+          // the raw pointers cannot dangle.
+          waiter.thread = std::thread([c = conn.get(), w = &waiter, jobId] {
+            const serve::JobResult& result = w->handle.wait();
+            c->send(Frame{FrameType::Result,
+                          encodeResult(toResultPayload(jobId, result))});
+            w->finished.store(true, std::memory_order_release);
           });
         } catch (const std::exception& e) {
           // Parse/config errors are deterministic: report Failed (terminal)
@@ -239,15 +286,16 @@ void WorkerServer::connectionLoop(
     // Hard death: abandon in-flight jobs exactly like a killed process —
     // cancel them so the service unblocks, join waiters (their sends fail
     // against the dead socket), no goodbye.
-    for (const auto& handle : conn->handles) {
-      handle.cancel();
+    for (const auto& waiter : conn->waiters) {
+      waiter.handle.cancel();
     }
   }
   for (auto& waiter : conn->waiters) {
-    if (waiter.joinable()) {
-      waiter.join();  // every accepted job gets its Result flushed
+    if (waiter.thread.joinable()) {
+      waiter.thread.join();  // every accepted job gets its Result flushed
     }
   }
+  conn->waiters.clear();
   if (!aborting_.load(std::memory_order_relaxed)) {
     conn->send(Frame{FrameType::Goodbye,
                      encodeGoodbye(GoodbyePayload{
@@ -263,10 +311,13 @@ void WorkerServer::joinAll() {
   if (joined_.exchange(true)) {
     return;
   }
-  listener_.close();
+  // The acceptor reads the listener's fd until it returns: wake it, join
+  // it, and only then release the fd.
+  listener_.shutdown();
   if (acceptThread_.joinable()) {
     acceptThread_.join();
   }
+  listener_.close();
   std::vector<std::thread> threads;
   {
     const std::lock_guard<std::mutex> lock(connectionsMutex_);
@@ -297,14 +348,11 @@ void WorkerServer::abortHard() {
   }
   stopping_.store(true, std::memory_order_relaxed);
   // Tear the transport down first: the router must observe raw EOFs, not
-  // goodbyes. shutdown(2) (not close) unblocks any in-flight read safely.
+  // goodbyes.
   {
     const std::lock_guard<std::mutex> lock(connectionsMutex_);
     for (const auto& conn : connections_) {
-      conn->dead.store(true, std::memory_order_relaxed);
-      if (conn->socket.valid()) {
-        ::shutdown(conn->socket.fd(), SHUT_RDWR);
-      }
+      conn->shutdownSocket();
     }
   }
   joinAll();

@@ -4,9 +4,11 @@
 /// `ddsim_serve --listen <port>` wraps one WorkerServer. Topology: one
 /// accept thread, one thread per router connection, one waiter thread per
 /// in-flight job (the unit of work is a whole simulation — thread cost is
-/// noise next to it). All frames of a connection are written under one
-/// per-connection mutex, so Results, streamed Checkpoints and the final
-/// Goodbye never interleave mid-frame.
+/// noise next to it). Each Submit first joins the waiters that already sent
+/// their Result, so a long-lived connection holds state only for the jobs
+/// in flight, not for every job it ever carried. All frames of a connection
+/// are written under one per-connection mutex, so Results, streamed
+/// Checkpoints and the final Goodbye never interleave mid-frame.
 ///
 /// Lifecycle:
 ///  * accept -> send Hello -> read frames.

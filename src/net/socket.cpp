@@ -261,6 +261,12 @@ std::optional<TcpConnection> TcpListener::accept(double timeoutSeconds) {
   return TcpConnection(fd);
 }
 
+void TcpListener::shutdown() noexcept {
+  if (fd_ >= 0) {
+    ::shutdown(fd_, SHUT_RDWR);
+  }
+}
+
 void TcpListener::close() noexcept {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -93,12 +93,15 @@ class TcpListener {
                                           int backlog = 16);
 
   /// Wait up to \p timeoutSeconds for a connection. Returns nullopt on
-  /// timeout or when the listener was closed concurrently; throws
+  /// timeout or when the listener was shut down concurrently; throws
   /// SocketError on hard errors.
   [[nodiscard]] std::optional<TcpConnection> accept(double timeoutSeconds);
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
+  /// Wake a thread blocked in accept() without releasing the fd, which
+  /// that thread may still be reading: close() only after it has joined.
+  void shutdown() noexcept;
   void close() noexcept;
 
  private:

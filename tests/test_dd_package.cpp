@@ -293,5 +293,177 @@ TEST(Package, ControlledPermutationDD) {
   }
 }
 
+
+// ------------------------------------------------- demand-sized tables
+
+/// Synthetic compute-table keys: distinct node addresses, one weight.
+class TableKeys {
+ public:
+  explicit TableKeys(std::size_t n) : nodes_(n) {}
+  [[nodiscard]] VEdge key(std::size_t i) { return {&nodes_[i], &w_}; }
+
+ private:
+  std::vector<VNode> nodes_;
+  ComplexValue w_{0.5, 0.0};
+};
+
+using SyntheticTable = ComputeTable<VEdge, VEdge, std::uint64_t>;
+
+TEST(TableGrowth, ComputeTableKeepsHittingAcrossAResize) {
+  SyntheticTable table;
+  const std::size_t initial = table.capacity();
+  ASSERT_EQ(initial, SyntheticTable::kInitialEntries);
+  TableKeys keys(initial);
+  const auto never = [](const auto&) noexcept { return false; };
+
+  // One insert short of the trigger: the table still has its first size.
+  for (std::size_t i = 0; i + 1 < initial; ++i) {
+    table.insert(keys.key(i), keys.key(i), i, 0);
+  }
+  ASSERT_EQ(table.capacity(), initial);
+  std::vector<std::size_t> present;
+  for (std::size_t i = 0; i + 1 < initial; ++i) {
+    std::uint64_t out = 0;
+    if (table.lookup(keys.key(i), keys.key(i), out, never)) {
+      ASSERT_EQ(out, i);
+      present.push_back(i);
+    }
+  }
+  ASSERT_GT(present.size(), initial / 2);
+
+  // The trigger refreshes a present key, so it evicts nothing itself.
+  const std::size_t again = present.front();
+  table.insert(keys.key(again), keys.key(again), again, 0);
+  EXPECT_EQ(table.capacity(), initial * SyntheticTable::kGrowthFactor);
+  // Every entry that was live before the resize still hits, with its value;
+  // the new set count only spreads the old sets, it never evicts.
+  for (const std::size_t i : present) {
+    std::uint64_t out = 0;
+    ASSERT_TRUE(table.lookup(keys.key(i), keys.key(i), out, never)) << i;
+    EXPECT_EQ(out, i);
+  }
+}
+
+TEST(TableGrowth, StaleEntriesRevalidateOrDropAfterAResize) {
+  SyntheticTable table;
+  const std::size_t initial = table.capacity();
+  TableKeys keys(initial);
+  for (std::size_t i = 0; i + 1 < initial; ++i) {
+    table.insert(keys.key(i), keys.key(i), i, /*stamp=*/i);
+  }
+  // A collection makes every entry stale, then the resize happens while
+  // they are stale: it must carry their generation and stamp over.
+  table.newGeneration();
+  table.insert(keys.key(initial - 1), keys.key(initial - 1), initial - 1, 0);
+  ASSERT_EQ(table.capacity(), initial * SyntheticTable::kGrowthFactor);
+
+  std::size_t revalidated = 0;
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i + 1 < initial; ++i) {
+    bool asked = false;
+    // "Operands survived" for even keys only; the stamp is carried over.
+    const auto survivesIfEven = [&asked, i](const auto& e) noexcept {
+      asked = true;
+      EXPECT_EQ(e.stamp, i);
+      return i % 2 == 0;
+    };
+    std::uint64_t out = 0;
+    const bool hit =
+        table.lookup(keys.key(i), keys.key(i), out, survivesIfEven);
+    if (!asked) {
+      EXPECT_FALSE(hit) << "a stale entry must never hit unrevalidated";
+      continue;  // evicted before the collection, or by the trigger insert
+    }
+    ++checked;
+    EXPECT_EQ(hit, i % 2 == 0) << i;
+    if (hit) {
+      EXPECT_EQ(out, i);
+      ++revalidated;
+      // Re-tagged: the next lookup is a plain hit, no revalidation.
+      bool askedAgain = false;
+      const auto track = [&askedAgain](const auto&) noexcept {
+        askedAgain = true;
+        return false;
+      };
+      EXPECT_TRUE(table.lookup(keys.key(i), keys.key(i), out, track));
+      EXPECT_FALSE(askedAgain);
+    } else {
+      // Dropped: gone for good even if it would now revalidate.
+      const auto always = [](const auto&) noexcept { return true; };
+      EXPECT_FALSE(table.lookup(keys.key(i), keys.key(i), out, always));
+    }
+  }
+  ASSERT_GT(checked, initial / 2);
+  const ComputeTableCounters c = table.counters();
+  EXPECT_EQ(c.retained, revalidated);
+  EXPECT_EQ(c.staleDropped, checked - revalidated);
+}
+
+TEST(TableGrowth, UniqueTableRehashKeepsNodesCanonical) {
+  MemoryManager<VNode> mm;
+  UniqueTable<VNode> table(mm);
+  table.resize(2);
+  VNode terminal;
+  terminal.v = kTerminalVar;
+  const std::size_t initial = UniqueTable<VNode>::kInitialBucketsPerVar;
+  // One node past an average chain length of kMaxAverageChain.
+  const std::size_t fill =
+      UniqueTable<VNode>::kMaxAverageChain * initial + 1;
+  // Distinct weight pointers make distinct nodes.
+  const std::vector<ComplexValue> weights(fill, ComplexValue{0.5, 0.0});
+  const auto candidate = [&](Qubit var, std::size_t i) {
+    VNode* c = mm.get();
+    c->v = var;
+    c->e = {VEdge{&terminal, &weights[0]}, VEdge{&terminal, &weights[i]}};
+    return c;
+  };
+
+  ASSERT_EQ(table.bucketCount(0), initial);
+  ASSERT_EQ(table.bucketBytes(), 2 * initial * sizeof(VNode*));
+  VNode* first = table.lookup(candidate(0, 0));
+  std::vector<VNode*> nodes{first};
+  for (std::size_t i = 1; i < fill; ++i) {
+    nodes.push_back(table.lookup(candidate(0, i)));
+  }
+  const std::size_t grown = initial * UniqueTable<VNode>::kGrowthFactor;
+  EXPECT_EQ(table.bucketCount(0), grown);
+  EXPECT_EQ(table.bucketCount(1), initial);  // rehash is per variable
+  EXPECT_EQ(table.bucketBytes(), (grown + initial) * sizeof(VNode*));
+
+  // Identical candidates resolve to the very same nodes after the rehash.
+  const std::size_t hitsBefore = table.hits();
+  EXPECT_EQ(table.lookup(candidate(0, 0)), first);
+  EXPECT_EQ(table.lookup(candidate(0, fill - 1)), nodes.back());
+  EXPECT_EQ(table.hits(), hitsBefore + 2);  // both candidates recycled
+
+  for (std::size_t i = 0; i < 3; ++i) {
+    table.lookup(candidate(1, i))->ref = 1;
+  }
+  EXPECT_EQ(table.liveCount(0), fill);
+  EXPECT_EQ(table.liveCount(1), 3U);
+  EXPECT_EQ(table.liveCount(), fill + 3);
+
+  // Keep every tenth variable-0 node; GC updates both counts.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < nodes.size(); i += 10) {
+    nodes[i]->ref = 1;
+    ++kept;
+  }
+  EXPECT_EQ(table.garbageCollect(), fill - kept);
+  EXPECT_EQ(table.liveCount(0), kept);
+  EXPECT_EQ(table.liveCount(1), 3U);
+  EXPECT_EQ(table.liveCount(), kept + 3);
+  std::size_t visited = 0;
+  table.forEach([&visited](const VNode*) { ++visited; });
+  EXPECT_EQ(visited, kept + 3);
+  EXPECT_EQ(table.lookup(candidate(0, 0)), first);  // survivor still found
+}
+
+TEST(TableGrowth, FreshPackageStartsSmall) {
+  const Package p(20);
+  // Only the initial unique-table buckets exist before the first gate.
+  EXPECT_LT(p.bytesAllocated(), std::size_t{1} << 20);
+}
+
 }  // namespace
 }  // namespace ddsim::dd

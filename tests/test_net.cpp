@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -482,6 +484,64 @@ TEST(WorkerServer, DrainStreamsPendingResultsBeforeGoodbye) {
   // Every admitted job resolved before the goodbye; a drain loses nothing.
   EXPECT_EQ(results, 3U);
   EXPECT_TRUE(sawGoodbye);
+}
+
+
+/// A numeric field of /proc/self/status ("Threads", "VmSize" in KiB).
+std::size_t procStatus(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoull(line.substr(field.size() + 1));
+    }
+  }
+  return 0;
+}
+
+TEST(WorkerServer, LongConnectionStateStaysBoundedByJobsInFlight) {
+  // A router keeps one connection open for its whole run. Per-job state on
+  // that connection (the waiter thread and the job handle) must be released
+  // as jobs finish, not when the connection closes: an un-joined thread
+  // pins its stack, so address space would grow by a stack per job.
+  serve::ServiceConfig config;
+  config.workers = 1;
+  net::WorkerServer server(std::move(config), 0);
+  net::TcpConnection conn =
+      net::TcpConnection::connect("127.0.0.1", server.port());
+  conn.setDeadlines(30.0, 30.0);
+
+  constexpr std::uint64_t kWarmup = 20;
+  constexpr std::uint64_t kJobs = 240;
+  std::size_t threadsAtWarmup = 0;
+  std::size_t vmKibAtWarmup = 0;
+  std::size_t maxThreads = 0;
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    // Distinct seeds: every job is a fresh simulation, not a cache answer.
+    net::writeFrame(conn, {net::FrameType::Submit,
+                           net::encodeSubmit(bellSubmit(id, id))});
+    const net::ResultPayload r = awaitResult(conn);
+    ASSERT_EQ(r.jobId, id);
+    ASSERT_EQ(r.status, net::wireStatus(serve::JobStatus::Completed));
+    if (id == kWarmup) {
+      threadsAtWarmup = procStatus("Threads");
+      vmKibAtWarmup = procStatus("VmSize");
+    }
+    maxThreads = std::max(maxThreads, procStatus("Threads"));
+  }
+  const std::size_t vmKib = procStatus("VmSize");
+  ASSERT_GT(threadsAtWarmup, 0U);
+  // At most the waiter of the job just answered is still winding down.
+  EXPECT_LE(maxThreads, threadsAtWarmup + 2);
+  // Each leaked waiter would pin a whole thread stack (8 MiB by default);
+  // allow a quarter of that per job for allocator growth (sanitizer
+  // quarantines included) and still catch the leak.
+  const std::size_t growthKib =
+      vmKib > vmKibAtWarmup ? vmKib - vmKibAtWarmup : 0;
+  EXPECT_LT(growthKib, (kJobs - kWarmup) * 2048);
+
+  net::writeFrame(conn, {net::FrameType::Goodbye, net::encodeGoodbye({"done"})});
+  server.requestStop();
 }
 
 }  // namespace

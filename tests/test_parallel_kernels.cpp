@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "algo/grover.hpp"
+#include "algo/supremacy.hpp"
 #include "dd/complex_table.hpp"
 #include "dd/memory_manager.hpp"
 #include "dd/package.hpp"
@@ -154,6 +156,94 @@ TEST(ParallelTables, UniqueTableConcurrentInsertIsCanonical) {
   mm.setConcurrent(false);
   EXPECT_EQ(ut.garbageCollect(), kKeys);
   EXPECT_EQ(ut.liveCount(), 0U);
+}
+
+TEST(ParallelTables, UniqueTableRehashesUnderConcurrentInserts) {
+  // Enough distinct nodes on one variable that the bucket array is rehashed
+  // (with every stripe held) while other threads keep inserting.
+  ComplexTable ctab;
+  MemoryManager<VNode> mm;
+  UniqueTable<VNode> ut(mm);
+  ut.resize(1);
+  mm.setConcurrent(true);
+  ut.setConcurrent(true);
+  VNode terminal;
+  terminal.v = kTerminalVar;
+
+  constexpr std::size_t kKeys = 4000;
+  constexpr std::size_t kThreads = 4;
+  std::vector<CWeight> w(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    w[i] = ctab.lookup(1.0 + static_cast<double>(i), 0.0);
+  }
+  std::vector<std::vector<VNode*>> seen(kThreads,
+                                        std::vector<VNode*>(kKeys, nullptr));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the keys from its own offset, so every key is
+      // raced by all threads at different moments of the table's growth.
+      for (std::size_t r = 0; r < kKeys; ++r) {
+        const std::size_t i = (r + t * (kKeys / kThreads)) % kKeys;
+        VNode* cand = mm.get();
+        cand->v = 0;
+        cand->e = {VEdge{&terminal, w[i]}, VEdge{&terminal, w[i]}};
+        seen[t][i] = ut.lookup(cand);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  ut.setConcurrent(false);
+  mm.setConcurrent(false);
+
+  EXPECT_GT(ut.bucketCount(0), UniqueTable<VNode>::kInitialBucketsPerVar);
+  EXPECT_EQ(ut.liveCount(), kKeys);
+  EXPECT_EQ(ut.liveCount(0), kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      ASSERT_EQ(seen[0][i], seen[t][i]) << "key " << i;
+    }
+  }
+}
+
+TEST(ParallelTables, ComputeTableGrowsUnderConcurrentInserts) {
+  // Racing inserters push the table through several resizes; a lookup may
+  // miss (eviction) but a hit must always return its own key's value.
+  ComputeTable<VEdge, VEdge, std::uint64_t> table;
+  table.setConcurrent(true);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 20000;
+  std::vector<VNode> nodes(kThreads * kPerThread);
+  const ComplexValue weight{0.5, 0.0};
+  const auto key = [&](std::size_t i) { return VEdge{&nodes[i], &weight}; };
+  const auto never = [](const auto&) noexcept { return false; };
+
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t r = 0; r < kPerThread; ++r) {
+        const std::size_t i = t * kPerThread + r;
+        table.insert(key(i), key(i), i, 0);
+        // Probe an earlier key of this thread while others keep inserting.
+        const std::size_t j = t * kPerThread + r / 2;
+        std::uint64_t out = 0;
+        if (table.lookup(key(j), key(j), out, never) && out != j) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  table.setConcurrent(false);
+  EXPECT_EQ(wrong.load(), 0U);
+  EXPECT_GT(table.capacity(), decltype(table)::kInitialEntries);
 }
 
 // --------------------------------------------------- kernel-level identity
@@ -507,6 +597,56 @@ TEST(ReorderBuffer, FaultInjectionAcrossBuildersPreservesBlockOrder) {
   EXPECT_GT(injector.injectedAllocFailures(), 0U);
   EXPECT_GT(result.stats.serialFallbackOps, 0U);
   EXPECT_EQ(result.classicalBits, serialResult.classicalBits);
+}
+
+
+// ------------------------------------------------------ outcome determinism
+
+struct Outcome {
+  std::vector<bool> bits;
+  std::size_t finalNodes = 0;
+  std::uint64_t peakStateNodes = 0;
+};
+
+Outcome simulate(const ir::Circuit& circuit, std::size_t threads,
+                 std::uint64_t seed) {
+  StrategyConfig config;
+  config.schedule = Schedule::KOperations;
+  config.k = 4;
+  config.threads = threads;
+  CircuitSimulator sim(circuit, config, seed);
+  const SimulationResult r = sim.run();
+  return {r.classicalBits, sim.package().size(r.finalState),
+          r.stats.peakStateNodes};
+}
+
+TEST(Determinism, OutcomeDependsOnlyOnCircuitStrategyAndSeed) {
+  // The content-addressed result cache keys on (circuit, strategy, seed),
+  // so neither an earlier job in the process nor the kernel thread count
+  // (which changes when the demand-sized tables grow) may change a result.
+  const ir::Circuit body = algo::makeSupremacyCircuit({3, 3, 8, 11});
+  ir::Circuit job(body.numQubits(), 4);
+  for (const auto& op : body.ops()) {
+    job.append(op->clone());
+  }
+  for (ir::Qubit q = 0; q < 4; ++q) {
+    job.measure(q, static_cast<std::size_t>(q));  // leave a non-trivial state
+  }
+  const Outcome fresh = simulate(job, 1, 7);
+  ASSERT_GT(fresh.finalNodes, job.numQubits() + 1);
+
+  // An unrelated, larger job grows its package's tables far past theirs.
+  algo::GroverOptions grover;
+  grover.measure = true;
+  (void)simulate(algo::makeGroverCircuit(12, 1234, grover), 1, 3);
+
+  const Outcome after = simulate(job, 1, 7);
+  const Outcome parallel = simulate(job, 2, 7);
+  for (const Outcome* o : {&after, &parallel}) {
+    EXPECT_EQ(o->bits, fresh.bits);
+    EXPECT_EQ(o->finalNodes, fresh.finalNodes);
+    EXPECT_EQ(o->peakStateNodes, fresh.peakStateNodes);
+  }
 }
 
 }  // namespace

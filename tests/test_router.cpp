@@ -252,16 +252,55 @@ router::RouterJob bellJob(const std::string& label, std::uint64_t seed) {
   return job;
 }
 
+/// A 10-qubit brickwork of H/T/RY layers and CX ladders whose state DD
+/// becomes nearly dense: one simulation takes about 100 ms in a
+/// Release build, while six submissions reach a shard within a few ms.
+std::string slowQasm() {
+  constexpr int kQubits = 10;
+  constexpr int kLayers = 8;
+  std::string qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+  qasm += "qreg q[" + std::to_string(kQubits) + "];\n";
+  qasm += "creg c[" + std::to_string(kQubits) + "];\n";
+  for (int layer = 0; layer < kLayers; ++layer) {
+    for (int q = 0; q < kQubits; ++q) {
+      const std::string target = "q[" + std::to_string(q) + "];\n";
+      switch ((layer + q) % 3) {
+        case 0:
+          qasm += "h " + target;
+          break;
+        case 1:
+          qasm += "t " + target;
+          break;
+        default:
+          qasm += "ry(0." + std::to_string(q + 1) + ") " + target;
+      }
+    }
+    for (int q = layer % 2; q + 1 < kQubits; q += 2) {
+      qasm += "cx q[" + std::to_string(q) + "],q[" + std::to_string(q + 1) +
+              "];\n";
+    }
+  }
+  for (int q = 0; q < kQubits; ++q) {
+    qasm += "measure q[" + std::to_string(q) + "] -> c[" +
+            std::to_string(q) + "];\n";
+  }
+  return qasm;
+}
+
 TEST(Router, IdenticalJobsRunOneSimulationClusterWide) {
   Cluster cluster(3);
   router::Router r(cluster.routerConfig());
   r.connect();
   EXPECT_EQ(r.liveWorkers(), 3U);
 
-  // 6 submissions of the SAME job (identical cache identity).
+  // 6 submissions of the SAME job (identical cache identity). The job runs
+  // far longer than it takes to send all six, so every duplicate reaches
+  // the shard while the first simulates and coalesces onto it.
   std::vector<router::RouterJob> jobs;
   for (int i = 0; i < 6; ++i) {
-    jobs.push_back(bellJob("dup#" + std::to_string(i), 7));
+    router::RouterJob job = bellJob("dup#" + std::to_string(i), 7);
+    job.qasm = slowQasm();
+    jobs.push_back(job);
   }
   const auto results = r.run(jobs);
   ASSERT_EQ(results.size(), 6U);
