@@ -110,15 +110,17 @@ struct BenchRecord {
   bool partialResult = false;
 };
 
-/// Build a record from a timedRun() result. Handles the +infinity timeout
-/// convention: a timed-out run is flagged and reports 0 ms.
+/// Build a record from a timedRun() result capped at \p timeLimitSeconds.
+/// Handles the +infinity timeout convention: a timed-out run is flagged and
+/// reports the time limit as its wall time, a lower bound on the real one.
 inline BenchRecord makeRecord(std::string name, double seconds,
-                              const sim::SimulationStats& stats) {
+                              const sim::SimulationStats& stats,
+                              double timeLimitSeconds) {
   BenchRecord r;
   r.name = std::move(name);
   r.timedOut = std::isinf(seconds);
   r.partialResult = r.timedOut;
-  r.wallMs = r.timedOut ? 0.0 : seconds * 1e3;
+  r.wallMs = (r.timedOut ? timeLimitSeconds : seconds) * 1e3;
   r.peakNodes = stats.peakStateNodes + stats.peakMatrixNodes;
   r.mulCacheHitRate = stats.cache.mulHitRate();
   r.identitySkipRate = stats.dd.identitySkipRate();

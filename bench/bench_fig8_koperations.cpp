@@ -59,7 +59,7 @@ int main() {
     const double tSeq = bench::timedRun(
         circuit, sim::StrategyConfig::sequential(), cap, &seqStats);
     records.push_back(
-        bench::makeRecord(inst.name + "/sequential", tSeq, seqStats));
+        bench::makeRecord(inst.name + "/sequential", tSeq, seqStats, cap));
     std::printf("%-18s %10s", inst.name.c_str(),
                 bench::formatSeconds(tSeq, cap).c_str());
     for (std::size_t i = 0; i < ks.size(); ++i) {
@@ -67,7 +67,7 @@ int main() {
       const double t = bench::timedRun(
           circuit, sim::StrategyConfig::kOperations(ks[i]), cap, &s);
       records.push_back(bench::makeRecord(
-          inst.name + "/k=" + std::to_string(ks[i]), t, s));
+          inst.name + "/k=" + std::to_string(ks[i]), t, s, cap));
       if (std::isinf(t)) {
         std::printf("  %7s", "t/o");
       } else {
@@ -82,7 +82,7 @@ int main() {
       sim::SimulationStats s;
       const double t = bench::timedRun(circuit, config, cap, &s);
       records.push_back(bench::makeRecord(
-          inst.name + "/k=" + std::to_string(pipedKs[i]) + "+pipe", t, s));
+          inst.name + "/k=" + std::to_string(pipedKs[i]) + "+pipe", t, s, cap));
       if (std::isinf(t)) {
         std::printf("  %7s", "t/o");
       } else {
@@ -97,7 +97,7 @@ int main() {
       sim::SimulationStats s;
       const double t = bench::timedRun(circuit, config, cap, &s);
       records.push_back(bench::makeRecord(
-          inst.name + "/k=" + std::to_string(parKs[i]) + "+par", t, s));
+          inst.name + "/k=" + std::to_string(parKs[i]) + "+par", t, s, cap));
       if (std::isinf(t)) {
         std::printf("  %7s", "t/o");
       } else {

@@ -52,7 +52,7 @@ int main() {
     const double tSeq = bench::timedRun(
         circuit, sim::StrategyConfig::sequential(), cap, &seqStats);
     records.push_back(
-        bench::makeRecord(inst.name + "/sequential", tSeq, seqStats));
+        bench::makeRecord(inst.name + "/sequential", tSeq, seqStats, cap));
     std::printf("%-18s %10s", inst.name.c_str(),
                 bench::formatSeconds(tSeq, cap).c_str());
     for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -60,7 +60,7 @@ int main() {
       const double t = bench::timedRun(
           circuit, sim::StrategyConfig::maxSizeStrategy(sizes[i]), cap, &s);
       records.push_back(bench::makeRecord(
-          inst.name + "/s_max=" + std::to_string(sizes[i]), t, s));
+          inst.name + "/s_max=" + std::to_string(sizes[i]), t, s, cap));
       if (std::isinf(t)) {
         std::printf(" %7s", "t/o");
       } else {
@@ -77,7 +77,7 @@ int main() {
       const double t = bench::timedRun(circuit, config, cap, &s);
       records.push_back(bench::makeRecord(
           inst.name + "/s_max=" + std::to_string(pipedSizes[i]) + "+pipe", t,
-          s));
+          s, cap));
       if (std::isinf(t)) {
         std::printf(" %7s", "t/o");
       } else {
@@ -94,7 +94,7 @@ int main() {
       const double t = bench::timedRun(circuit, config, cap, &s);
       records.push_back(bench::makeRecord(
           inst.name + "/s_max=" + std::to_string(parSizes[i]) + "+par", t,
-          s));
+          s, cap));
       if (std::isinf(t)) {
         std::printf(" %7s", "t/o");
       } else {

@@ -42,7 +42,8 @@ int main() {
     sim::SimulationStats sotaStats;
     const double tSota = bench::timedRun(
         circuit, sim::StrategyConfig::sequential(), cap, &sotaStats);
-    records.push_back(bench::makeRecord(name + "/sequential", tSota, sotaStats));
+    records.push_back(
+        bench::makeRecord(name + "/sequential", tSota, sotaStats, cap));
 
     // t_general: the best k / s_max over a small sweep, as in the paper
     // ("results obtained by the best choice of k/s_max").
@@ -66,14 +67,15 @@ int main() {
         generalStats = s;
       }
     }
-    records.push_back(bench::makeRecord(name + "/general", tGeneral, generalStats));
+    records.push_back(
+        bench::makeRecord(name + "/general", tGeneral, generalStats, cap));
 
     sim::StrategyConfig repeating = sim::StrategyConfig::sequential();
     repeating.reuseRepeatedBlocks = true;
     sim::SimulationStats repStats;
     const double tRepeating = bench::timedRun(circuit, repeating, cap, &repStats);
     records.push_back(
-        bench::makeRecord(name + "/DD-repeating", tRepeating, repStats));
+        bench::makeRecord(name + "/DD-repeating", tRepeating, repStats, cap));
 
     std::printf("Grover_%-7zu %12s %12s %18s\n", row.qubits,
                 bench::formatSeconds(tSota, cap).c_str(),

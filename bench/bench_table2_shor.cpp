@@ -51,7 +51,8 @@ int main() {
     sim::SimulationStats sotaStats;
     const double tSota = bench::timedRun(
         gateLevel, sim::StrategyConfig::sequential(), cap, &sotaStats);
-    records.push_back(bench::makeRecord(name + "/sequential", tSota, sotaStats));
+    records.push_back(
+        bench::makeRecord(name + "/sequential", tSota, sotaStats, cap));
 
     double tGeneral = tSota;
     sim::SimulationStats generalStats = sotaStats;
@@ -73,13 +74,15 @@ int main() {
         generalStats = s;
       }
     }
-    records.push_back(bench::makeRecord(name + "/general", tGeneral, generalStats));
+    records.push_back(
+        bench::makeRecord(name + "/general", tGeneral, generalStats, cap));
 
     sim::SimulationStats constructStats;
     const double tConstruct = bench::timedRun(
         oracleLevel, sim::StrategyConfig::sequential(), cap, &constructStats);
     records.push_back(
-        bench::makeRecord(name + "/DD-construct", tConstruct, constructStats));
+        bench::makeRecord(name + "/DD-construct", tConstruct, constructStats,
+                          cap));
 
     std::printf("%-18s %12s %12s %18s\n", name.c_str(),
                 bench::formatSeconds(tSota, cap).c_str(),

@@ -1,18 +1,13 @@
 #include "dd/complex_table.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cassert>
-#include <cmath>
 #include <limits>
+#include <new>
+#include <optional>
+#include <utility>
 
 namespace ddsim::dd {
-
-ComplexTable::ComplexTable(double tolerance)
-    : tol_(tolerance), cell_(2.0 * tolerance) {}
-
-std::int64_t ComplexTable::cellOf(double x) const noexcept {
-  return static_cast<std::int64_t>(std::llround(x / cell_));
-}
 
 std::uint64_t ComplexTable::cellKey(std::int64_t cr, std::int64_t ci) noexcept {
   // Mix the two cell coordinates; splitmix64-style finalizer.
@@ -26,171 +21,161 @@ std::uint64_t ComplexTable::cellKey(std::int64_t cr, std::int64_t ci) noexcept {
          (mix(static_cast<std::uint64_t>(ci)) << 1);
 }
 
-CWeight ComplexTable::probeCell(std::uint64_t key,
-                                const ComplexValue& v) const {
-  const auto& buckets = shards_[shardOf(key)].buckets;
-  const auto it = buckets.find(key);
-  if (it == buckets.end()) {
-    return nullptr;
-  }
-  for (CWeight e : it->second) {
-    if (e->approximatelyEquals(v, tol_)) {
-      return e;
+CWeight ComplexTable::probeCell(std::uint64_t key, const ComplexValue& v,
+                                Entry*** tail) {
+  // Chains keep each cell in insertion order: the first match is the oldest.
+  Entry** link = &buckets_[key & (buckets_.size() - 1)];
+  for (; *link != nullptr; link = &(*link)->next) {
+    const Entry* e = *link;
+    if (e->key == key && e->v.approximatelyEquals(v, tol_)) {
+      return &e->v;
     }
   }
+  *tail = link;
   return nullptr;
 }
 
-CWeight ComplexTable::insertEntry(std::uint64_t key, const ComplexValue& v) {
-  Entry* entry;
-  {
-    // Nested inside the shard lock(s) in concurrent mode; lock order is
-    // always shard(s) -> allocator.
-    std::unique_lock<std::mutex> alloc(allocMutex_, std::defer_lock);
-    if (concurrent_) {
-      alloc.lock();
+void ComplexTable::grow() noexcept {
+  std::vector<Entry*> bigger;
+  try {
+    bigger.resize(buckets_.size() * kGrowthFactor, nullptr);
+  } catch (const std::bad_alloc&) {
+    return;  // keep the shorter bucket array; chains just grow longer
+  }
+  // Old bucket b splits into new buckets b + j * oldSize (j < 4). Walking
+  // each old chain in order and appending keeps every cell's age order.
+  const std::size_t oldSize = buckets_.size();
+  for (std::size_t b = 0; b < oldSize; ++b) {
+    std::array<Entry**, kGrowthFactor> tails{};
+    for (std::size_t j = 0; j < kGrowthFactor; ++j) {
+      tails[j] = &bigger[b + j * oldSize];
     }
-    if (!freeList_.empty()) {
-      entry = freeList_.back();
-      freeList_.pop_back();
-      entry->v = v;
-      entry->rootRef = 0;
-    } else {
-      entries_.push_back(Entry{v, 0});
-      entry = &entries_.back();
+    for (Entry* e = buckets_[b]; e != nullptr; e = e->next) {
+      Entry**& t = tails[(e->key / oldSize) % kGrowthFactor];
+      *t = e;
+      t = &e->next;
+    }
+    for (Entry** t : tails) {
+      *t = nullptr;
     }
   }
-  CWeight w = &entry->v;
-  shards_[shardOf(key)].buckets[key].push_back(w);
-  return w;
+  bytes_.fetch_add((bigger.size() - oldSize) * sizeof(Entry*),
+                   std::memory_order_relaxed);
+  buckets_.swap(bigger);
 }
 
 CWeight ComplexTable::lookup(ComplexValue v) {
-  // Snap to the exact constants first; they are by far the most common
-  // weights and pointer identity with zero()/one() is relied upon by the
-  // package's fast paths.
-  if (v.approximatelyZero(tol_)) {
+  // Snap to the constants first: the most common weights, and the package's
+  // fast paths rely on pointer identity with zero()/one().
+  if (v.approximatelyZero(tol_) || v.approximatelyOne(tol_)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return &zero_;
+    return v.approximatelyZero(tol_) ? &zero_ : &one_;
   }
-  if (v.approximatelyOne(tol_)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &one_;
-  }
-
   const std::int64_t cr = cellOf(v.r);
   const std::int64_t ci = cellOf(v.i);
-  const std::uint64_t homeKey = cellKey(cr, ci);
-
-  // Any candidate within tolerance lies in a cell intersecting [v ± tol].
-  // With cell = 2*tol that interval spans two cells per axis, or three
-  // when the component is exactly 0 (llround(±0.5) = ±1) — every real or
-  // purely imaginary weight. So up to 3 x 3 cells need probing.
-  const std::int64_t crLo = cellOf(v.r - tol_);
-  const std::int64_t crHi = cellOf(v.r + tol_);
-  const std::int64_t ciLo = cellOf(v.i - tol_);
-  const std::int64_t ciHi = cellOf(v.i + tol_);
-  std::array<std::uint64_t, 9> keys{};
-  std::size_t numKeys = 0;
-  keys[numKeys++] = homeKey;
-  for (std::int64_t pr = crLo; pr <= crHi; ++pr) {
-    for (std::int64_t pi = ciLo; pi <= ciHi; ++pi) {
-      if (pr == cr && pi == ci) {
-        continue;  // home cell is always first
-      }
-      keys[numKeys++] = cellKey(pr, pi);
-    }
-  }
-
-  if (!concurrent_) {
-    for (std::size_t k = 0; k < numKeys; ++k) {
-      if (CWeight e = probeCell(keys[k], v)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return e;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return insertEntry(homeKey, v);
-  }
-
-  // Concurrent path. Optimistic probe: each candidate cell under its own
-  // shard lock — home cell first, where almost every hit lands.
-  const auto lockShard = [&](std::size_t shard) -> std::mutex& {
-    std::mutex& m = shards_[shard].mutex;
-    if (!m.try_lock()) {
-      lockWaits_.fetch_add(1, std::memory_order_relaxed);
-      m.lock();
-    }
-    return m;
-  };
-  for (std::size_t k = 0; k < numKeys; ++k) {
-    std::mutex& m = lockShard(shardOf(keys[k]));
-    const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
-    if (CWeight e = probeCell(keys[k], v)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t home = cellKey(cr, ci);
+  std::array<std::uint64_t, 8> keys{};  // neighbour cells
+  std::size_t n = 0;
+  bool neighbours = false;  // keys filled (on the first home-cell miss)
+  Entry** tail = nullptr;   // end of the home cell's chain
+  // Probe the home cell, then its neighbours. Any value within tolerance
+  // lies in a cell intersecting [v ± tol]: two cells per axis, or three
+  // when a component is exactly 0 (llround(±0.5) = ±1).
+  const auto probeAll = [&](auto&& probe) {
+    CWeight e = probe(home, &tail);
+    if (e != nullptr) {
       return e;
     }
-  }
+    for (std::int64_t pr = cellOf(v.r - tol_);
+         !neighbours && pr <= cellOf(v.r + tol_); ++pr) {
+      for (std::int64_t pi = cellOf(v.i - tol_); pi <= cellOf(v.i + tol_);
+           ++pi) {
+        if (pr != cr || pi != ci) {
+          keys[n++] = cellKey(pr, pi);
+        }
+      }
+    }
+    neighbours = true;
+    Entry** ignored = nullptr;
+    for (std::size_t k = 0; k < n && e == nullptr; ++k) {
+      e = probe(keys[k], &ignored);
+    }
+    return e;
+  };
+  const auto probe = [&](auto key, auto t) { return probeCell(key, v, t); };
 
-  // Miss: lock *every* involved shard (deduplicated, ascending index — no
-  // deadlock) and re-probe before inserting. Two threads canonicalizing
-  // values within tolerance of each other have overlapping candidate cells,
-  // hence overlapping lock sets; whichever inserts first is found by the
-  // other's re-probe, keeping the representative unique.
-  std::array<std::size_t, 9> shardIds{};
-  std::size_t numShards = 0;
-  for (std::size_t k = 0; k < numKeys; ++k) {
-    const std::size_t s = shardOf(keys[k]);
-    bool seen = false;
-    for (std::size_t j = 0; j < numShards; ++j) {
-      seen = seen || shardIds[j] == s;
+  // Stripes held for the insert (concurrent mode).
+  std::optional<detail::StripeLocks<kStripes>::SetLock> held;
+  CWeight e = nullptr;
+  if (!concurrent_) {
+    e = probeAll(probe);
+  } else {
+    // Optimistic probe: each candidate cell under its own stripe.
+    e = probeAll([&](std::uint64_t key, Entry*** t) {
+      std::mutex& m = stripes_.acquire(key, lockWaits_);
+      const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
+      return probeCell(key, v, t);
+    });
+    if (e == nullptr) {
+      // Miss: take every involved stripe (deduplicated, ascending like
+      // exclusive()) and re-probe. Values within tolerance of each other
+      // share a cell, hence a stripe, so one thread sees the other's insert.
+      std::uint64_t set = std::uint64_t{1} << (home & (kStripes - 1));
+      for (std::size_t k = 0; k < n; ++k) {
+        set |= std::uint64_t{1} << (keys[k] & (kStripes - 1));
+      }
+      held.emplace(stripes_, set, lockWaits_);
+      e = probeAll(probe);
     }
-    if (!seen) {
-      shardIds[numShards++] = s;
-    }
   }
-  // Tiny fixed-capacity insertion sort (std::sort trips -Warray-bounds on
-  // arrays smaller than its insertion-sort threshold).
-  for (std::size_t j = 1; j < numShards; ++j) {
-    for (std::size_t k = j; k > 0 && shardIds[k] < shardIds[k - 1]; --k) {
-      std::swap(shardIds[k], shardIds[k - 1]);
-    }
-  }
-  for (std::size_t j = 0; j < numShards; ++j) {
-    lockShard(shardIds[j]);
-  }
-  CWeight result = nullptr;
-  for (std::size_t k = 0; k < numKeys && result == nullptr; ++k) {
-    result = probeCell(keys[k], v);
-  }
-  if (result != nullptr) {
+  bool growNow = false;
+  if (e != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    result = insertEntry(homeKey, v);
+    Entry* entry = nullptr;
+    {
+      // Lock order: stripe(s), then the allocator.
+      const auto alloc = concurrent_ ? std::unique_lock(allocMutex_)
+                                     : std::unique_lock<std::mutex>();
+      if (free_ != nullptr) {
+        entry = std::exchange(free_, free_->next);
+      } else {
+        entry = &entries_.emplace_back();
+        bytes_.fetch_add(sizeof(Entry), std::memory_order_relaxed);
+      }
+    }
+    *entry = Entry{v, home, nullptr, 0, entry->id};  // keeps the incarnation
+    *tail = entry;
+    live_.fetch_add(1, std::memory_order_relaxed);
+    e = &entry->v;
+    growNow = wantsGrowth();
   }
-  for (std::size_t j = numShards; j > 0; --j) {
-    shards_[shardIds[j - 1]].mutex.unlock();
+  held.reset();
+  if (growNow && !concurrent_) {
+    grow();
+  } else if (growNow) {
+    stripes_.exclusive([this]() noexcept {
+      if (wantsGrowth()) {  // another inserter may have grown it first
+        grow();
+      }
+    });
   }
-  return result;
+  return e;
 }
 
-void ComplexTable::incRef(CWeight w) noexcept {
+ComplexTable::Entry* ComplexTable::pinnable(CWeight w) const noexcept {
+  // The constants are permanently pinned and a saturated count stays put.
   if (w == nullptr || w == &zero_ || w == &one_) {
-    return;
+    return nullptr;
   }
   auto* entry = const_cast<Entry*>(asEntry(w));
-  if (entry->rootRef != std::numeric_limits<std::uint32_t>::max()) {
-    ++entry->rootRef;
-  }
+  return entry->rootRef == std::numeric_limits<std::uint32_t>::max() ? nullptr
+                                                                     : entry;
 }
 
 void ComplexTable::decRef(CWeight w) noexcept {
-  if (w == nullptr || w == &zero_ || w == &one_) {
-    return;
-  }
-  auto* entry = const_cast<Entry*>(asEntry(w));
-  if (entry->rootRef != std::numeric_limits<std::uint32_t>::max()) {
+  if (Entry* entry = pinnable(w)) {
     assert(entry->rootRef > 0 && "decRef on unreferenced weight");
     --entry->rootRef;
   }
@@ -198,31 +183,24 @@ void ComplexTable::decRef(CWeight w) noexcept {
 
 std::size_t ComplexTable::garbageCollect(const std::unordered_set<CWeight>& live) {
   // Quiescent point: no concurrent lookups in flight, so no locks taken.
+  // Unlinking in place keeps the survivors of each cell in age order.
   std::size_t collected = 0;
-  for (auto& shard : shards_) {
-    for (auto it = shard.buckets.begin(); it != shard.buckets.end();) {
-      auto& vec = it->second;
-      const auto removeBegin =
-          std::remove_if(vec.begin(), vec.end(), [&](CWeight w) {
-            if (live.count(w) != 0 || asEntry(w)->rootRef > 0) {
-              return false;
-            }
-            auto* entry = const_cast<Entry*>(asEntry(w));
-            // Bump the incarnation at free time so any compute-table entry
-            // still referencing this weight fails revalidation immediately.
-            ++entry->id;
-            freeList_.push_back(entry);
-            return true;
-          });
-      collected += static_cast<std::size_t>(vec.end() - removeBegin);
-      vec.erase(removeBegin, vec.end());
-      if (vec.empty()) {
-        it = shard.buckets.erase(it);
+  for (Entry*& head : buckets_) {
+    for (Entry** link = &head; *link != nullptr;) {
+      Entry* e = *link;
+      if (live.count(&e->v) != 0 || e->rootRef > 0) {
+        link = &e->next;
       } else {
-        ++it;
+        // Bump the incarnation at free time so any compute-table entry
+        // still referencing this weight fails revalidation immediately.
+        ++e->id;
+        *link = std::exchange(e->next, free_);
+        free_ = e;
+        ++collected;
       }
     }
   }
+  live_.fetch_sub(collected, std::memory_order_relaxed);
   return collected;
 }
 

@@ -36,6 +36,12 @@ namespace ddsim::dd {
 template <typename NodeT>
 class MemoryManager {
  public:
+  /// Largest chunk ever requested from the heap. A chunk size beyond it
+  /// fails as std::bad_alloc without reaching the allocator, the same on
+  /// every build: AddressSanitizer's allocator aborts on such a request
+  /// instead of throwing.
+  static constexpr std::size_t kMaxChunkBytes = std::size_t{1} << 40;
+
   explicit MemoryManager(std::size_t chunkSize = 1U << 14)
       : chunkSize_(chunkSize) {}
 
@@ -84,6 +90,9 @@ class MemoryManager {
     }
     if (used_ == chunkCapacity_) {
       try {
+        if (chunkSize_ > kMaxChunkBytes / sizeof(NodeT)) {
+          throw std::bad_alloc();
+        }
         chunks_.push_back(std::make_unique<NodeT[]>(chunkSize_));
       } catch (const std::bad_alloc&) {
         throw ResourceExhausted(

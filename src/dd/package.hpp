@@ -353,10 +353,11 @@ class Package {
   [[nodiscard]] std::size_t liveNodes() const noexcept {
     return vUnique_.liveCount() + mUnique_.liveCount();
   }
-  /// Bytes held by the node allocators plus the unique-table buckets.
+  /// Bytes held by the node allocators, the unique-table buckets and the
+  /// complex table (weight entries plus its bucket array).
   [[nodiscard]] std::size_t bytesAllocated() const noexcept {
     return vMem_.bytesAllocated() + mMem_.bytesAllocated() +
-           vUnique_.bucketBytes() + mUnique_.bucketBytes();
+           vUnique_.bucketBytes() + mUnique_.bucketBytes() + ctab_.bytes();
   }
 
   /// Install a cancellation predicate polled periodically from inside the

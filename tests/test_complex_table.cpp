@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <unordered_set>
+#include <vector>
 
 #include "dd/complex_table.hpp"
 
@@ -142,6 +144,98 @@ TEST(ComplexTable, ManyRandomLookupsAreStable) {
     ASSERT_EQ(first, second);
     ASSERT_TRUE(first->approximatelyEquals({r, im}, tab.tolerance()));
   }
+}
+
+// The representative rule: probe the home cell first, then its neighbours;
+// within a cell the oldest entry wins. These pin exactly which entry a
+// lookup returns, so every DD built on the table is reproducible.
+TEST(ComplexTable, RepresentativeIsHomeCellThenOldest) {
+  const double tol = 1e-3;  // cell size 2e-3: cell k covers (2k-1, 2k+1)*tol
+  ComplexTable tab(tol);
+  const double im = 0.25;
+  // Adjacent cells 100 and 101, 1.2 tol apart: two distinct entries.
+  const CWeight older = tab.lookup(200.6 * tol, im);  // cell 100
+  const CWeight newer = tab.lookup(201.8 * tol, im);  // cell 101
+  ASSERT_NE(older, newer);
+  // Within tol of both: the home cell decides, not the age.
+  EXPECT_EQ(tab.lookup(201.2 * tol, im), newer);  // home cell 101
+  EXPECT_EQ(tab.lookup(200.9 * tol, im), older);  // home cell 100
+
+  // Two entries in one cell (cell 300), 1.8 tol apart: the older one wins
+  // for a query within tol of both, whichever value it holds.
+  const CWeight low = tab.lookup(599.1 * tol, im);
+  const CWeight high = tab.lookup(600.9 * tol, im);
+  ASSERT_NE(low, high);
+  EXPECT_EQ(tab.lookup(600.0 * tol, im), low);
+  const CWeight high2 = tab.lookup(800.9 * tol, im);  // cell 400
+  const CWeight low2 = tab.lookup(799.1 * tol, im);
+  ASSERT_NE(low2, high2);
+  EXPECT_EQ(tab.lookup(800.0 * tol, im), high2);
+}
+
+TEST(ComplexTable, GrowthKeepsPointersAndOrder) {
+  const double tol = 1e-6;
+  ComplexTable tab(tol);
+  // An older/newer pair sharing cell 1000 (x = 2000 tol), made before any
+  // growth.
+  const CWeight older = tab.lookup(1999.2 * tol, -0.5);
+  const CWeight newer = tab.lookup(2000.8 * tol, -0.5);
+  ASSERT_NE(older, newer);
+  // Tens of thousands of distinct weights: the table grows several times.
+  constexpr int kValues = 40000;
+  std::vector<CWeight> ptrs;
+  ptrs.reserve(kValues);
+  for (int k = 0; k < kValues; ++k) {
+    ptrs.push_back(tab.lookup(0.1 + k * 1e-4, 0.3 - k * 1e-5));
+  }
+  EXPECT_EQ(tab.size(), kValues + 4U);
+  EXPECT_GE(tab.bucketCount(), ComplexTable::kInitialBuckets *
+                                   ComplexTable::kGrowthFactor *
+                                   ComplexTable::kGrowthFactor);
+  for (int k = 0; k < kValues; ++k) {
+    ASSERT_EQ(tab.lookup(0.1 + k * 1e-4, 0.3 - k * 1e-5), ptrs[k]) << k;
+    ASSERT_NEAR(ptrs[k]->r, 0.1 + k * 1e-4, tol);
+  }
+  EXPECT_EQ(tab.lookup(1999.2 * tol, -0.5), older);
+  EXPECT_EQ(tab.lookup(2000.8 * tol, -0.5), newer);
+  EXPECT_EQ(tab.lookup(2000.0 * tol, -0.5), older);
+}
+
+TEST(ComplexTable, GarbageCollectAcrossGrowth) {
+  const double tol = 1e-6;
+  ComplexTable tab(tol);
+  const CWeight older = tab.lookup(1999.2 * tol, 0.7);
+  const CWeight newer = tab.lookup(2000.8 * tol, 0.7);
+  constexpr int kValues = 20000;
+  std::unordered_set<CWeight> live{older, newer};
+  std::vector<CWeight> kept;
+  for (int k = 0; k < kValues; ++k) {
+    const CWeight w = tab.lookup(-0.2 - k * 1e-4, 0.1);
+    if (k % 3 == 0) {
+      live.insert(w);
+      kept.push_back(w);
+    }
+  }
+  const std::uint64_t keptId = tab.incarnation(kept[1]);
+  EXPECT_EQ(tab.garbageCollect(live), kValues - kept.size());
+  EXPECT_EQ(tab.incarnation(kept[1]), keptId);
+  EXPECT_EQ(tab.size(), kept.size() + 4);
+  // Grow again past the size before the collection; survivors stay put.
+  for (int k = 0; k < 2 * kValues; ++k) {
+    tab.lookup(0.4 + k * 1e-4, -0.1);
+  }
+  for (std::size_t j = 0; j < kept.size(); ++j) {
+    const auto k = static_cast<double>(3 * j);
+    ASSERT_EQ(tab.lookup(-0.2 - k * 1e-4, 0.1), kept[j]) << j;
+  }
+  // The collection kept the cell's order: the older entry still wins, and
+  // once it is collected the newer one takes over.
+  EXPECT_EQ(tab.lookup(2000.0 * tol, 0.7), older);
+  const std::uint64_t olderId = tab.incarnation(older);
+  live.erase(older);
+  tab.garbageCollect(live);
+  EXPECT_GT(tab.incarnation(older), olderId);
+  EXPECT_EQ(tab.lookup(2000.0 * tol, 0.7), newer);
 }
 
 }  // namespace

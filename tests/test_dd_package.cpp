@@ -3,8 +3,14 @@
 #include <numbers>
 #include <random>
 
+#include "algo/grover.hpp"
+#include "algo/qft.hpp"
+#include "algo/supremacy.hpp"
+#include "dd/migration.hpp"
 #include "dd/package.hpp"
 #include "ir/gate.hpp"
+#include "sim/simulator.hpp"
+#include "wire/wire.hpp"
 #include "test_util.hpp"
 
 namespace ddsim::dd {
@@ -179,6 +185,24 @@ TEST(Package, GarbageCollectSweepsComplexTable) {
   test::expectAmplitudesNear(p.getVector(keep), amps);
   EXPECT_NEAR(p.norm2(keep), 1.0, 1e-9);
   p.decRef(keep);
+}
+
+TEST(Package, BytesAllocatedCountsComplexTableMemory) {
+  Package p(2);
+  const std::size_t before = p.bytesAllocated();
+  const std::size_t tableBefore = p.complexTable().bytes();
+  for (int k = 0; k < 5000; ++k) {
+    p.complexTable().lookup(0.3 + k * 1e-4, -0.2);
+  }
+  const std::size_t grown = p.bytesAllocated();
+  // Every interned weight costs at least its value and a chain link.
+  EXPECT_GE(grown - before, 5000 * (sizeof(ComplexValue) + sizeof(void*)));
+  EXPECT_EQ(grown - before, p.complexTable().bytes() - tableBefore);
+  // Known weights cost nothing.
+  for (int k = 0; k < 5000; ++k) {
+    p.complexTable().lookup(0.3 + k * 1e-4, -0.2);
+  }
+  EXPECT_EQ(p.bytesAllocated(), grown);
 }
 
 TEST(Package, ComplexTableStaysBoundedOverManyGenerations) {
@@ -463,6 +487,40 @@ TEST(TableGrowth, FreshPackageStartsSmall) {
   const Package p(20);
   // Only the initial unique-table buckets exist before the first gate.
   EXPECT_LT(p.bytesAllocated(), std::size_t{1} << 20);
+}
+
+// ------------------------------------------------------------ bit identity
+
+/// wire::fnv1a of the serialized final state of one simulation.
+std::uint64_t finalStateDigest(const ir::Circuit& circuit,
+                               const sim::StrategyConfig& config) {
+  sim::CircuitSimulator simulator(circuit, config, /*seed=*/7);
+  const sim::SimulationResult result = simulator.run();
+  const std::vector<std::uint8_t> bytes =
+      serializeDD(exportDD(simulator.package(), result.finalState));
+  return wire::fnv1a(bytes.data(), bytes.size());
+}
+
+// Every edge weight of these rotation-heavy runs passes through the complex
+// table, so a change in which entry represents a value (probe order, the
+// oldest-first rule within a cell) changes the digest. The digests were
+// captured with the sharded per-cell-vector table that preceded the flat
+// one; both layouts must produce identical DDs.
+TEST(DDGolden, RotationHeavyFinalStatesAreBitStable) {
+  const ir::Circuit supremacy = algo::makeSupremacyCircuit({4, 4, 8, 1});
+  ir::Circuit qft(10);
+  for (ir::Qubit q : {0, 2, 3, 6, 7, 9}) {  // basis state |1011001101>
+    qft.x(q);
+  }
+  qft.appendCircuit(algo::makeQFTCircuit(10));
+  const ir::Circuit grover = algo::makeGroverCircuit(10, 0x2b5);
+
+  EXPECT_EQ(finalStateDigest(supremacy, sim::StrategyConfig::sequential()),
+            0x0b7f6b017ef29ac6ULL);
+  EXPECT_EQ(finalStateDigest(qft, sim::StrategyConfig::kOperations(4)),
+            0x5452012c496bc98cULL);
+  EXPECT_EQ(finalStateDigest(grover, sim::StrategyConfig::sequential()),
+            0x28d5dc0736f93b81ULL);
 }
 
 }  // namespace

@@ -149,9 +149,9 @@ TEST(MemoryManager, IdEpochAdvancesAcrossChunkRelease) {
 }
 
 TEST(MemoryManager, ChunkGrowthBadAllocBecomesResourceExhausted) {
-  // A chunk too large for any allocator: make_unique throws, and the
-  // manager must convert it into the structured taxonomy instead of
-  // crashing with an unhandled bad_alloc.
+  // A chunk above MemoryManager::kMaxChunkBytes fails as std::bad_alloc,
+  // and the manager must convert it into the structured taxonomy instead
+  // of crashing with an unhandled bad_alloc.
   MemoryManager<VNode> mm(std::numeric_limits<std::size_t>::max() /
                           sizeof(VNode) / 2);
   EXPECT_THROW(mm.get(), ResourceExhausted);

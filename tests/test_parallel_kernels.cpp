@@ -91,6 +91,56 @@ TEST(ParallelTables, ComplexTableConcurrentLookupIsCanonical) {
   EXPECT_EQ(tab.size(), 2U);
 }
 
+TEST(ParallelTables, ComplexTableGrowsUnderConcurrentLookups) {
+  // Enough distinct weights that the bucket array grows at least twice
+  // (under every stripe) while other threads keep probing and inserting.
+  ComplexTable tab;
+  tab.setConcurrent(true);
+  constexpr std::size_t kBase = 12000;
+  constexpr std::size_t kThreads = 4;
+  static_assert(kBase > ComplexTable::kMaxAverageChain *
+                            ComplexTable::kInitialBuckets *
+                            ComplexTable::kGrowthFactor,
+                "two growths");
+  // Value 2k is a base weight, value 2k+1 a near-duplicate within
+  // tolerance of it: both must end up on one pointer.
+  const auto value = [](std::size_t i) {
+    const double x = 0.001 + static_cast<double>(i / 2) * 1e-4;
+    const double d = i % 2 == 0 ? 0.0 : kTolerance / 3;
+    return ComplexValue{x + d, -0.5 * x - d};
+  };
+  std::vector<std::vector<CWeight>> seen(
+      kThreads, std::vector<CWeight>(2 * kBase, nullptr));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at its own offset, so every weight is raced by
+      // all threads at different sizes of the table.
+      for (std::size_t r = 0; r < 2 * kBase; ++r) {
+        const std::size_t i = (r + t * (2 * kBase / kThreads)) % (2 * kBase);
+        seen[t][i] = tab.lookup(value(i));
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  tab.setConcurrent(false);
+
+  EXPECT_GE(tab.bucketCount(), ComplexTable::kInitialBuckets *
+                                   ComplexTable::kGrowthFactor *
+                                   ComplexTable::kGrowthFactor);
+  EXPECT_EQ(tab.size(), kBase + 2);
+  for (std::size_t i = 0; i < 2 * kBase; ++i) {
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(seen[t][i], seen[0][i & ~std::size_t{1}])
+          << "value " << i << " thread " << t;
+    }
+    ASSERT_EQ(tab.lookup(value(i)), seen[0][i & ~std::size_t{1}]);
+  }
+}
+
 TEST(ParallelTables, UniqueTableConcurrentInsertIsCanonical) {
   ComplexTable ctab;
   MemoryManager<VNode> mm;

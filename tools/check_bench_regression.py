@@ -9,9 +9,14 @@ within the same file, and the gate fails when the current speedup falls
 more than --threshold (default 15%) below the baseline's speedup for the
 same row.
 
+A row that finished in the baseline but timed out (`timed_out` /
+`partial_result`) in the current run is a regression, whatever its ratio:
+its `wall_ms` is then the time limit, a lower bound on the real time.
+
 Rows are skipped (never failed by ratio) when:
-  * either run timed out (`timed_out` / `partial_result`) — timeouts are
-    capacity signals, not regressions measurable by ratio;
+  * the row or its sequential reference timed out in the baseline, or the
+    sequential reference timed out in the current run (that row is itself
+    reported as a regression if it finished in the baseline);
   * the sequential reference or the row itself ran under --min-ms in either
     file — sub-50ms cells are noise-dominated.
 
@@ -52,11 +57,14 @@ def sequential_name(name):
     return f"{instance}/sequential"
 
 
+def timed_out(row):
+    return row.get("timed_out", False) or row.get("partial_result", False)
+
+
 def usable(row, min_ms):
     return (
         row is not None
-        and not row.get("timed_out", False)
-        and not row.get("partial_result", False)
+        and not timed_out(row)
         and row.get("wall_ms", 0.0) >= min_ms
     )
 
@@ -108,6 +116,16 @@ def main():
     regressions = []
     checked = 0
     for name in sorted(base):
+        row = curr.get(name)
+        if row is not None and timed_out(row) and not timed_out(base[name]):
+            checked += 1
+            regressions.append(name)
+            print(
+                f"{'REGRESSION':>10}  {name:<40} finished in baseline"
+                f" ({base[name].get('wall_ms', 0.0):.0f} ms), timed out now"
+                f" (>= {row.get('wall_ms', 0.0):.0f} ms)"
+            )
+            continue
         if name.endswith("/sequential"):
             continue
         base_speedup = speedup(base, name, args.min_ms)
