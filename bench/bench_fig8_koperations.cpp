@@ -18,12 +18,8 @@ int main() {
   using namespace ddsim;
 
   const std::vector<std::size_t> ks = {1, 2, 4, 8, 16, 32, 64};
-  // Pipelined variants: the same schedule with the block builder running
-  // on its own thread (PR 5). Kept to the mid-range k values where the
-  // MxM accumulation is substantial enough to overlap.
-  const std::vector<std::size_t> pipedKs = {8, 32};
   // Parallel-kernel variants: same schedule with two kernel workers inside
-  // the main package (task-parallel multiply/add recursion). Measurement
+  // the package (task-parallel multiply/add recursion). Measurement
   // outcomes stay identical to serial; only wall time changes.
   const std::vector<std::size_t> parKs = {8, 32};
   const auto instances = bench::figureBenchmarks();
@@ -34,9 +30,6 @@ int main() {
   std::printf("%-18s %10s", "benchmark", "t_seq[s]");
   for (const std::size_t k : ks) {
     std::printf("  k=%-5zu", k);
-  }
-  for (const std::size_t k : pipedKs) {
-    std::printf("  k=%zu+p ", k);
   }
   for (const std::size_t k : parKs) {
     std::printf("  k=%zu+t ", k);
@@ -50,7 +43,6 @@ int main() {
   const double cap = 60.0;
 
   std::vector<double> sums(ks.size(), 0.0);
-  std::vector<double> pipedSums(pipedKs.size(), 0.0);
   std::vector<double> parSums(parKs.size(), 0.0);
   std::vector<bench::BenchRecord> records;
   for (const auto& inst : instances) {
@@ -73,21 +65,6 @@ int main() {
       } else {
         const double speedup = tSeq / t;
         sums[i] += speedup;
-        std::printf("  %7.2f", speedup);
-      }
-    }
-    for (std::size_t i = 0; i < pipedKs.size(); ++i) {
-      sim::StrategyConfig config = sim::StrategyConfig::kOperations(pipedKs[i]);
-      config.pipeline = true;
-      sim::SimulationStats s;
-      const double t = bench::timedRun(circuit, config, cap, &s);
-      records.push_back(bench::makeRecord(
-          inst.name + "/k=" + std::to_string(pipedKs[i]) + "+pipe", t, s, cap));
-      if (std::isinf(t)) {
-        std::printf("  %7s", "t/o");
-      } else {
-        const double speedup = tSeq / t;
-        pipedSums[i] += speedup;
         std::printf("  %7.2f", speedup);
       }
     }
@@ -115,10 +92,6 @@ int main() {
   std::printf("%-18s %10s", "average", "");
   for (std::size_t i = 0; i < ks.size(); ++i) {
     std::printf("  %7.2f", sums[i] / static_cast<double>(instances.size()));
-  }
-  for (std::size_t i = 0; i < pipedKs.size(); ++i) {
-    std::printf("  %7.2f",
-                pipedSums[i] / static_cast<double>(instances.size()));
   }
   for (std::size_t i = 0; i < parKs.size(); ++i) {
     std::printf("  %7.2f",

@@ -17,10 +17,7 @@ int main() {
   using namespace ddsim;
 
   const std::vector<std::size_t> sizes = {16, 64, 256, 1024, 4096};
-  // Pipelined variants (PR 5): builder thread accumulates the next block
-  // while the main thread applies the previous one.
-  const std::vector<std::size_t> pipedSizes = {256, 1024};
-  // Parallel-kernel variants: two kernel workers inside the main package.
+  // Parallel-kernel variants: two kernel workers inside the package.
   const std::vector<std::size_t> parSizes = {256, 1024};
   const auto instances = bench::figureBenchmarks();
 
@@ -31,9 +28,6 @@ int main() {
   for (const std::size_t s : sizes) {
     std::printf(" s=%-6zu", s);
   }
-  for (const std::size_t s : pipedSizes) {
-    std::printf(" s=%zu+p ", s);
-  }
   for (const std::size_t s : parSizes) {
     std::printf(" s=%zu+t ", s);
   }
@@ -43,7 +37,6 @@ int main() {
   const double cap = 45.0;  // see bench_fig8_koperations
 
   std::vector<double> sums(sizes.size(), 0.0);
-  std::vector<double> pipedSums(pipedSizes.size(), 0.0);
   std::vector<double> parSums(parSizes.size(), 0.0);
   std::vector<bench::BenchRecord> records;
   for (const auto& inst : instances) {
@@ -66,23 +59,6 @@ int main() {
       } else {
         const double speedup = tSeq / t;
         sums[i] += speedup;
-        std::printf(" %7.2f", speedup);
-      }
-    }
-    for (std::size_t i = 0; i < pipedSizes.size(); ++i) {
-      sim::StrategyConfig config =
-          sim::StrategyConfig::maxSizeStrategy(pipedSizes[i]);
-      config.pipeline = true;
-      sim::SimulationStats s;
-      const double t = bench::timedRun(circuit, config, cap, &s);
-      records.push_back(bench::makeRecord(
-          inst.name + "/s_max=" + std::to_string(pipedSizes[i]) + "+pipe", t,
-          s, cap));
-      if (std::isinf(t)) {
-        std::printf(" %7s", "t/o");
-      } else {
-        const double speedup = tSeq / t;
-        pipedSums[i] += speedup;
         std::printf(" %7.2f", speedup);
       }
     }
@@ -112,10 +88,6 @@ int main() {
   std::printf("%-18s %10s", "average", "");
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     std::printf(" %7.2f", sums[i] / static_cast<double>(instances.size()));
-  }
-  for (std::size_t i = 0; i < pipedSizes.size(); ++i) {
-    std::printf(" %7.2f",
-                pipedSums[i] / static_cast<double>(instances.size()));
   }
   for (std::size_t i = 0; i < parSizes.size(); ++i) {
     std::printf(" %7.2f",

@@ -7,7 +7,7 @@
 ///
 /// Usage:
 ///   ddsim_serve <manifest.txt> [--workers <n>] [--queue <n>] [--cache <n>]
-///               [--block-cache <n>] [--pipeline on|off] [--threads <n>]
+///               [--threads <n>]
 ///               [--cache-dir <dir>] [--retries <n>] [--retry-backoff <s>]
 ///               [--checkpoint-interval <ops>]
 ///               [--out <results.json>] [--stats <stats.json>]
@@ -34,11 +34,8 @@
 /// SIGINT/SIGTERM drain gracefully: admission stops, running jobs finish,
 /// the cache snapshot and the final results/stats JSON are still written.
 ///
-/// --block-cache enables the shared prebuilt-block cache (exported matrix
-/// DDs of DD-repeating blocks, shared across workers via cross-package
-/// migration). --pipeline overrides the manifest's per-job pipeline flag
-/// for every job; --threads likewise overrides the per-job kernel worker
-/// count (careful with oversubscription: workers x threads cores in play).
+/// --threads overrides the manifest's per-job kernel worker count for every
+/// job (careful with oversubscription: workers x threads cores in play).
 ///
 /// --trace-out records every package/simulator/serve span of the run and
 /// writes Chrome trace-event JSON (open in Perfetto or chrome://tracing).
@@ -85,8 +82,7 @@ void onSignal(int sig) { gSignal.store(sig, std::memory_order_relaxed); }
 void usage() {
   std::printf(
       "usage: ddsim_serve <manifest.txt> [--workers <n>] [--queue <n>] "
-      "[--cache <n>] [--block-cache <n>] [--pipeline on|off] "
-      "[--threads <n>] "
+      "[--cache <n>] [--threads <n>] "
       "[--cache-dir <dir>] [--retries <n>] [--retry-backoff <s>] "
       "[--checkpoint-interval <ops>] "
       "[--out <results.json>] [--stats <stats.json>] "
@@ -95,8 +91,8 @@ void usage() {
       "--listen runs a network worker on 127.0.0.1:<port> (0 = ephemeral)\n"
       "serving framed submissions from ddsim_router; no manifest is read.\n\n"
       "manifest lines: <qasm-path> [strategy=seq|k=<n>|maxsize=<n>|"
-      "adaptive[=<r>]] [dd-repeating] [pipeline[=on|off]] "
-      "[pipeline-depth=<n>] [threads=<n>] [detect-repetitions] [seed=<n>] "
+      "adaptive[=<r>]] [dd-repeating] [threads=<n>] "
+      "[detect-repetitions] [seed=<n>] "
       "[repeat=<n>] [priority=high|normal|low] [deadline=<s>] "
       "[time-limit=<s>] [node-budget=<n>] [label=<text>]\n");
 }
@@ -202,8 +198,6 @@ int main(int argc, char** argv) {
   double statsDumpSeconds = 0.0;
   // Worker mode: bind this port instead of reading a manifest.
   std::optional<std::uint16_t> listenPort;
-  // Tri-state: unset (follow the manifest), force on, force off.
-  std::optional<bool> pipelineOverride;
   // Unset: follow the manifest's per-job threads= option.
   std::optional<std::size_t> threadsOverride;
 
@@ -221,16 +215,6 @@ int main(int argc, char** argv) {
       serviceConfig.queueCapacity = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--cache" && hasValue) {
       serviceConfig.cacheCapacity = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--block-cache" && hasValue) {
-      serviceConfig.blockCacheCapacity = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--pipeline" && hasValue) {
-      const std::string value = argv[++i];
-      if (value != "on" && value != "off") {
-        std::fprintf(stderr, "--pipeline: expected on|off, got '%s'\n",
-                     value.c_str());
-        return 1;
-      }
-      pipelineOverride = value == "on";
     } else if (arg == "--threads" && hasValue) {
       threadsOverride = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--cache-dir" && hasValue) {
@@ -376,9 +360,6 @@ int main(int argc, char** argv) {
         serve::JobSpec spec;
         spec.circuit = circuit;
         spec.config = entry.config;
-        if (pipelineOverride) {
-          spec.config.pipeline = *pipelineOverride;
-        }
         if (threadsOverride) {
           spec.config.threads = *threadsOverride;
         }

@@ -7,7 +7,6 @@
 ///   run_benchmark <benchmark-name | file.qasm>
 ///                 [--strategy seq|k=<n>|maxsize=<n>|adaptive[=<ratio>]]
 ///                 [--dd-repeating] [--detect-repetitions] [--optimize]
-///                 [--pipeline [on|off]] [--pipeline-depth <n>]
 ///                 [--threads <n>]
 ///                 [--shots <n>]
 ///                 [--trace <file.csv>] [--trace-out <trace.json>]
@@ -23,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -45,8 +43,7 @@ void usage() {
   std::printf(
       "usage: run_benchmark <name|file.qasm> [--strategy "
       "seq|k=<n>|maxsize=<n>|adaptive[=<r>]] [--dd-repeating] "
-      "[--detect-repetitions] [--pipeline [on|off]] [--pipeline-depth <n>] "
-      "[--threads <n>] [--shots <n>] [--trace <csv>] "
+      "[--detect-repetitions] [--threads <n>] [--shots <n>] [--trace <csv>] "
       "[--trace-out <json>] [--seed <n>]\n\n"
       "example benchmark names:\n");
   for (const auto& name : ddsim::algo::benchmarkExamples()) {
@@ -87,25 +84,12 @@ int main(int argc, char** argv) {
         return 1;
       }
       const bool reuse = config.reuseRepeatedBlocks;
-      const bool pipeline = config.pipeline;
-      const std::size_t pipelineDepth = config.pipelineDepth;
       const std::size_t threads = config.threads;
       config = *parsed;
       config.reuseRepeatedBlocks = reuse;
-      config.pipeline = pipeline;
-      config.pipelineDepth = pipelineDepth;
       config.threads = threads;
     } else if (arg == "--dd-repeating") {
       config.reuseRepeatedBlocks = true;
-    } else if (arg == "--pipeline") {
-      // Optional on|off operand; bare --pipeline enables.
-      config.pipeline = true;
-      if (i + 1 < argc && (std::strcmp(argv[i + 1], "on") == 0 ||
-                           std::strcmp(argv[i + 1], "off") == 0)) {
-        config.pipeline = std::strcmp(argv[++i], "on") == 0;
-      }
-    } else if (arg == "--pipeline-depth" && i + 1 < argc) {
-      config.pipelineDepth = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--threads" && i + 1 < argc) {
       config.threads = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--detect-repetitions") {
@@ -200,17 +184,6 @@ int main(int argc, char** argv) {
                 result.stats.approxFidelity);
   }
   std::printf("matrix DD  : peak %zu nodes\n", result.stats.peakMatrixNodes);
-  if (result.stats.pipelinedBlocks > 0 || result.stats.pipelineBowOuts > 0) {
-    std::printf(
-        "pipeline   : %llu blocks, %llu stalls, %llu bow-outs, "
-        "%llu serial-fallback ops, %llu migrated nodes, %.3f s builder time\n",
-        static_cast<unsigned long long>(result.stats.pipelinedBlocks),
-        static_cast<unsigned long long>(result.stats.pipelineStalls),
-        static_cast<unsigned long long>(result.stats.pipelineBowOuts),
-        static_cast<unsigned long long>(result.stats.serialFallbackOps),
-        static_cast<unsigned long long>(result.stats.migratedNodes),
-        result.stats.builderBuildSeconds);
-  }
   const dd::CacheStats cache = simulator.package().cacheStats();
   std::printf("cache hits : MxV %.1f%%  MxM %.1f%%  add %.1f%%  unique %.1f%%"
               "  complex %.1f%%\n",

@@ -9,9 +9,7 @@
 /// collection at GC-poll S. It is compiled in unconditionally; an
 /// uninstalled injector costs one null-pointer check on the affected paths.
 ///
-/// One injector may be shared between packages on different threads (the
-/// pipeline tests install the same injector into the main and the builder
-/// packages, and parallel kernels poll it from worker threads), so every
+/// Parallel kernels poll one injector from several worker threads, so every
 /// counter is a relaxed atomic. configure()/disarm() remain
 /// quiescent-point-only operations.
 

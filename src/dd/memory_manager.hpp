@@ -30,8 +30,8 @@ namespace ddsim::dd {
 
 /// Concurrency: in concurrent mode (Package::setWorkers > 1) one mutex
 /// serializes get()/free() — correctness-first; the parallel engine's
-/// speedup comes from builder fan-out and coarse quadrant tasks, not from a
-/// lock-free allocator. The byte/occupancy accessors read atomics so the
+/// speedup comes from coarse quadrant tasks, not from a lock-free
+/// allocator. The byte/occupancy accessors read atomics so the
 /// resource governor can poll them from any thread without the lock.
 template <typename NodeT>
 class MemoryManager {

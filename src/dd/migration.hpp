@@ -14,11 +14,10 @@
 /// bit-for-bit independent of the source package's history (GC epochs,
 /// incarnation stamps, chunk layout).
 ///
-/// Two consumers in this codebase:
-///  * the pipelined block builder (sim/pipeline.hpp) hands combined gate
-///    blocks from its private builder package to the simulation package;
-///  * the serving layer's shared block cache migrates prebuilt DD-repeating
-///    blocks across worker packages instead of rebuilding them per worker.
+/// The consumer in this codebase is the simulation checkpoint
+/// (sim/checkpoint.hpp): it carries the state and the pending accumulator
+/// out of one package and resumes them in another — in another simulator,
+/// even another process.
 
 #pragma once
 

@@ -409,9 +409,7 @@ class Package {
   /// below the 1e-13 tolerance). For gate sets whose weight arithmetic has a
   /// single association order (e.g. Clifford+T) results are bit-identical,
   /// and tests enforce exactly that; rotation-rich circuits are enforced to
-  /// ulp-level agreement. Block-level bit-identity of the simulator pipeline
-  /// is unaffected: builders use private packages and a deterministic
-  /// hand-off order (see sim/pipeline.hpp).
+  /// ulp-level agreement.
   void setWorkers(std::size_t n);
   /// Current kernel parallelism (1 = serial).
   [[nodiscard]] std::size_t workers() const noexcept {

@@ -72,6 +72,7 @@ void statsBlock(IO& io, S& s) {
   } else {
     WireReader flat(io.raw(io.u32()));
     sim::statsFields(flat, s);
+    flat.expectEnd();
   }
 }
 
@@ -104,8 +105,6 @@ void configFields(IO& io, C& c) {
   io.u64(c.byteBudget);
   io.f64(c.softBudgetFraction);
   io.u64(c.degradeCooldownOps);
-  io.flag(c.pipeline);
-  io.u64(c.pipelineDepth);
   io.u64(c.threads);
   io.u64(c.checkpointIntervalOps);
 }
@@ -213,12 +212,6 @@ void fields(IO& io, Ref<IO, serve::ServiceStats> s) {
   io.u64(s.cache.insertions);
   io.u64(s.cache.evictions);
   io.u64(s.cache.entries);
-  io.u64(s.blockCache.hits);
-  io.u64(s.blockCache.misses);
-  io.u64(s.blockCache.insertions);
-  io.u64(s.blockCache.evictions);
-  io.u64(s.blockCache.entries);
-  io.u64(s.blockCache.sharedNodes);
   io.u64(s.spill.appended);
   io.u64(s.spill.loaded);
   io.u64(s.spill.corruptSkipped);
@@ -233,10 +226,6 @@ void fields(IO& io, Ref<IO, serve::ServiceStats> s) {
   io.u64(s.sequentialFallbackOps);
   io.u64(s.pressureApproximations);
   io.u64(s.resourceRecoveries);
-  io.u64(s.pipelinedBlocks);
-  io.u64(s.pipelineStalls);
-  io.u64(s.pipelineBowOuts);
-  io.u64(s.pipelineSerialFallbackOps);
   listField(io, s.perWorkerJobs, [&](auto& jobs) { io.u64(jobs); });
 }
 
@@ -249,6 +238,7 @@ P decodePayload(const char* what, const std::vector<std::uint8_t>& b) {
     WireReader r(b);
     P p;
     fields(r, p);
+    r.expectEnd();
     return p;
   } catch (const wire::WireError& e) {
     throw FrameError(std::string(what) + ": " + e.what());

@@ -39,13 +39,7 @@ void writeChromeTrace(std::ostream& os, const TraceCollector& collector) {
     first = false;
     // Label the track; metadata events carry no timestamp semantics.
     os << "\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": "
-       << tid << ", \"args\": {\"name\": \"";
-    if (tracks[tid]->name.empty()) {
-      os << "track-" << tid;
-    } else {
-      writeEscaped(os, tracks[tid]->name.c_str());
-    }
-    os << "\"}}";
+       << tid << ", \"args\": {\"name\": \"track-" << tid << "\"}}";
     for (const TraceEvent& e : tracks[tid]->events) {
       os << ",\n{\"name\": \"";
       writeEscaped(os, e.name);

@@ -132,12 +132,6 @@ std::uint64_t TraceCollector::droppedCount() const {
   return n;
 }
 
-void nameCurrentThreadTrack(std::string name) {
-  if (TraceCollector* c = detail::activeCollector()) {
-    detail::trackFor(c)->name = std::move(name);
-  }
-}
-
 void ScopedSpan::begin(TraceCollector* c, const char* name,
                        const char* category, std::uint64_t id) noexcept {
   collector_ = c;

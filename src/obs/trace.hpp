@@ -63,9 +63,6 @@ struct ThreadTrack {
   std::vector<TraceEvent> events;
   std::uint64_t dropped = 0;  ///< events beyond the per-thread cap
   std::uint64_t osThreadId = 0;
-  /// Human-readable track name (see nameCurrentThreadTrack). Empty tracks
-  /// export as "track-<tid>".
-  std::string name;
 
   void push(const TraceEvent& e);
 };
@@ -168,13 +165,5 @@ inline void traceInstant(const char* name, const char* category,
     c->instant(name, category, id);
   }
 }
-
-/// Name the calling thread's track on the active collector (no-op when
-/// tracing is disabled). The exporter emits the name as the Chrome trace
-/// thread_name metadata, so e.g. the pipeline's builder threads show up as
-/// "sim.builder.0" … "sim.builder.N" instead of "track-3". Takes ownership
-/// of a std::string so dynamically numbered tracks (one per builder) need
-/// no static storage. Safe to call repeatedly; the latest name wins.
-void nameCurrentThreadTrack(std::string name);
 
 }  // namespace ddsim::obs

@@ -5,7 +5,7 @@
 /// Why consistent hashing (DESIGN.md, "Distributed serving"): the paper's
 /// strategies pay off most when hot DD blocks and finished results are
 /// *reused*, and every reuse structure in this codebase — result cache,
-/// block cache, spill journal — is per-process. Routing a job by its cache
+/// spill journal — is per-process. Routing a job by its cache
 /// identity, CacheKey{ir::contentHash(circuit), config.contentHash(),
 /// seed}.digest(), therefore sends identical work to the same worker every
 /// time: duplicates coalesce or hit that shard's caches instead of

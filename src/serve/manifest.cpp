@@ -104,23 +104,10 @@ std::vector<ManifestEntry> parseManifest(std::istream& in) {
         entry.config.nodeBudget = base.nodeBudget;
         entry.config.byteBudget = base.byteBudget;
         entry.config.approximateFidelity = base.approximateFidelity;
-        entry.config.pipeline = base.pipeline;
-        entry.config.pipelineDepth = base.pipelineDepth;
         entry.config.threads = base.threads;
       } else if (key == "dd-repeating") {
         entry.ddRepeating = true;
         entry.config.reuseRepeatedBlocks = true;
-      } else if (key == "pipeline") {
-        if (value == "on" || value.empty()) {
-          entry.config.pipeline = true;
-        } else if (value == "off") {
-          entry.config.pipeline = false;
-        } else {
-          throw ManifestError("pipeline: expected on|off, got '" + value + "'",
-                              lineNo);
-        }
-      } else if (key == "pipeline-depth") {
-        entry.config.pipelineDepth = parseUint(value, "pipeline-depth", lineNo);
       } else if (key == "threads") {
         entry.config.threads = parseUint(value, "threads", lineNo);
       } else if (key == "detect-repetitions") {

@@ -17,7 +17,10 @@ namespace ddsim::serve {
 
 namespace {
 
-constexpr std::uint32_t kRecordMagic = 0x4453504cU;  // "LPSD" on disk (LE)
+/// The record has no version field, so a layout change takes a new magic:
+/// records of an older layout are then skipped and counted as corrupt,
+/// never decoded with shifted fields.
+constexpr std::uint32_t kRecordMagic = 0x3253504cU;  // "LPS2" on disk (LE)
 /// magic u32 + payload length u32 + FNV-1a payload checksum u64.
 constexpr std::size_t kRecordHeader = 4 + 4 + 8;
 /// Per-record payload ceiling: a cache outcome is a classical bit vector
@@ -144,6 +147,7 @@ std::size_t CacheSpill::loadFile(
       CachedOutcome outcome;
       wire::WireReader r(payload, payloadLen);
       recordFields(r, key, outcome);
+      r.expectEnd();
       sink(key, std::move(outcome));
       ++restored;
       ++loaded_;

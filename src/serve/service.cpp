@@ -141,9 +141,6 @@ bool JobHandle::cancel() const {
 SimulationService::SimulationService(ServiceConfig config)
     : config_(config),
       cache_(config.cacheCapacity, config.cacheShards),
-      blockCache_(config.blockCacheCapacity > 0
-                      ? std::make_shared<BlockCache>(config.blockCacheCapacity)
-                      : nullptr),
       started_(Clock::now()),
       paused_(config.startPaused) {
   if (!config_.cacheDir.empty()) {
@@ -421,9 +418,6 @@ void SimulationService::workerLoop(int workerId) {
       simulator.setCancelCheck([raw = rec.get()] {
         return raw->cancelRequested.load(std::memory_order_relaxed);
       });
-      if (blockCache_) {
-        simulator.setSharedBlockCache(blockCache_);
-      }
       if (config_.faultInjectorProvider) {
         if (dd::FaultInjector* injector =
                 config_.faultInjectorProvider(rec->id, attempt)) {
@@ -614,14 +608,6 @@ void SimulationService::accumulate(const JobResult& result) {
                                     std::memory_order_relaxed);
   resourceRecoveries_.fetch_add(result.stats.resourceRecoveries,
                                 std::memory_order_relaxed);
-  pipelinedBlocks_.fetch_add(result.stats.pipelinedBlocks,
-                             std::memory_order_relaxed);
-  pipelineStalls_.fetch_add(result.stats.pipelineStalls,
-                            std::memory_order_relaxed);
-  pipelineBowOuts_.fetch_add(result.stats.pipelineBowOuts,
-                             std::memory_order_relaxed);
-  pipelineSerialFallbackOps_.fetch_add(result.stats.serialFallbackOps,
-                                       std::memory_order_relaxed);
 }
 
 void SimulationService::shutdown(bool drain) {
@@ -736,9 +722,6 @@ ServiceStats SimulationService::stats() const {
   s.degradationPerJobHistogram = degradationPerJobHist_.snapshot();
   s.cacheBypassed = cacheBypassed_.load(std::memory_order_relaxed);
   s.cache = cache_.counters();
-  if (blockCache_) {
-    s.blockCache = blockCache_->counters();
-  }
   if (spill_) {
     s.spill = spill_->counters();
   }
@@ -755,11 +738,6 @@ ServiceStats SimulationService::stats() const {
   s.pressureApproximations =
       pressureApproximations_.load(std::memory_order_relaxed);
   s.resourceRecoveries = resourceRecoveries_.load(std::memory_order_relaxed);
-  s.pipelinedBlocks = pipelinedBlocks_.load(std::memory_order_relaxed);
-  s.pipelineStalls = pipelineStalls_.load(std::memory_order_relaxed);
-  s.pipelineBowOuts = pipelineBowOuts_.load(std::memory_order_relaxed);
-  s.pipelineSerialFallbackOps =
-      pipelineSerialFallbackOps_.load(std::memory_order_relaxed);
   s.perWorkerJobs.reserve(perWorkerJobs_.size());
   for (const auto& counter : perWorkerJobs_) {
     s.perWorkerJobs.push_back(counter->load(std::memory_order_relaxed));
@@ -830,12 +808,6 @@ void mergeStats(ServiceStats& into, const ServiceStats& shard) {
   into.cache.insertions += shard.cache.insertions;
   into.cache.evictions += shard.cache.evictions;
   into.cache.entries += shard.cache.entries;
-  into.blockCache.hits += shard.blockCache.hits;
-  into.blockCache.misses += shard.blockCache.misses;
-  into.blockCache.insertions += shard.blockCache.insertions;
-  into.blockCache.evictions += shard.blockCache.evictions;
-  into.blockCache.entries += shard.blockCache.entries;
-  into.blockCache.sharedNodes += shard.blockCache.sharedNodes;
   into.spill.appended += shard.spill.appended;
   into.spill.loaded += shard.spill.loaded;
   into.spill.corruptSkipped += shard.spill.corruptSkipped;
@@ -852,10 +824,6 @@ void mergeStats(ServiceStats& into, const ServiceStats& shard) {
   into.sequentialFallbackOps += shard.sequentialFallbackOps;
   into.pressureApproximations += shard.pressureApproximations;
   into.resourceRecoveries += shard.resourceRecoveries;
-  into.pipelinedBlocks += shard.pipelinedBlocks;
-  into.pipelineStalls += shard.pipelineStalls;
-  into.pipelineBowOuts += shard.pipelineBowOuts;
-  into.pipelineSerialFallbackOps += shard.pipelineSerialFallbackOps;
 
   into.perWorkerJobs.insert(into.perWorkerJobs.end(),
                             shard.perWorkerJobs.begin(),
@@ -899,21 +867,11 @@ std::string ServiceStats::toJson() const {
      << ", \"evictions\": " << cache.evictions
      << ", \"entries\": " << cache.entries
      << ", \"bypassed\": " << cacheBypassed << "}";
-  os << ", \"block_cache\": {\"hits\": " << blockCache.hits
-     << ", \"misses\": " << blockCache.misses
-     << ", \"insertions\": " << blockCache.insertions
-     << ", \"evictions\": " << blockCache.evictions
-     << ", \"entries\": " << blockCache.entries
-     << ", \"shared_nodes\": " << blockCache.sharedNodes << "}";
   os << ", \"degradation\": {\"events\": " << degradationEvents
      << ", \"pressure_flushes\": " << pressureFlushes
      << ", \"sequential_fallback_ops\": " << sequentialFallbackOps
      << ", \"pressure_approximations\": " << pressureApproximations
      << ", \"resource_recoveries\": " << resourceRecoveries << "}";
-  os << ", \"pipeline\": {\"blocks\": " << pipelinedBlocks
-     << ", \"stalls\": " << pipelineStalls
-     << ", \"bow_outs\": " << pipelineBowOuts
-     << ", \"serial_fallback_ops\": " << pipelineSerialFallbackOps << "}";
   os << ", \"retry\": {\"scheduled\": " << retriesScheduled
      << ", \"resumed_attempts\": " << resumedAttempts
      << ", \"restarted_attempts\": " << restartedAttempts

@@ -49,7 +49,6 @@
 #include "dd/fault_injection.hpp"
 #include "ir/circuit.hpp"
 #include "obs/metrics.hpp"
-#include "serve/block_cache.hpp"
 #include "serve/persistence.hpp"
 #include "serve/result_cache.hpp"
 #include "sim/stats.hpp"
@@ -216,10 +215,6 @@ struct ServiceConfig {
   /// Total result-cache entries (0 disables caching and coalescing).
   std::size_t cacheCapacity = 1024;
   std::size_t cacheShards = 8;
-  /// Entries in the shared prebuilt-block cache (exported matrix DDs of
-  /// DD-repeating blocks, shared across workers and jobs). 0 (the default)
-  /// disables it: each simulation builds its own blocks as before.
-  std::size_t blockCacheCapacity = 0;
   /// Construct with workers idle until start() — lets tests (and batch
   /// drivers that want strict priority order) enqueue everything first.
   bool startPaused = false;
@@ -295,8 +290,6 @@ struct ServiceStats {
   std::uint64_t cacheBypassed = 0;
 
   CacheCounters cache;
-  /// Shared prebuilt-block cache (all zeros when blockCacheCapacity == 0).
-  BlockCacheCounters blockCache;
   /// Result-cache spill-file counters (all zeros without a cacheDir).
   SpillCounters spill;
 
@@ -316,15 +309,6 @@ struct ServiceStats {
   std::uint64_t sequentialFallbackOps = 0;
   std::uint64_t pressureApproximations = 0;
   std::uint64_t resourceRecoveries = 0;
-
-  /// Pipelined-engine accounting summed across all jobs. Serial-fallback
-  /// ops (replayed after a builder bow-out or main-package pressure break)
-  /// are counted separately from pipelined blocks so degraded runs are
-  /// distinguishable from healthy pipelined runs in the JSON.
-  std::uint64_t pipelinedBlocks = 0;
-  std::uint64_t pipelineStalls = 0;
-  std::uint64_t pipelineBowOuts = 0;
-  std::uint64_t pipelineSerialFallbackOps = 0;
 
   std::vector<std::uint64_t> perWorkerJobs;
 
@@ -399,8 +383,6 @@ class SimulationService {
 
   ServiceConfig config_;
   ResultCache cache_;
-  /// Shared across workers; null when blockCacheCapacity == 0.
-  std::shared_ptr<BlockCache> blockCache_;
   /// Crash-consistent cache persistence; null without a cacheDir.
   std::unique_ptr<CacheSpill> spill_;
   Clock::time_point started_;
@@ -453,10 +435,6 @@ class SimulationService {
   std::atomic<std::uint64_t> sequentialFallbackOps_{0};
   std::atomic<std::uint64_t> pressureApproximations_{0};
   std::atomic<std::uint64_t> resourceRecoveries_{0};
-  std::atomic<std::uint64_t> pipelinedBlocks_{0};
-  std::atomic<std::uint64_t> pipelineStalls_{0};
-  std::atomic<std::uint64_t> pipelineBowOuts_{0};
-  std::atomic<std::uint64_t> pipelineSerialFallbackOps_{0};
   std::atomic<std::uint64_t> retriesScheduled_{0};
   std::atomic<std::uint64_t> resumedAttempts_{0};
   std::atomic<std::uint64_t> restartedAttempts_{0};

@@ -9,7 +9,7 @@ namespace ddsim::sim {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x44436b70U;  // "pkCD"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 /// magic, version, payload length, payload checksum.
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 8;
 
@@ -67,7 +67,6 @@ void checkpointFields(IO& io, C& ck) {
   io.u64(ck.accCount);
   io.u64(ck.accGates);
   io.u64(ck.sequentialCooldown);
-  flag32(io, ck.pipelineDisabled);
   statsFields(io, ck.stats);
 }
 
@@ -118,6 +117,7 @@ Checkpoint Checkpoint::deserialize(const std::uint8_t* data,
   try {
     wire::WireReader r(payload, payloadLen);
     checkpointFields(r, ck);
+    r.expectEnd();
   } catch (const wire::WireError& e) {
     throw CheckpointError(std::string("checkpoint payload: ") + e.what());
   } catch (const dd::MigrationError& e) {

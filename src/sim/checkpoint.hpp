@@ -16,7 +16,7 @@
 ///
 /// Determinism contract: resuming a checkpoint and running to completion
 /// produces measurement outcomes bit-identical to the uninterrupted run —
-/// across schedules, kernel thread counts and pipeline depths (enforced in
+/// across schedules and kernel thread counts (enforced in
 /// tests/test_checkpoint.cpp). This holds because the checkpoint is only
 /// taken at quiescent block boundaries, the RNG position is exact, and DD
 /// import rebuilds canonically in the destination package.
@@ -76,7 +76,6 @@ struct Checkpoint {
   /// run makes the same combine/flush decisions the uninterrupted one
   /// would have.
   std::uint64_t sequentialCooldown = 0;
-  bool pipelineDisabled = false;
 
   /// Statistics accumulated so far; a resumed run continues these totals,
   /// so the final stats of interrupted+resumed ≈ uninterrupted (wall time
@@ -115,14 +114,9 @@ void statsFields(IO& io, Stats& s) {
   io.u64(s.sequentialFallbackOps);
   io.u64(s.pressureApproximations);
   io.u64(s.resourceRecoveries);
-  io.u64(s.pipelinedBlocks);
-  io.u64(s.pipelineStalls);
-  io.u64(s.pipelineBowOuts);
-  io.u64(s.serialFallbackOps);
   io.u64(s.migratedNodes);
   io.u64(s.checkpointsTaken);
   io.u64(s.resumedFromCheckpoint);
-  io.f64(s.builderBuildSeconds);
 }
 
 }  // namespace ddsim::sim

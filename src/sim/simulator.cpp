@@ -11,71 +11,12 @@
 #include "ir/hash.hpp"
 #include "obs/trace.hpp"
 #include "sim/build_dd.hpp"
-#include "sim/pipeline.hpp"
 
 namespace ddsim::sim {
 
 using dd::MEdge;
 using dd::VEdge;
 using ir::OpKind;
-
-namespace {
-
-/// Shorter runs are not worth a builder thread + private package.
-constexpr std::size_t kMinPipelineRun = 8;
-
-/// True if the operation tree contains only Standard/Oracle gates (possibly
-/// nested in compounds) — i.e. it can be flattened into a pipelineable gate
-/// stream with no measurement, reset or classical control inside.
-bool isPureUnitaryTree(const ir::Operation& op) {
-  switch (op.kind()) {
-    case OpKind::Standard:
-    case OpKind::Oracle:
-      return true;
-    case OpKind::Compound: {
-      const auto& c = static_cast<const ir::CompoundOperation&>(op);
-      for (const auto& inner : c.body()) {
-        if (!isPureUnitaryTree(*inner)) {
-          return false;
-        }
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-/// Flatten a pure-unitary operation tree into the gate order the serial
-/// engine would stream it in (compound bodies repeated in place).
-void appendFlattened(const ir::Operation& op,
-                     std::vector<const ir::Operation*>& out) {
-  if (op.kind() == OpKind::Compound) {
-    const auto& c = static_cast<const ir::CompoundOperation&>(op);
-    for (std::size_t rep = 0; rep < c.repetitions(); ++rep) {
-      for (const auto& inner : c.body()) {
-        appendFlattened(*inner, out);
-      }
-    }
-    return;
-  }
-  out.push_back(&op);
-}
-
-/// Cache key of a DD-repeating block: the block's *body* content (not its
-/// repetition count — a block repeated 5x and 50x is the same matrix) mixed
-/// with the qubit count the matrix is built over.
-std::uint64_t blockCacheKey(const ir::CompoundOperation& comp,
-                            std::size_t numQubits) {
-  std::uint64_t key = ir::hashCombine(ir::kHashSeed, 0x424c4b43ULL);  // "BLKC"
-  key = ir::hashCombine(key, numQubits);
-  for (const auto& op : comp.body()) {
-    key = ir::contentHash(key, *op);
-  }
-  return key;
-}
-
-}  // namespace
 
 CircuitSimulator::CircuitSimulator(const ir::Circuit& circuit,
                                    StrategyConfig config, std::uint64_t seed)
@@ -86,9 +27,7 @@ CircuitSimulator::CircuitSimulator(const ir::Circuit& circuit,
       clbits_(std::max<std::size_t>(1, circuit.numClbits()), false),
       seed_(seed) {
   config_.validate();
-  // Kernel parallelism for the main package (no-op at the default of 1).
-  // Builder packages stay serial: the pipeline's fan-out supplies its own
-  // parallelism, and N builders x M workers would oversubscribe the host.
+  // Kernel parallelism for the package (no-op at the default of 1).
   pkg_->setWorkers(config_.threads);
   // DDSIM_NODE_BUDGET supplies a process-wide default (used e.g. by the CI
   // job that runs the whole suite under a tiny budget); an explicit config
@@ -170,39 +109,11 @@ void CircuitSimulator::recordStep(StepKind kind, std::size_t matrixNodes,
 
 void CircuitSimulator::processCircuit() {
   const auto& ops = circuit_.ops();
-  if (!config_.pipeline || config_.schedule == Schedule::Sequential) {
-    // Indexed (not range-for) so a resumed run can start mid-circuit, and
-    // so checkpoints land exactly on top-level operation boundaries.
-    for (std::size_t i = startOpIndex_; i < ops.size(); ++i) {
-      processOp(*ops[i]);
-      maybeCheckpoint(i + 1, 1);
-    }
-    return;
-  }
-  std::size_t i = startOpIndex_;
-  while (i < ops.size()) {
-    if (!pipelineDisabled_ && sequentialCooldown_ == 0) {
-      std::vector<const ir::Operation*> run;
-      const std::size_t end = collectRun(ops, i, run);
-      if (run.size() >= kMinPipelineRun) {
-        runPipelined(run);
-        maybeCheckpoint(end, end - i);
-        i = end;
-        continue;
-      }
-      if (end > i) {
-        // A run too short to pay for a builder thread: serial path.
-        for (std::size_t j = i; j < end; ++j) {
-          processOp(*ops[j]);
-        }
-        maybeCheckpoint(end, end - i);
-        i = end;
-        continue;
-      }
-    }
+  // Indexed (not range-for) so a resumed run can start mid-circuit, and so
+  // checkpoints land exactly on top-level operation boundaries.
+  for (std::size_t i = startOpIndex_; i < ops.size(); ++i) {
     processOp(*ops[i]);
-    ++i;
-    maybeCheckpoint(i, 1);
+    maybeCheckpoint(i + 1, 1);
   }
 }
 
@@ -221,7 +132,7 @@ void CircuitSimulator::processOp(const ir::Operation& op) {
       break;
     case OpKind::ClassicControlled: {
       const auto& c = static_cast<const ir::ClassicControlledOperation&>(op);
-      // Any measurement defining this bit flushed the pipeline, so the
+      // Any measurement defining this bit flushed the accumulator, so the
       // classical value is final by the time we get here.
       if (clbits_[c.clbit()] == c.expectedValue()) {
         handleUnitary(c.op());
@@ -258,148 +169,6 @@ void CircuitSimulator::processOp(const ir::Operation& op) {
   }
 }
 
-std::size_t CircuitSimulator::collectRun(
-    const std::vector<std::unique_ptr<ir::Operation>>& ops, std::size_t begin,
-    std::vector<const ir::Operation*>& out) {
-  std::size_t i = begin;
-  for (; i < ops.size(); ++i) {
-    const ir::Operation& op = *ops[i];
-    switch (op.kind()) {
-      case OpKind::Standard:
-      case OpKind::Oracle:
-        out.push_back(&op);
-        break;
-      case OpKind::ClassicControlled: {
-        // Resolvable at collection time: every operation before `begin` has
-        // executed, and runs never span measurements, so the controlling
-        // bit cannot change while this run is in flight.
-        const auto& c = static_cast<const ir::ClassicControlledOperation&>(op);
-        if (clbits_[c.clbit()] == c.expectedValue()) {
-          out.push_back(&c.op());
-        }
-        break;
-      }
-      case OpKind::Compound:
-        // DD-repeating blocks keep their own (cacheable) build-once path;
-        // impure bodies contain flush points. Both end the run.
-        if (config_.reuseRepeatedBlocks || !isPureUnitaryTree(op)) {
-          return i;
-        }
-        appendFlattened(op, out);
-        break;
-      default:
-        return i;  // Measure / Reset / Barrier
-    }
-  }
-  return i;
-}
-
-void CircuitSimulator::runPipelined(
-    const std::vector<const ir::Operation*>& run) {
-  // Runs start at a flush boundary by construction (the preceding operation
-  // either flushed or does not exist); keep the invariant explicit.
-  flush();
-  obs::traceInstant("sim.pipeline.start", obs::cat::kSim, run.size());
-  BlockBuilder builder(
-      run, circuit_.numQubits(), config_, lastStateSize_, builderInjector_,
-      [this] {
-        return (cancelCheck_ && cancelCheck_()) ||
-               (config_.timeLimitSeconds > 0.0 &&
-                runTimer_.seconds() > config_.timeLimitSeconds);
-      });
-  bool pressureBreak = false;
-  std::size_t next = 0;  // first run index not yet covered by an applied block
-  std::uint64_t blockIndex = 0;
-  while (true) {
-    PipelineBlock blk;
-    const auto status = builder.next(blk, std::chrono::milliseconds(20));
-    if (status == ReorderBuffer::PopStatus::TimedOut) {
-      // Builder-bound: keep honouring cancellation and the time limit
-      // while we wait (afterStep throws if either tripped).
-      ++stats_.pipelineStalls;
-      afterStep();
-      continue;
-    }
-    if (status == ReorderBuffer::PopStatus::Drained) {
-      break;
-    }
-    obs::traceInstant("sim.pipeline.queue-depth", obs::cat::kSim,
-                      builder.queueDepth());
-    MEdge m{};
-    {
-      const obs::ScopedSpan span("sim.pipeline.import", obs::cat::kSim,
-                                 blockIndex);
-      try {
-        m = dd::importDD(*pkg_, blk.block);
-      } catch (const dd::ResourceExhausted&) {
-        obs::traceInstant("sim.rung.collect-retry", obs::cat::kSim);
-        pkg_->emergencyCollect();
-        ++stats_.degradationEvents;
-        m = dd::importDD(*pkg_, blk.block);
-        ++stats_.resourceRecoveries;
-      }
-    }
-    stats_.migratedNodes += blk.block.nodeCount();
-    stats_.mxmCount += blk.mxmCount;
-    stats_.builderBuildSeconds += blk.buildSeconds;
-    stats_.peakMatrixNodes =
-        std::max(stats_.peakMatrixNodes, blk.builderNodes);
-    recordStep(StepKind::CombineMatrix, blk.builderNodes, blk.buildSeconds);
-    pkg_->incRef(m);
-    try {
-      applyToState(m);
-    } catch (...) {
-      pkg_->decRef(m);
-      throw;
-    }
-    pkg_->decRef(m);
-    stats_.appliedGates += blk.gateCount;
-    ++stats_.pipelinedBlocks;
-    next = blk.firstOp + blk.opCount;
-    ++blockIndex;
-    builder.onBlockApplied(lastStateSize_);
-    afterStep();
-    if (pressureObserved()) {
-      // Degradation rung: the *main* package is under pressure. Stop the
-      // builder (discarding prebuilt blocks), and fall back to the serial
-      // path — which has the whole ladder — for the rest of the run.
-      obs::traceInstant("sim.rung.pipeline-drain", obs::cat::kSim);
-      pressureBreak = true;
-      break;
-    }
-  }
-  builder.finish();
-  if (const std::exception_ptr f = builder.failure()) {
-    std::rethrow_exception(f);
-  }
-  std::size_t resume = run.size();
-  bool degrade = false;
-  if (pressureBreak) {
-    degrade = true;
-    resume = next;
-  } else if (builder.bowedOut()) {
-    // The builder's private package could not afford a block (or an abort
-    // poll fired in it). Anything it did hand over has been applied;
-    // continue serially from the first uncovered operation.
-    obs::traceInstant("sim.rung.pipeline-bow-out", obs::cat::kSim);
-    ++stats_.pipelineBowOuts;
-    degrade = true;
-    resume = builder.resumeIndex();
-  }
-  if (degrade) {
-    ++stats_.degradationEvents;
-    pipelineDisabled_ = true;
-    enterCooldown();
-    // Serial fallback: replay the uncovered tail through the normal path.
-    // Counted separately from pipelined work so degraded runs are
-    // distinguishable in the stats (and the serving layer's JSON).
-    stats_.serialFallbackOps += run.size() - resume;
-    for (std::size_t j = resume; j < run.size(); ++j) {
-      handleUnitary(*run[j]);
-    }
-  }
-}
-
 void CircuitSimulator::handleUnitary(const ir::Operation& op) {
   enqueue(buildOpDD(op), op.flatGateCount());
 }
@@ -418,44 +187,19 @@ void CircuitSimulator::handleCompound(const ir::CompoundOperation& comp) {
   // matrix-matrix multiplication is needed (paper Section IV-B).
   flush();
   MEdge block{};
-  bool imported = false;
-  std::uint64_t cacheKey = 0;
-  if (blockCache_) {
-    // Shared block cache: another simulation may already have built this
-    // block matrix — import its flat form instead of rebuilding.
-    cacheKey = blockCacheKey(comp, circuit_.numQubits());
-    if (const auto flat = blockCache_->lookup(cacheKey)) {
-      try {
-        block = dd::importDD(*pkg_, *flat);
-        stats_.migratedNodes += flat->nodeCount();
-        imported = true;
-      } catch (const dd::ResourceExhausted&) {
-        // Cannot afford the import right now; reclaim and fall through to
-        // the regular build, which has its own degradation path.
-        pkg_->emergencyCollect();
-        ++stats_.degradationEvents;
-      }
+  try {
+    block = buildBlockDD(comp.body());
+  } catch (const dd::ResourceExhausted&) {
+    // The block matrix does not fit the budget. Reclaim and degrade
+    // DD-repeating to plain repetition: stream the block's gates through
+    // the normal combining logic instead.
+    pkg_->emergencyCollect();
+    ++stats_.degradationEvents;
+    ++stats_.resourceRecoveries;
+    for (std::size_t rep = 0; rep < comp.repetitions(); ++rep) {
+      processOps(comp.body());
     }
-  }
-  if (!imported) {
-    try {
-      block = buildBlockDD(comp.body());
-    } catch (const dd::ResourceExhausted&) {
-      // The block matrix does not fit the budget. Reclaim and degrade
-      // DD-repeating to plain repetition: stream the block's gates through
-      // the normal combining logic instead.
-      pkg_->emergencyCollect();
-      ++stats_.degradationEvents;
-      ++stats_.resourceRecoveries;
-      for (std::size_t rep = 0; rep < comp.repetitions(); ++rep) {
-        processOps(comp.body());
-      }
-      return;
-    }
-    if (blockCache_) {
-      blockCache_->insert(cacheKey, std::make_shared<dd::FlatMatrixDD>(
-                                        dd::exportDD(*pkg_, block)));
-    }
+    return;
   }
   pkg_->incRef(block);
   stats_.peakMatrixNodes = std::max(stats_.peakMatrixNodes, pkg_->size(block));
@@ -810,7 +554,6 @@ void CircuitSimulator::applyResume() {
     stats_.migratedNodes += ck.acc.nodeCount();
   }
   sequentialCooldown_ = static_cast<std::size_t>(ck.sequentialCooldown);
-  pipelineDisabled_ = ck.pipelineDisabled;
   startOpIndex_ = static_cast<std::size_t>(ck.nextOpIndex);
   ++stats_.resumedFromCheckpoint;
   obs::traceInstant("sim.resume", obs::cat::kSim, startOpIndex_);
@@ -851,7 +594,6 @@ void CircuitSimulator::takeCheckpoint(std::size_t nextOp) {
   ck.accCount = accCount_;
   ck.accGates = accGates_;
   ck.sequentialCooldown = sequentialCooldown_;
-  ck.pipelineDisabled = pipelineDisabled_;
   ++stats_.checkpointsTaken;
   ck.stats = stats_;
   ckptSink_(ck);

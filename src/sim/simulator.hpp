@@ -20,10 +20,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dd/fault_injection.hpp"
 #include "dd/package.hpp"
 #include "ir/circuit.hpp"
-#include "sim/block_cache.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/stats.hpp"
 
@@ -70,19 +68,8 @@ class CircuitSimulator {
   /// returns true, run() aborts with SimulationCancelled carrying a
   /// PartialResult. Must be called before run(); the hook is invoked
   /// frequently, so it should be cheap (typically an atomic flag load).
-  /// With StrategyConfig::pipeline enabled the hook is additionally polled
-  /// from the builder thread, so it must be thread-safe — an atomic load,
-  /// like the hooks the serving layer installs.
   void setCancelCheck(std::function<bool()> check) {
     cancelCheck_ = std::move(check);
-  }
-
-  /// Arm a fault injector on the pipeline's *builder* package (the main
-  /// package keeps its own via package().setFaultInjector()). Lets tests
-  /// fail an allocation inside the builder thread deterministically. The
-  /// injector must outlive run(); ignored when pipelining is off.
-  void setBuilderFaultInjector(dd::FaultInjector* injector) noexcept {
-    builderInjector_ = injector;
   }
 
   /// Install a checkpoint sink, called with a fresh progress snapshot every
@@ -101,46 +88,21 @@ class CircuitSimulator {
   /// carried statistics, and continues at Checkpoint::nextOpIndex.
   /// Measurement outcomes of interrupted-then-resumed runs are
   /// bit-identical to uninterrupted ones (enforced in
-  /// tests/test_checkpoint.cpp across schedules x threads x pipeline
-  /// depths). Throws CheckpointError when the checkpoint's (circuit,
-  /// strategy, seed) identity triple does not match this simulator's, or
-  /// when the embedded RNG state is malformed. Must be called before
-  /// run().
+  /// tests/test_checkpoint.cpp across schedules x threads). Throws
+  /// CheckpointError when the checkpoint's (circuit, strategy, seed)
+  /// identity triple does not match this simulator's, or when the embedded
+  /// RNG state is malformed. Must be called before run().
   void resumeFrom(const Checkpoint& checkpoint);
-
-  /// Share prebuilt DD-repeating block matrices across simulations (see
-  /// sim/block_cache.hpp). On a hit the block is imported instead of
-  /// rebuilt; on a miss the built block is exported and published. Only
-  /// consulted for DD-repeating compound blocks
-  /// (StrategyConfig::reuseRepeatedBlocks).
-  void setSharedBlockCache(std::shared_ptr<SharedBlockCache> cache) {
-    blockCache_ = std::move(cache);
-  }
 
   /// The DD package holding the final state (for amplitude queries etc.).
   [[nodiscard]] dd::Package& package() noexcept { return *pkg_; }
 
  private:
-  /// Top-level dispatch: with pipelining enabled, splits the circuit into
-  /// maximal runs of pipelineable unitaries (see collectRun) and hands long
-  /// runs to runPipelined; everything else streams through processOps.
+  /// Top-level loop over the circuit's operations, from the resume point
+  /// on, checkpointing at operation boundaries.
   void processCircuit();
   void processOps(const std::vector<std::unique_ptr<ir::Operation>>& ops);
   void processOp(const ir::Operation& op);
-  /// Collect the maximal pipelineable run starting at ops[begin]:
-  /// Standard/Oracle gates, classic-controlled gates resolved against the
-  /// (final, since runs never span measurements) classical bits, and pure-
-  /// unitary compounds flattened by repetition. Returns the index of the
-  /// first operation past the run. Measure/Reset/Barrier and DD-repeating
-  /// or non-unitary compounds end a run.
-  std::size_t collectRun(
-      const std::vector<std::unique_ptr<ir::Operation>>& ops,
-      std::size_t begin, std::vector<const ir::Operation*>& out);
-  /// Execute one run on the pipelined engine: spawn a BlockBuilder, apply
-  /// handed-over blocks as they arrive, and fall back to the serial path —
-  /// for the rest of the simulation — on builder bow-out or main-package
-  /// resource pressure.
-  void runPipelined(const std::vector<const ir::Operation*>& run);
   void handleUnitary(const ir::Operation& op);
   void handleCompound(const ir::CompoundOperation& comp);
   dd::MEdge buildOpDD(const ir::Operation& op);
@@ -203,12 +165,6 @@ class CircuitSimulator {
   SimulationStats stats_;
   SimulationTrace trace_;
   bool ran_ = false;
-
-  /// Latched once the pipeline degrades (builder bow-out or main-package
-  /// pressure): the rest of the run stays on the serial path.
-  bool pipelineDisabled_ = false;
-  dd::FaultInjector* builderInjector_ = nullptr;
-  std::shared_ptr<SharedBlockCache> blockCache_;
 
   /// Durability (see sim/checkpoint.hpp): the identity seed this simulator
   /// was constructed with, the lazily computed circuit content hash, the

@@ -41,10 +41,6 @@ void StrategyConfig::validate() const {
     throw std::invalid_argument(
         "StrategyConfig: softBudgetFraction must be in (0, 1]");
   }
-  if (pipelineDepth < 1 || pipelineDepth > 1024) {
-    throw std::invalid_argument(
-        "StrategyConfig: pipelineDepth must be in [1, 1024]");
-  }
   if (threads < 1 || threads > 256) {
     throw std::invalid_argument("StrategyConfig: threads must be in [1, 256]");
   }
@@ -62,12 +58,9 @@ std::uint64_t StrategyConfig::contentHash() const noexcept {
   // collectTrace is deliberately excluded: it only toggles step-trace
   // recording and never changes the simulation outcome, so trace-on and
   // trace-off submissions must coalesce to the same cache entry.
-  // pipeline / pipelineDepth are likewise excluded: the pipelined engine is
-  // required to produce bit-identical measurement outcomes for the same
-  // seed, so pipelined and serial submissions must share a cache entry.
-  // threads is excluded for the same reason: kernel parallelism never
-  // changes measurement outcomes (only last-ulp weight representatives —
-  // see dd::Package::setWorkers), so parallel and serial submissions must
+  // threads is likewise excluded: kernel parallelism never changes
+  // measurement outcomes (only last-ulp weight representatives — see
+  // dd::Package::setWorkers), so parallel and serial submissions must
   // coalesce too.
   h = hashDouble(h, timeLimitSeconds);
   h = hashDouble(h, approximateFidelity);
@@ -91,9 +84,6 @@ std::string StrategyConfig::toString() const {
   }
   if (reuseRepeatedBlocks) {
     ss << "+DD-repeating";
-  }
-  if (pipeline) {
-    ss << "+pipeline(depth=" << pipelineDepth << ")";
   }
   if (threads > 1) {
     ss << "+threads(" << threads << ")";
@@ -125,13 +115,8 @@ std::string SimulationStats::toString() const {
      << " identitySkipRate=" << dd.identitySkipRate()
      << " mulCacheHitRate=" << cache.mulHitRate()
      << " gcRetentionRate=" << cache.gcRetentionRate();
-  if (pipelinedBlocks > 0 || pipelineBowOuts > 0) {
-    ss << " pipelinedBlocks=" << pipelinedBlocks
-       << " pipelineStalls=" << pipelineStalls
-       << " pipelineBowOuts=" << pipelineBowOuts
-       << " serialFallbackOps=" << serialFallbackOps
-       << " migratedNodes=" << migratedNodes
-       << " builderBuildSeconds=" << builderBuildSeconds;
+  if (migratedNodes > 0) {
+    ss << " migratedNodes=" << migratedNodes;
   }
   if (degradationEvents > 0) {
     ss << " degradationEvents=" << degradationEvents

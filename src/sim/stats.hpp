@@ -76,30 +76,13 @@ struct StrategyConfig {
   /// After a pressure event the simulator stays in sequential (MxV-only)
   /// mode for this many operations before re-enabling combination.
   std::size_t degradeCooldownOps = 16;
-  /// Pipelined block building: a dedicated builder thread combines the
-  /// *next* block of gates (per the configured schedule) in its own private
-  /// dd::Package while the main thread applies the *previous* block to the
-  /// state, handing blocks over through a bounded queue via cross-package DD
-  /// migration (dd/migration.hpp). Deterministic: measurement outcomes are
-  /// bit-identical to the serial path for the same seed. No effect under
-  /// Schedule::Sequential (there is nothing to combine ahead).
-  bool pipeline = false;
-  /// Pipeline fan-out: capacity of the ordered builder-to-main reorder
-  /// buffer (how far ahead builders may run, in blocks) *and* the number of
-  /// concurrent builder threads (capped at BlockBuilder::kMaxBuilders).
-  /// With the KOperations schedule, block boundaries are static, so N
-  /// builders construct N different future blocks at once; dynamic
-  /// schedules (MaxSize/Adaptive) relay instead. Also the feedback lag of
-  /// the Adaptive schedule under pipelining: block i is sized against the
-  /// state size after block i - pipelineDepth. In [1, 1024].
-  std::size_t pipelineDepth = 2;
-  /// Worker threads for the *main* package's DD kernels (multiply/add
+  /// Worker threads for the package's DD kernels (multiply/add
   /// recursions fork over edge quadrants; the unique/complex/compute tables
   /// take their lock-striped concurrent paths). 1 = fully serial engine.
   /// Observation note: parallel canonicalization may pick a different
   /// last-ulp representative for weights that are equal within tolerance
   /// (see dd::Package::setWorkers); measurement outcomes are unaffected.
-  /// In [1, 256]; excluded from contentHash like the pipeline knobs.
+  /// In [1, 256]; excluded from contentHash like collectTrace.
   std::size_t threads = 1;
   /// Durability: snapshot simulation progress into a Checkpoint (see
   /// sim/checkpoint.hpp) every this many top-level circuit operations and
@@ -107,7 +90,7 @@ struct StrategyConfig {
   /// 0 (the default) disables checkpointing. A resumed run is required to
   /// produce bit-identical measurement outcomes to an uninterrupted one,
   /// so the knob is excluded from contentHash like the other
-  /// outcome-neutral knobs (pipeline, threads, collectTrace).
+  /// outcome-neutral knobs (threads, collectTrace).
   std::size_t checkpointIntervalOps = 0;
 
   [[nodiscard]] static StrategyConfig sequential() { return {}; }
@@ -203,30 +186,14 @@ struct SimulationStats {
   /// Hard-rung ResourceExhausted throws the ladder absorbed (emergency
   /// collection + retry succeeded).
   std::uint64_t resourceRecoveries = 0;
-  /// Blocks built by the pipeline's builder thread and applied to the state.
-  std::uint64_t pipelinedBlocks = 0;
-  /// Times the main thread waited on an empty handoff queue (the builder
-  /// was the bottleneck at that moment).
-  std::uint64_t pipelineStalls = 0;
-  /// Times a builder thread bowed out (resource pressure / failure in its
-  /// private package) and the run continued on the serial path.
-  std::uint64_t pipelineBowOuts = 0;
-  /// Operations replayed on the serial path after a pipeline degrade
-  /// (builder bow-out or main-package pressure). Counted separately from
-  /// pipelined work so a degraded run is distinguishable in the stats.
-  std::uint64_t serialFallbackOps = 0;
-  /// DD nodes rebuilt in the main package by cross-package imports
-  /// (pipeline handoffs and shared-block-cache hits).
+  /// DD nodes rebuilt in the package by cross-package imports (the state
+  /// and accumulator a checkpoint resume brings in).
   std::uint64_t migratedNodes = 0;
   /// Progress snapshots handed to the checkpoint sink during this run.
   std::uint64_t checkpointsTaken = 0;
   /// 1 when this run was resumed from a checkpoint rather than started
   /// from |0...0> (counters above then continue from the checkpoint's).
   std::uint64_t resumedFromCheckpoint = 0;
-  /// Wall time the builder thread spent constructing blocks — time the
-  /// serial path would have added to the critical path. The overlap
-  /// potential of a run is builderBuildSeconds / wallSeconds.
-  double builderBuildSeconds = 0.0;
   /// Snapshot of the DD package counters at the end of the run.
   dd::PackageStats dd;
   /// Snapshot of the memoization-layer counters at the end of the run

@@ -41,6 +41,13 @@ std::vector<bool> WireReader::bits() {
   return out;
 }
 
+void WireReader::expectEnd() const {
+  if (!atEnd()) {
+    throw WireError("wire decode: " + std::to_string(size_ - offset_) +
+                    " unread bytes after the last field");
+  }
+}
+
 void WireReader::truncated(std::size_t n) const {
   throw WireError("wire decode: truncated buffer (need " + std::to_string(n) +
                   " bytes, have " + std::to_string(size_ - offset_) + ")");

@@ -19,8 +19,10 @@
 ///
 /// The decode side is bounds-checked: reading past the end throws
 /// WireError instead of touching out-of-range memory, so a truncated or
-/// forged blob can only fail cleanly. Each format maps WireError to its
-/// own public error type.
+/// forged blob can only fail cleanly. A decoder ends its field list with
+/// expectEnd(), so bytes left over after the last field (an encoder with a
+/// longer layout) fail the same way. Each format maps WireError to its own
+/// public error type.
 ///
 /// fnv1a() is the integrity checksum of all four formats and the hash of
 /// the router's ring points. It detects truncation and bit flips, not
@@ -146,6 +148,8 @@ class WireReader {
     return size_ - offset_;
   }
   [[nodiscard]] bool atEnd() const noexcept { return offset_ == size_; }
+  /// Throws WireError unless every byte has been read.
+  void expectEnd() const;
 
   std::uint8_t u8() { return *need(1); }
   std::uint16_t u16() { return peekU16(need(2)); }

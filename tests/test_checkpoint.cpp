@@ -1,7 +1,7 @@
 /// Checkpoint/resume durability tests. The core guarantee (documented on
 /// sim/checkpoint.hpp): an interrupted-then-resumed run produces
 /// measurement outcomes bit-identical to the uninterrupted run, across
-/// combination schedules, kernel thread counts and pipeline depths.
+/// combination schedules and kernel thread counts.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ namespace ddsim::sim {
 namespace {
 
 /// A circuit that exercises every resume-relevant code path: unitary
-/// streams (combinable / pipelineable), mid-circuit measurements and a
+/// streams (combinable), mid-circuit measurements and a
 /// reset (RNG draws + classic bits mid-run), and a final full measurement.
 ir::Circuit makeMeasuredCircuit(std::uint64_t seed) {
   constexpr std::size_t kQubits = 4;
@@ -78,7 +78,6 @@ TEST(Checkpoint, SerializeRoundTripPreservesEveryField) {
     EXPECT_EQ(again.accCount, ck.accCount);
     EXPECT_EQ(again.accGates, ck.accGates);
     EXPECT_EQ(again.sequentialCooldown, ck.sequentialCooldown);
-    EXPECT_EQ(again.pipelineDisabled, ck.pipelineDisabled);
     EXPECT_EQ(again.stats.appliedGates, ck.stats.appliedGates);
     EXPECT_EQ(again.stats.mxvCount, ck.stats.mxvCount);
     EXPECT_EQ(again.stats.mxmCount, ck.stats.mxmCount);
@@ -110,6 +109,26 @@ TEST(Checkpoint, DeserializeRejectsCorruption) {
   }
 
   EXPECT_THROW((void)Checkpoint::deserialize(nullptr, 0), CheckpointError);
+}
+
+TEST(Checkpoint, PreviousVersionBlobIsRejected) {
+  const auto circuit = makeMeasuredCircuit(7);
+  const CapturedRun run = runCapturing(circuit, {}, 3, 10);
+  ASSERT_FALSE(run.blobs.empty());
+  // The version field sits outside the payload checksum, so this is a
+  // checksum-valid blob claiming the version-1 layout (which carried the
+  // pipeline fields). It must be refused, not decoded with shifted fields.
+  std::vector<std::uint8_t> v1 = run.blobs.front();
+  ASSERT_EQ(wire::peekU32(v1.data() + 4), 2U);
+  v1[4] = 1;
+  try {
+    (void)Checkpoint::deserialize(v1);
+    FAIL() << "version-1 checkpoint was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Checkpoint, ResumeRejectsIdentityMismatch) {
@@ -198,7 +217,7 @@ TEST(Checkpoint, SinkFiresAtQuiescentBoundariesOnly) {
   EXPECT_EQ(off.result.stats.checkpointsTaken, 0U);
 }
 
-/// The determinism matrix: schedules x threads x pipeline depths. For each
+/// The determinism matrix: schedules x threads. For each
 /// configuration, capture a mid-run checkpoint, resume it in a fresh
 /// simulator, and demand bit-identical classical outcomes.
 TEST(Checkpoint, ResumedRunsAreBitIdenticalAcrossConfigurations) {
@@ -210,25 +229,18 @@ TEST(Checkpoint, ResumedRunsAreBitIdenticalAcrossConfigurations) {
        {Schedule::Sequential, Schedule::KOperations, Schedule::MaxSize,
         Schedule::Adaptive}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      for (const std::size_t depth :
-           {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
-        StrategyConfig c;
-        c.schedule = schedule;
-        c.k = 3;
-        c.maxSize = 256;
-        c.threads = threads;
-        c.pipeline = depth > 0;
-        c.pipelineDepth = depth > 0 ? depth : 2;
-        configs.push_back(c);
-      }
+      StrategyConfig c;
+      c.schedule = schedule;
+      c.k = 3;
+      c.maxSize = 256;
+      c.threads = threads;
+      configs.push_back(c);
     }
   }
 
   for (const StrategyConfig& config : configs) {
-    const std::string label =
-        scheduleName(config.schedule) + "/threads=" +
-        std::to_string(config.threads) + "/pipeline=" +
-        (config.pipeline ? std::to_string(config.pipelineDepth) : "off");
+    const std::string label = scheduleName(config.schedule) + "/threads=" +
+                              std::to_string(config.threads);
 
     // Uninterrupted baseline (checkpointing off — the sink must be a pure
     // observer, so the captured run below must match it too).

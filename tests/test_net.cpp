@@ -21,6 +21,7 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "serve/service.hpp"
+#include "wire/wire.hpp"
 
 namespace ddsim {
 namespace {
@@ -41,14 +42,14 @@ TEST(Frame, HeaderGoldenBytes) {
   const net::Frame frame{net::FrameType::Hello, {0x01, 0x02}};
   const std::vector<std::uint8_t> bytes = net::encodeFrame(frame);
   ASSERT_EQ(bytes.size(), net::kFrameHeaderSize + 2);
-  // magic "DDSF" little-endian, version 1, type Hello, reserved 0,
+  // magic "DDSF" little-endian, version 2, type Hello, reserved 0,
   // length 2 — all byte positions pinned so the format cannot silently
   // drift.
   EXPECT_EQ(bytes[0], 0x44);  // 'D'
   EXPECT_EQ(bytes[1], 0x44);  // 'D'
   EXPECT_EQ(bytes[2], 0x53);  // 'S'
   EXPECT_EQ(bytes[3], 0x46);  // 'F'
-  EXPECT_EQ(bytes[4], 0x01);
+  EXPECT_EQ(bytes[4], 0x02);
   EXPECT_EQ(bytes[5], 0x00);
   EXPECT_EQ(bytes[6], 0x01);  // FrameType::Hello
   EXPECT_EQ(bytes[7], 0x00);  // reserved
@@ -102,6 +103,33 @@ TEST(Frame, CorruptionMatrixThrowsNeverUB) {
   }
 }
 
+TEST(Frame, PreviousVersionFrameIsRejected) {
+  // A well-formed version-1 frame — checksum included — as a peer still on
+  // the old Submit layout (with the pipeline fields) would send it.
+  const std::vector<std::uint8_t> payload = {0xDE, 0xAD, 0xBE, 0xEF};
+  wire::WireWriter prefix;
+  prefix.u32(net::kFrameMagic);
+  prefix.u16(1);
+  prefix.u8(static_cast<std::uint8_t>(net::FrameType::Submit));
+  prefix.u8(0);
+  prefix.u32(static_cast<std::uint32_t>(payload.size()));
+  const std::uint64_t checksum =
+      wire::fnv1a(payload.data(), payload.size(),
+                  wire::fnv1a(prefix.out.data(), prefix.out.size()));
+  std::vector<std::uint8_t> v1 = prefix.out;
+  wire::putU64(v1, checksum);
+  wire::putRaw(v1, payload);
+  ASSERT_EQ(v1.size(), net::kFrameHeaderSize + payload.size());
+  try {
+    (void)net::decodeFrame(v1);
+    FAIL() << "version-1 frame was accepted";
+  } catch (const net::FrameError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported protocol version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Frame, PayloadRoundTrips) {
   {
     net::HelloPayload p;
@@ -116,8 +144,6 @@ TEST(Frame, PayloadRoundTrips) {
     p.qasm = kBellQasm;
     p.config.schedule = sim::Schedule::KOperations;
     p.config.k = 4;
-    p.config.pipeline = true;
-    p.config.pipelineDepth = 3;
     p.config.threads = 2;
     p.config.checkpointIntervalOps = 128;
     p.config.nodeBudget = 1000;
@@ -133,8 +159,6 @@ TEST(Frame, PayloadRoundTrips) {
     EXPECT_EQ(back.qasm, kBellQasm);
     EXPECT_EQ(back.config.schedule, sim::Schedule::KOperations);
     EXPECT_EQ(back.config.k, 4U);
-    EXPECT_TRUE(back.config.pipeline);
-    EXPECT_EQ(back.config.pipelineDepth, 3U);
     EXPECT_EQ(back.config.threads, 2U);
     EXPECT_EQ(back.config.checkpointIntervalOps, 128U);
     EXPECT_EQ(back.config.nodeBudget, 1000U);

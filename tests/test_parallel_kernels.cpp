@@ -9,8 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,7 +22,6 @@
 #include "dd/package.hpp"
 #include "dd/unique_table.hpp"
 #include "ir/gate.hpp"
-#include "sim/pipeline.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 
@@ -536,119 +536,58 @@ TEST(ParallelKernels, ResourceExhaustionPropagatesFromWorkers) {
 }  // namespace
 }  // namespace ddsim::dd
 
-// ------------------------------------------------- pipeline reorder buffer
+// -------------------------------------------------- simulator threads knob
 
 namespace ddsim::sim {
 namespace {
 
-/// A PipelineBlock whose firstOp doubles as its sequence-number marker.
-PipelineBlock marker(std::uint64_t seq) {
-  PipelineBlock blk;
-  blk.firstOp = static_cast<std::size_t>(seq);
-  return blk;
+/// A measured circuit that exercises long unitary runs, mid-circuit
+/// measurement, and classically controlled gates.
+ir::Circuit measuredCircuit(std::uint64_t seed) {
+  ir::Circuit circuit = test::randomCircuit(5, 60, seed);
+  ir::Circuit full(5, 5, "measured_" + std::to_string(seed));
+  full.appendCircuit(circuit);
+  full.measure(0, 0);
+  full.classicControlled(ir::GateType::X, 2, {}, {}, 0, true);
+  full.appendCircuit(test::randomCircuit(5, 40, seed + 1));
+  full.measureAll();
+  return full;
 }
 
-TEST(ReorderBuffer, DeliversInSequenceOrderAcrossRacingProducers) {
-  ReorderBuffer buf(4);
-  constexpr std::uint64_t kBlocks = 24;
-  constexpr std::size_t kProducers = 3;
-  // Producers complete blocks in interleaved (round-robin) order with
-  // deterministic jitter — exactly the completion-order scramble an N-deep
-  // builder fan-out produces.
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (std::size_t t = 0; t < kProducers; ++t) {
-    producers.emplace_back([&buf, t] {
-      for (std::uint64_t seq = t; seq < kBlocks; seq += kProducers) {
-        if (seq % (t + 2) == 0) {
-          std::this_thread::yield();
-        }
-        EXPECT_TRUE(buf.push(seq, marker(seq)));
-      }
-    });
-  }
-  std::vector<std::size_t> order;
-  while (order.size() < kBlocks) {
-    PipelineBlock blk;
-    const auto status = buf.popFor(blk, std::chrono::milliseconds(500));
-    ASSERT_EQ(status, ReorderBuffer::PopStatus::Ok);
-    order.push_back(blk.firstOp);
-  }
-  for (auto& p : producers) {
-    p.join();
-  }
-  for (std::uint64_t s = 0; s < kBlocks; ++s) {
-    EXPECT_EQ(order[s], s) << "position " << s;
-  }
-  buf.truncate(kBlocks);
-  PipelineBlock blk;
-  EXPECT_EQ(buf.popFor(blk, std::chrono::milliseconds(1)),
-            ReorderBuffer::PopStatus::Drained);
+std::vector<StrategyConfig> combiningSchedules() {
+  return {StrategyConfig::kOperations(4), StrategyConfig::kOperations(16),
+          StrategyConfig::maxSizeStrategy(64),
+          StrategyConfig::maxSizeStrategy(1024),
+          StrategyConfig::adaptive(0.25), StrategyConfig::adaptive(1.0)};
 }
 
-TEST(ReorderBuffer, TruncateDropsQueuedTailAndDrains) {
-  ReorderBuffer buf(8);
-  for (const std::uint64_t seq : {4ULL, 1ULL, 3ULL, 0ULL}) {
-    EXPECT_TRUE(buf.push(seq, marker(seq)));
+TEST(ParallelKernels, ThreadedKernelsMatchSerialOutcomesAcrossSchedules) {
+  // Kernel parallelism in the package (threads knob): measurement outcomes
+  // stay identical to the serial engine for the same seed.
+  const auto circuit = measuredCircuit(5);
+  for (const StrategyConfig& serial : combiningSchedules()) {
+    const auto serialResult = sim::simulate(circuit, serial, 29);
+    StrategyConfig threaded = serial;
+    threaded.threads = 3;
+    const auto kernels = sim::simulate(circuit, threaded, 29);
+    EXPECT_EQ(kernels.classicalBits, serialResult.classicalBits)
+        << serial.toString();
   }
-  // A builder failed on block 2: everything at/above it is unconsumable.
-  buf.truncate(2);
-  // Late pushes of truncated sequences are silently dropped, not errors —
-  // another builder may have been mid-flight on a doomed block.
-  EXPECT_TRUE(buf.push(2, marker(2)));
-  EXPECT_TRUE(buf.push(7, marker(7)));
-  PipelineBlock blk;
-  ASSERT_EQ(buf.popFor(blk, std::chrono::milliseconds(50)),
-            ReorderBuffer::PopStatus::Ok);
-  EXPECT_EQ(blk.firstOp, 0U);
-  ASSERT_EQ(buf.popFor(blk, std::chrono::milliseconds(50)),
-            ReorderBuffer::PopStatus::Ok);
-  EXPECT_EQ(blk.firstOp, 1U);
-  EXPECT_EQ(buf.popFor(blk, std::chrono::milliseconds(1)),
-            ReorderBuffer::PopStatus::Drained);
-  EXPECT_EQ(buf.depth(), 0U);
 }
 
-TEST(ReorderBuffer, AbortUnblocksBlockedProducer) {
-  ReorderBuffer buf(1);
-  EXPECT_TRUE(buf.push(0, marker(0)));
-  std::atomic<int> result{-1};
-  std::thread producer(
-      [&] { result = buf.push(1, marker(1)) ? 1 : 0; });
-  // Give the producer time to park on the backpressure window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(result.load(), -1);
-  buf.abort();
-  producer.join();
-  EXPECT_EQ(result.load(), 0);
+TEST(ParallelKernels, ThreadsKnobValidatesAndStaysOutOfContentHash) {
+  StrategyConfig config = StrategyConfig::kOperations(4);
+  config.threads = 0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.threads = 257;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.threads = 4;
+  EXPECT_NO_THROW(config.validate());
+  EXPECT_NE(config.toString().find("+threads(4)"), std::string::npos);
+  // Kernel parallelism never changes outcomes, so threaded and serial
+  // submissions must share a serve-layer cache entry.
+  EXPECT_EQ(config.contentHash(), StrategyConfig::kOperations(4).contentHash());
 }
-
-TEST(ReorderBuffer, FaultInjectionAcrossBuildersPreservesBlockOrder) {
-  // End-to-end: 8 builders race over static KOperations boundaries, a
-  // shared fault injector kills whichever one trips it first, and the
-  // reorder buffer must still deliver the surviving prefix in order — the
-  // run completes serially with outcomes identical to the serial engine.
-  ir::Circuit circuit(6, 6, "fanout_fault");
-  circuit.appendCircuit(ddsim::test::randomCircuit(6, 120, 31));
-  circuit.measureAll();
-
-  const StrategyConfig serial = StrategyConfig::kOperations(3);
-  const auto serialResult = simulate(circuit, serial, 17);
-
-  StrategyConfig piped = serial;
-  piped.pipeline = true;
-  piped.pipelineDepth = 8;
-  dd::FaultInjector injector;
-  injector.configure({.failAllocationAfter = 150});
-  CircuitSimulator sim(circuit, piped, 17);
-  sim.setBuilderFaultInjector(&injector);
-  const auto result = sim.run();
-  EXPECT_GE(result.stats.pipelineBowOuts, 1U);
-  EXPECT_GT(injector.injectedAllocFailures(), 0U);
-  EXPECT_GT(result.stats.serialFallbackOps, 0U);
-  EXPECT_EQ(result.classicalBits, serialResult.classicalBits);
-}
-
 
 // ------------------------------------------------------ outcome determinism
 

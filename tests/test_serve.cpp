@@ -417,77 +417,6 @@ TEST(ResultCache, FullKeyComparisonSurvivesDigestCollisions) {
   EXPECT_TRUE(cache.lookup(serve::CacheKey{1, 2, 3}).has_value());
 }
 
-// ------------------------------------------------------------ block cache
-
-std::shared_ptr<const dd::FlatMatrixDD> flatStub(std::size_t qubits) {
-  auto flat = std::make_shared<dd::FlatMatrixDD>();
-  flat->numQubits = qubits;
-  return flat;
-}
-
-TEST(BlockCache, EvictsLeastRecentlyUsedAtCapacity) {
-  serve::BlockCache cache(2);
-  cache.insert(1, flatStub(1));
-  cache.insert(2, flatStub(2));
-  ASSERT_NE(cache.lookup(1), nullptr);  // touch 1: now 2 is LRU
-  cache.insert(3, flatStub(3));         // evicts 2
-
-  EXPECT_EQ(cache.lookup(2), nullptr);
-  EXPECT_NE(cache.lookup(1), nullptr);
-  EXPECT_NE(cache.lookup(3), nullptr);
-
-  const serve::BlockCacheCounters c = cache.counters();
-  EXPECT_EQ(c.insertions, 3U);
-  EXPECT_EQ(c.evictions, 1U);
-  EXPECT_EQ(c.entries, 2U);
-  EXPECT_EQ(c.hits, 3U);
-  EXPECT_EQ(c.misses, 1U);
-}
-
-TEST(BlockCache, ZeroCapacityDisablesCaching) {
-  serve::BlockCache cache(0);
-  cache.insert(1, flatStub(1));
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  EXPECT_EQ(cache.counters().entries, 0U);
-}
-
-TEST(SimulationService, SharedBlockCacheSpansJobs) {
-  // A DD-repeating circuit whose repeated block is the cacheable unit.
-  ir::Circuit body(4);
-  body.h(0);
-  body.cx(0, 1);
-  body.cx(1, 2);
-  body.t(2);
-  body.cx(2, 3);
-  ir::Circuit c(4, 4, "repeating");
-  c.appendRepeated(std::move(body), 6, "layer");
-  c.measureAll();
-  const auto circuit = std::make_shared<const ir::Circuit>(std::move(c));
-
-  sim::StrategyConfig config = sim::StrategyConfig::kOperations(4);
-  config.reuseRepeatedBlocks = true;
-  const sim::DetachedResult direct = sim::simulate(*circuit, config, 5);
-
-  serve::ServiceConfig sc;
-  sc.workers = 2;
-  sc.blockCacheCapacity = 8;
-  serve::SimulationService service(sc);
-  // Different seeds: distinct result-cache keys, so both jobs simulate —
-  // but the second imports the block the first one built and published.
-  const auto first = service.submit(spec(circuit, 5, config));
-  EXPECT_EQ(first.wait().status, serve::JobStatus::Completed);
-  const auto second = service.submit(spec(circuit, 6, config));
-  EXPECT_EQ(second.wait().status, serve::JobStatus::Completed);
-
-  EXPECT_EQ(first.wait().classicalBits, direct.classicalBits);
-  const serve::ServiceStats stats = service.stats();
-  EXPECT_GE(stats.blockCache.insertions, 1U);
-  EXPECT_GE(stats.blockCache.hits, 1U);
-  EXPECT_GT(stats.blockCache.sharedNodes, 0U);
-  EXPECT_NE(stats.toJson().find("\"block_cache\": {\"hits\": "),
-            std::string::npos);
-}
-
 // ------------------------------------------------------------ seed fan-out
 
 TEST(DeriveSeed, StableAndDecorrelated) {
@@ -513,7 +442,7 @@ TEST(ServiceStats, JsonExportCarriesAllCounterGroups) {
   for (const char* needle :
        {"\"workers\": 2", "\"submitted\": 2", "\"simulations_run\": 1",
         "\"cached\": 1", "\"cache\": {\"hits\": 1", "\"degradation\": {",
-        "\"pipeline\": {\"blocks\": ", "\"serial_fallback_ops\": ",
+        "\"retry\": {\"scheduled\": ", "\"spill\": {\"appended\": ",
         "\"per_worker_jobs\": [", "\"jobs_per_second\":",
         "\"queue_latency_mean_seconds\":"}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing " << needle;
@@ -562,26 +491,6 @@ TEST(Manifest, StrategyTokenPreservesEarlierOptions) {
   EXPECT_EQ(entries[0].config.k, 8U);
   EXPECT_TRUE(entries[0].config.reuseRepeatedBlocks);
   EXPECT_DOUBLE_EQ(entries[0].config.timeLimitSeconds, 5.0);
-}
-
-TEST(Manifest, PipelineTokensParseAndSurviveStrategy) {
-  const auto entries = serve::parseManifest(
-      "a.qasm pipeline pipeline-depth=4 strategy=k=8\n"
-      "b.qasm strategy=maxsize=256 pipeline=on\n"
-      "c.qasm pipeline=off\n");
-  ASSERT_EQ(entries.size(), 3U);
-  // `strategy=` after `pipeline` must preserve it (same contract as
-  // dd-repeating and the budget knobs).
-  EXPECT_TRUE(entries[0].config.pipeline);
-  EXPECT_EQ(entries[0].config.pipelineDepth, 4U);
-  EXPECT_TRUE(entries[1].config.pipeline);
-  EXPECT_FALSE(entries[2].config.pipeline);
-
-  EXPECT_THROW((void)serve::parseManifest("a.qasm pipeline=maybe\n"),
-               serve::ManifestError);
-  // pipeline-depth out of range is caught by per-line config validation.
-  EXPECT_THROW((void)serve::parseManifest("a.qasm pipeline-depth=0\n"),
-               serve::ManifestError);
 }
 
 TEST(Manifest, ThreadsTokenParsesAndSurvivesStrategy) {

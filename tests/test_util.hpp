@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -14,6 +15,18 @@
 #include "baseline/statevector.hpp"
 #include "dd/package.hpp"
 #include "ir/circuit.hpp"
+#include "sim/stats.hpp"
+
+namespace ddsim::sim {
+
+// Named printer for parameterized strategy sweeps: without it gtest dumps
+// the raw struct bytes (padding included), so the discovered test names
+// change from run to run.
+inline void PrintTo(const StrategyConfig& config, std::ostream* os) {
+  *os << config.toString();
+}
+
+}  // namespace ddsim::sim
 
 namespace ddsim::test {
 

@@ -5,8 +5,9 @@
 ///  * golden bytes and digests that pin each format, so a refactor of the
 ///    codec cannot change a byte that existing checkpoints, `--cache-dir`
 ///    journals or peers depend on;
-///  * one corruption matrix over all four formats: every truncation and
-///    every single-bit flip is rejected in the format's own way.
+///  * one corruption matrix over all four formats: every truncation, every
+///    single-bit flip and a payload byte past the last field (length and
+///    checksum fixed up to match) is rejected in the format's own way.
 
 #include <gtest/gtest.h>
 
@@ -88,6 +89,17 @@ TEST(Wire, TruncatedReadsThrowCleanly) {
   EXPECT_THROW((void)r.string(), wire::WireError);
 }
 
+TEST(Wire, ExpectEndRejectsUnreadBytes) {
+  std::vector<std::uint8_t> out;
+  wire::putU32(out, 7);
+  out.push_back(0);  // one byte past the last field
+  wire::WireReader r(out.data(), out.size());
+  EXPECT_EQ(r.u32(), 7U);
+  EXPECT_THROW(r.expectEnd(), wire::WireError);
+  (void)r.u8();
+  EXPECT_NO_THROW(r.expectEnd());
+}
+
 TEST(Wire, BitCountOverflowIsRejected) {
   // A bit vector claiming ~2^63 entries must not overflow the byte-count
   // arithmetic into a small allocation.
@@ -123,7 +135,6 @@ sim::SimulationStats goldenStats() {
   s.finalStateNodes = 4;
   s.approxFidelity = 0.875;
   s.checkpointsTaken = 1;
-  s.builderBuildSeconds = 0.25;
   return s;
 }
 
@@ -154,7 +165,6 @@ sim::Checkpoint goldenCheckpoint() {
   ck.accCount = 2;
   ck.accGates = 3;
   ck.sequentialCooldown = 1;
-  ck.pipelineDisabled = true;
   ck.stats = goldenStats();
   return ck;
 }
@@ -166,8 +176,6 @@ net::SubmitPayload goldenSubmit() {
   p.qasm = kBellQasm;
   p.config.schedule = sim::Schedule::KOperations;
   p.config.k = 4;
-  p.config.pipeline = true;
-  p.config.pipelineDepth = 3;
   p.config.checkpointIntervalOps = 128;
   p.config.nodeBudget = 1000;
   p.config.adaptiveRatio = 0.75;
@@ -219,7 +227,6 @@ serve::ServiceStats goldenServiceStats() {
   s.spill.appended = 8;
   s.retriesScheduled = 1;
   s.backoffSecondsTotal = 0.5;
-  s.pipelinedBlocks = 4;
   s.perWorkerJobs = {5, 3};
   return s;
 }
@@ -263,14 +270,57 @@ Bytes spillRecord(const serve::CacheKey& key,
 // --------------------------------------------------------------- goldens
 //
 // The spill record is pinned byte for byte; the larger encodings by size
-// and FNV-1a digest. All values were captured from the encoders as they
-// stood before the formats moved onto the shared codec.
+// and FNV-1a digest. The migration blob's values date from before the
+// formats moved onto the shared codec; the others were re-captured when
+// the pipeline fields left their layouts (checkpoint and frame version 2,
+// spill magic "LPS2").
 
 TEST(WireGolden, SpillRecordBytes) {
-  // Layout: magic "LPSD", u32 payload length (210), u64 FNV-1a of the
+  // Layout: magic "LPS2", u32 payload length (170), u64 FNV-1a of the
   // payload; payload = key triple, u64 bit count + packed bits, then the
-  // 22 flat SimulationStats fields.
+  // 17 flat SimulationStats fields.
   const Bytes kGolden = {
+      0x4C, 0x50, 0x53, 0x32, 0xAA, 0x00, 0x00, 0x00, 0x0F, 0x7C, 0x85, 0x39,
+      0x4A, 0xA1, 0xF7, 0xCE, 0x44, 0x44, 0x33, 0x33, 0x22, 0x22, 0x11, 0x11,
+      0x88, 0x88, 0x77, 0x77, 0x66, 0x66, 0x55, 0x55, 0x2A, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x4D, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, 0x07, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xEC, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  EXPECT_EQ(spillRecord(goldenKey(), goldenOutcome()), kGolden);
+
+  // A journal holding the pinned bytes still loads.
+  const std::string dir = freshDir("golden_journal");
+  writeFile(dir + "/cache.log", kGolden);
+  serve::CacheSpill spill(dir);
+  std::vector<std::pair<serve::CacheKey, serve::CachedOutcome>> loaded;
+  EXPECT_EQ(spill.load([&](const serve::CacheKey& k, serve::CachedOutcome o) {
+              loaded.emplace_back(k, std::move(o));
+            }),
+            1U);
+  ASSERT_EQ(loaded.size(), 1U);
+  EXPECT_EQ(loaded[0].first, goldenKey());
+  EXPECT_EQ(loaded[0].second.classicalBits, goldenOutcome().classicalBits);
+  EXPECT_EQ(loaded[0].second.stats.appliedGates, 7U);
+  EXPECT_EQ(loaded[0].second.stats.checkpointsTaken, 1U);
+}
+
+TEST(WireGolden, PreviousLayoutSpillRecordIsSkippedAndCounted) {
+  // A record as the previous layout wrote it: magic "LPSD", payload of the
+  // key, the bits and 22 stats fields (the pipeline counters included).
+  // Its checksum is intact, but the magic no longer matches, so the loader
+  // skips it as one corrupt region and still loads the record after it.
+  const Bytes kV1Record = {
       0x4C, 0x50, 0x53, 0x44, 0xD2, 0x00, 0x00, 0x00, 0xEE, 0x1F, 0xA9, 0x21,
       0x65, 0x8B, 0x5E, 0xF4, 0x44, 0x44, 0x33, 0x33, 0x22, 0x22, 0x11, 0x11,
       0x88, 0x88, 0x77, 0x77, 0x66, 0x66, 0x55, 0x55, 0x2A, 0x00, 0x00, 0x00,
@@ -291,28 +341,27 @@ TEST(WireGolden, SpillRecordBytes) {
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,
   };
-  EXPECT_EQ(spillRecord(goldenKey(), goldenOutcome()), kGolden);
-
-  // A journal holding the pinned bytes still loads.
-  const std::string dir = freshDir("golden_journal");
-  writeFile(dir + "/cache.log", kGolden);
+  const serve::CacheKey key{1, 2, 3};
+  Bytes journal = kV1Record;
+  const Bytes current = spillRecord(key, goldenOutcome());
+  journal.insert(journal.end(), current.begin(), current.end());
+  const std::string dir = freshDir("v1_journal");
+  writeFile(dir + "/cache.log", journal);
   serve::CacheSpill spill(dir);
-  std::vector<std::pair<serve::CacheKey, serve::CachedOutcome>> loaded;
-  EXPECT_EQ(spill.load([&](const serve::CacheKey& k, serve::CachedOutcome o) {
-              loaded.emplace_back(k, std::move(o));
+  std::vector<serve::CacheKey> keys;
+  EXPECT_EQ(spill.load([&](const serve::CacheKey& k, serve::CachedOutcome) {
+              keys.push_back(k);
             }),
             1U);
-  ASSERT_EQ(loaded.size(), 1U);
-  EXPECT_EQ(loaded[0].first, goldenKey());
-  EXPECT_EQ(loaded[0].second.classicalBits, goldenOutcome().classicalBits);
-  EXPECT_EQ(loaded[0].second.stats.appliedGates, 7U);
-  EXPECT_EQ(loaded[0].second.stats.builderBuildSeconds, 0.25);
+  EXPECT_EQ(keys, std::vector<serve::CacheKey>{key});
+  EXPECT_EQ(spill.counters().corruptSkipped, 1U);
+  EXPECT_EQ(spill.counters().loaded, 1U);
 }
 
 TEST(WireGolden, CheckpointSizeAndDigest) {
   const Bytes bytes = goldenCheckpoint().serialize();
-  EXPECT_EQ(bytes.size(), 561U);
-  EXPECT_EQ(digest(bytes), 0x86A8765D68AD4D12ULL);
+  EXPECT_EQ(bytes.size(), 517U);
+  EXPECT_EQ(digest(bytes), 0x5C9BB4B3C98AD0EBULL);
   const sim::Checkpoint back = sim::Checkpoint::deserialize(bytes);
   EXPECT_EQ(back.rngState, "12 34 56");
   EXPECT_EQ(back.state, goldenCheckpoint().state);
@@ -323,22 +372,22 @@ TEST(WireGolden, CheckpointSizeAndDigest) {
 
 TEST(WireGolden, SubmitPayloadSizeAndDigest) {
   const Bytes bytes = net::encodeSubmit(goldenSubmit());
-  EXPECT_EQ(bytes.size(), 277U);
-  EXPECT_EQ(digest(bytes), 0x997453D6D6BBE1E7ULL);
+  EXPECT_EQ(bytes.size(), 268U);
+  EXPECT_EQ(digest(bytes), 0xC7F2E5BC92AD53E1ULL);
   EXPECT_EQ(net::encodeSubmit(net::decodeSubmit(bytes)), bytes);
 }
 
 TEST(WireGolden, ResultPayloadSizeAndDigest) {
   const Bytes bytes = net::encodeResult(goldenResult());
-  EXPECT_EQ(bytes.size(), 439U);
-  EXPECT_EQ(digest(bytes), 0x948EB377767967B1ULL);
+  EXPECT_EQ(bytes.size(), 359U);
+  EXPECT_EQ(digest(bytes), 0xDEB02BA4368AEE48ULL);
   EXPECT_EQ(net::encodeResult(net::decodeResult(bytes)), bytes);
 }
 
 TEST(WireGolden, ServiceStatsSizeAndDigest) {
   const Bytes bytes = net::encodeServiceStats(goldenServiceStats());
-  EXPECT_EQ(bytes.size(), 640U);
-  EXPECT_EQ(digest(bytes), 0xDDC1C1734BA319CBULL);
+  EXPECT_EQ(bytes.size(), 560U);
+  EXPECT_EQ(digest(bytes), 0xF94E0D53C7AE8D4FULL);
   EXPECT_EQ(net::encodeServiceStats(net::decodeServiceStats(bytes)), bytes);
 }
 
@@ -366,33 +415,83 @@ Bytes migrationBlob(std::uint64_t seed) {
   return dd::serializeDD(dd::exportDD(simulator.package(), state));
 }
 
+/// Overwrite the little-endian field at \p at with \p v.
+template <class T>
+void poke(Bytes& b, std::size_t at, T v) {
+  Bytes le;
+  wire::putLE(le, v);
+  std::copy(le.begin(), le.end(), b.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+/// \p b with \p n zero bytes appended to its payload and the header's
+/// length and checksum rewritten to cover them, for a format whose header
+/// holds a \p Len payload length at \p lenAt and a u64 FNV-1a of the
+/// \p headerSize-byte-offset payload at \p sumAt.
+template <class Len>
+Bytes padPayload(Bytes b, std::size_t n, std::size_t lenAt, std::size_t sumAt,
+                 std::size_t headerSize) {
+  b.resize(b.size() + n, 0);
+  poke(b, lenAt, static_cast<Len>(b.size() - headerSize));
+  poke(b, sumAt, digest(Bytes(b.begin() + static_cast<std::ptrdiff_t>(headerSize),
+                              b.end())));
+  return b;
+}
+
 struct Format {
   std::string name;
   Bytes good;
   std::function<bool(const Bytes&)> rejects;
+  /// The pad-and-fix-up rule of this format's header (see padPayload).
+  std::function<Bytes(const Bytes&, std::size_t)> pad;
 };
 
 TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
   std::vector<Format> formats;
   // The two random-state blobs the migration format was sampled on.
   for (const std::uint64_t seed : {29, 31}) {
-    formats.push_back({"migration blob (seed " + std::to_string(seed) + ")",
-                       migrationBlob(seed),
-                       throwsOwnError<dd::MigrationError>(
-                           [](const Bytes& b) {
-                             return dd::deserializeVectorDD(b);
-                           })});
+    formats.push_back(
+        {"migration blob (seed " + std::to_string(seed) + ")",
+         migrationBlob(seed),
+         throwsOwnError<dd::MigrationError>(
+             [](const Bytes& b) { return dd::deserializeVectorDD(b); }),
+         [](const Bytes& b, std::size_t n) {
+           // u64 length at 28; the u64 checksum at 36 covers the whole
+           // blob with its own field zeroed.
+           Bytes out = b;
+           out.resize(out.size() + n, 0);
+           poke(out, 28, wire::peekU64(out.data() + 28) + n);
+           poke(out, 36, std::uint64_t{0});
+           poke(out, 36, digest(out));
+           return out;
+         }});
   }
   formats.push_back({"checkpoint blob", goldenCheckpoint().serialize(),
                      throwsOwnError<sim::CheckpointError>([](const Bytes& b) {
                        return sim::Checkpoint::deserialize(b);
-                     })});
+                     }),
+                     [](const Bytes& b, std::size_t n) {
+                       return padPayload<std::uint64_t>(b, n, 8, 16, 24);
+                     }});
+  // The frame row decodes the Submit payload too, so bytes past its last
+  // field are seen.
   formats.push_back(
       {"frame",
        net::encodeFrame(
            {net::FrameType::Submit, net::encodeSubmit(goldenSubmit())}),
-       throwsOwnError<net::FrameError>(
-           [](const Bytes& b) { return net::decodeFrame(b); })});
+       throwsOwnError<net::FrameError>([](const Bytes& b) {
+         return net::decodeSubmit(net::decodeFrame(b).payload);
+       }),
+       [](const Bytes& b, std::size_t n) {
+         // u32 length at 8; the checksum at 12 chains the 12-byte header
+         // prefix into the payload's.
+         Bytes out = b;
+         out.resize(out.size() + n, 0);
+         poke(out, 8, static_cast<std::uint32_t>(out.size() - 20));
+         poke(out, 12,
+              wire::fnv1a(out.data() + 20, out.size() - 20,
+                          wire::fnv1a(out.data(), 12)));
+         return out;
+       }});
   // A spill record is rejected when a journal holding it, followed by an
   // intact record, loads only the intact record and counts the damage.
   const serve::CacheKey intactKey{1, 2, 3};
@@ -411,6 +510,9 @@ TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
          });
          return keys == std::vector<serve::CacheKey>{intactKey} &&
                 spill.counters().corruptSkipped >= 1;
+       },
+       [](const Bytes& b, std::size_t n) {
+         return padPayload<std::uint32_t>(b, n, 4, 8, 16);
        }});
 
   for (const Format& f : formats) {
@@ -432,6 +534,13 @@ TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
             << f.name << ": bit " << bit << " of byte " << i << " flipped";
       }
     }
+    // One byte past the last field, with the header's length and checksum
+    // fixed up to cover it: what an encoder with a longer layout writes.
+    // Padding by zero bytes must reproduce the intact bytes, which shows
+    // the fix-up rewrites exactly the fields the decoder checks.
+    ASSERT_EQ(f.pad(f.good, 0), f.good) << f.name;
+    EXPECT_TRUE(f.rejects(f.pad(f.good, 1)))
+        << f.name << ": a trailing payload byte was accepted";
   }
 }
 

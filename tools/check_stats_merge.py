@@ -56,8 +56,7 @@ TOP_MAX_FIELDS = ["elapsed_seconds", "queue_latency_max_seconds"]
 
 # Nested counter objects: every key inside sums (backoff_seconds_total is
 # a double but still sums).
-NESTED_SUM_OBJECTS = ["cache", "block_cache", "degradation", "pipeline",
-                      "retry", "spill"]
+NESTED_SUM_OBJECTS = ["cache", "degradation", "retry", "spill"]
 
 HISTOGRAMS = ["queue_latency_histogram", "exec_histogram",
               "degradation_per_job_histogram"]
