@@ -52,12 +52,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <new>
 #include <vector>
 
+#include "dd/complex_value.hpp"
 #include "dd/stripe_locks.hpp"
 
 namespace ddsim::dd {
@@ -76,14 +78,22 @@ struct ComputeTableCounters {
 };
 
 namespace detail {
-inline void hashMix(std::uint64_t& h, const void* p) noexcept {
-  h ^= reinterpret_cast<std::uintptr_t>(p);
+inline void hashMix(std::uint64_t& h, std::uint64_t x) noexcept {
+  h ^= x;
   h *= 0x100000001b3ULL;
   h ^= h >> 32;
 }
+inline void hashMix(std::uint64_t& h, const void* p) noexcept {
+  hashMix(h, static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p)));
+}
+/// Weights held by value hash by their exact bits.
+inline void hashMix(std::uint64_t& h, const ComplexValue& v) noexcept {
+  hashMix(h, std::bit_cast<std::uint64_t>(v.r));
+  hashMix(h, std::bit_cast<std::uint64_t>(v.i));
+}
 
-/// Entry of a binary-operation cache. Keys are two edges (node and weight
-/// are canonical pointers, so equality is exact).
+/// Entry of a binary-operation cache. Keys are two edges: node pointer plus
+/// a canonical weight pointer, or a weight value compared exactly.
 template <typename LEdge, typename REdge, typename Result>
 struct BinaryEntry {
   LEdge a{};

@@ -105,18 +105,16 @@ TEST(DDMigration, SnappedZeroEdgeExportsAsCanonicalZero) {
   // makeMNode normalizes child weights by dividing through the maximum-
   // magnitude child and re-looking the quotient up in the complex table.
   // A quotient below the canonicalization tolerance snaps to the exact
-  // zero pointer *after* the zero-stub pass already ran, so the package
-  // can legitimately hold a zero-weight edge that still points at an
-  // internal node. Export must flatten it as the canonical zero edge
-  // (terminal child), or import's validation rejects the flat form.
+  // zero pointer; the edge must then become the canonical zero stub
+  // (terminal child), and export and import must keep it that way.
   Package a(2);
   const MEdge ident0 = a.makeIdent(0);  // internal level-0 node
   const MEdge big = {ident0.p, a.clookup({1e14, 0.0})};
   const MEdge tiny = {ident0.p, a.clookup({1.0, 0.0})};
   // Normalization divides by 1e14: child 1's weight becomes 1e-14, below
-  // kTolerance, and snaps to the canonical zero while keeping ident0.p.
+  // kTolerance, and snaps to the canonical zero stub.
   const MEdge m = a.makeMNode(1, {big, tiny, a.mZero(), a.mZero()});
-  ASSERT_FALSE(m.p->e[1].p->isTerminal());
+  ASSERT_TRUE(m.p->e[1].p->isTerminal());
   ASSERT_TRUE(m.p->e[1].w->exactlyZero());
   a.incRef(m);
 
