@@ -2,6 +2,7 @@
 
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
 #include "algo/numbertheory.hpp"
 #include "algo/qft.hpp"
@@ -83,7 +84,7 @@ void appendCCPhiAddMod(Circuit& circuit, const std::vector<Qubit>& b,
   if (subtract) {
     circuit.appendCircuit(block.inverted());
   } else {
-    circuit.appendCircuit(block);
+    circuit.appendCircuit(std::move(block));
   }
 }
 
@@ -102,7 +103,7 @@ void appendCMultMod(Circuit& circuit, const std::vector<Qubit>& x,
   if (subtract) {
     circuit.appendCircuit(block.inverted());
   } else {
-    circuit.appendCircuit(block);
+    circuit.appendCircuit(std::move(block));
   }
 }
 

@@ -114,6 +114,16 @@ void Circuit::appendCircuit(const Circuit& other) {
   }
 }
 
+void Circuit::appendCircuit(Circuit&& other) {
+  if (other.numQubits() > numQubits_ || other.numClbits() > numClbits_) {
+    throw std::invalid_argument("appendCircuit: other circuit is wider");
+  }
+  for (auto& op : other.ops_) {
+    append(std::move(op));
+  }
+  other.ops_.clear();
+}
+
 namespace {
 void flattenInto(const std::vector<std::unique_ptr<Operation>>& ops,
                  Circuit& out) {

@@ -115,6 +115,9 @@ class Circuit {
 
   /// Append all operations of \p other (cloned), e.g. to stitch sub-circuits.
   void appendCircuit(const Circuit& other);
+  /// As above, but moves the operations out of \p other instead of cloning
+  /// them (same width checks and per-operation validation).
+  void appendCircuit(Circuit&& other);
 
   /// Flatten: expand all compound blocks into a plain operation sequence.
   [[nodiscard]] Circuit flattened() const;

@@ -7,6 +7,26 @@
 namespace ddsim::ir {
 namespace {
 
+TEST(Circuit, MovingAppendMatchesCopyingAppend) {
+  Circuit block(3, 0, "block");
+  block.h(0);
+  block.cx(0, 2);
+  block.appendRepeated(Circuit(3), 2, "empty");
+  block.t(1);
+  Circuit copied(3);
+  copied.appendCircuit(block);
+  Circuit moved(3);
+  moved.appendCircuit(block.clone());
+  ASSERT_EQ(moved.numOps(), copied.numOps());
+  for (std::size_t i = 0; i < copied.numOps(); ++i) {
+    EXPECT_EQ(moved.ops()[i]->toString(), copied.ops()[i]->toString());
+  }
+  Circuit source = block.inverted();
+  moved.appendCircuit(std::move(source));
+  EXPECT_EQ(moved.numOps(), 2 * copied.numOps());
+  EXPECT_THROW(Circuit(2).appendCircuit(block.clone()), std::invalid_argument);
+}
+
 TEST(Circuit, BasicConstruction) {
   Circuit c(3, 2, "demo");
   EXPECT_EQ(c.numQubits(), 3U);

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "algo/benchmarks.hpp"
 #include "algo/grover.hpp"
 #include "ir/circuit.hpp"
 #include "ir/hash.hpp"
@@ -134,6 +135,26 @@ TEST(CircuitHash, OracleFunctionalityIsKeyed) {
 }
 
 // ------------------------------------------------- strategy-config hashing
+
+// The Shor builders move their arithmetic blocks into the circuit instead
+// of cloning them; the pinned values were captured with the cloning ones.
+TEST(CircuitHash, ShorBuildersProduceThePinnedCircuits) {
+  struct Pinned {
+    const char* name;
+    std::uint64_t hash;
+    std::size_t ops;
+    std::size_t flatGates;
+  };
+  for (const Pinned& pin : {Pinned{"shor_33_5", 0x8ff9ce970e8109deULL, 22732, 22720},
+                            Pinned{"shor_119_15", 0xe8c868cd2d736872ULL, 37553, 37539}}) {
+    const auto circuit = algo::makeBenchmark(pin.name);
+    ASSERT_TRUE(circuit.has_value()) << pin.name;
+    EXPECT_EQ(contentHash(*circuit), pin.hash) << pin.name;
+    EXPECT_EQ(contentHash(circuit->flattened()), pin.hash) << pin.name;
+    EXPECT_EQ(circuit->numOps(), pin.ops) << pin.name;
+    EXPECT_EQ(circuit->flatGateCount(), pin.flatGates) << pin.name;
+  }
+}
 
 TEST(StrategyConfigHash, DistinguishesSchedulesAndParameters) {
   using sim::StrategyConfig;
