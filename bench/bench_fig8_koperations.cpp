@@ -18,10 +18,6 @@ int main() {
   using namespace ddsim;
 
   const std::vector<std::size_t> ks = {1, 2, 4, 8, 16, 32, 64};
-  // Parallel-kernel variants: same schedule with two kernel workers inside
-  // the package (task-parallel multiply/add recursion). Measurement
-  // outcomes stay identical to serial; only wall time changes.
-  const std::vector<std::size_t> parKs = {8, 32};
   const auto instances = bench::figureBenchmarks();
 
   std::printf("Fig. 8 — speed-up of strategy k-operations vs. sequential DD "
@@ -30,9 +26,6 @@ int main() {
   std::printf("%-18s %10s", "benchmark", "t_seq[s]");
   for (const std::size_t k : ks) {
     std::printf("  k=%-5zu", k);
-  }
-  for (const std::size_t k : parKs) {
-    std::printf("  k=%zu+t ", k);
   }
   std::printf("\n");
   bench::printRule();
@@ -43,7 +36,6 @@ int main() {
   const double cap = 60.0;
 
   std::vector<double> sums(ks.size(), 0.0);
-  std::vector<double> parSums(parKs.size(), 0.0);
   std::vector<bench::BenchRecord> records;
   for (const auto& inst : instances) {
     const ir::Circuit circuit = inst.make();
@@ -68,21 +60,6 @@ int main() {
         std::printf("  %7.2f", speedup);
       }
     }
-    for (std::size_t i = 0; i < parKs.size(); ++i) {
-      sim::StrategyConfig config = sim::StrategyConfig::kOperations(parKs[i]);
-      config.threads = 2;
-      sim::SimulationStats s;
-      const double t = bench::timedRun(circuit, config, cap, &s);
-      records.push_back(bench::makeRecord(
-          inst.name + "/k=" + std::to_string(parKs[i]) + "+par", t, s, cap));
-      if (std::isinf(t)) {
-        std::printf("  %7s", "t/o");
-      } else {
-        const double speedup = tSeq / t;
-        parSums[i] += speedup;
-        std::printf("  %7.2f", speedup);
-      }
-    }
     std::printf("\n");
     std::fflush(stdout);
   }
@@ -92,10 +69,6 @@ int main() {
   std::printf("%-18s %10s", "average", "");
   for (std::size_t i = 0; i < ks.size(); ++i) {
     std::printf("  %7.2f", sums[i] / static_cast<double>(instances.size()));
-  }
-  for (std::size_t i = 0; i < parKs.size(); ++i) {
-    std::printf("  %7.2f",
-                parSums[i] / static_cast<double>(instances.size()));
   }
   std::printf("\n");
   return 0;

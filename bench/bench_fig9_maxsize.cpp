@@ -17,8 +17,6 @@ int main() {
   using namespace ddsim;
 
   const std::vector<std::size_t> sizes = {16, 64, 256, 1024, 4096};
-  // Parallel-kernel variants: two kernel workers inside the package.
-  const std::vector<std::size_t> parSizes = {256, 1024};
   const auto instances = bench::figureBenchmarks();
 
   std::printf("Fig. 9 — speed-up of strategy max-size vs. sequential DD "
@@ -28,16 +26,12 @@ int main() {
   for (const std::size_t s : sizes) {
     std::printf(" s=%-6zu", s);
   }
-  for (const std::size_t s : parSizes) {
-    std::printf(" s=%zu+t ", s);
-  }
   std::printf("\n");
   bench::printRule(100);
 
   const double cap = 45.0;  // see bench_fig8_koperations
 
   std::vector<double> sums(sizes.size(), 0.0);
-  std::vector<double> parSums(parSizes.size(), 0.0);
   std::vector<bench::BenchRecord> records;
   for (const auto& inst : instances) {
     const ir::Circuit circuit = inst.make();
@@ -62,23 +56,6 @@ int main() {
         std::printf(" %7.2f", speedup);
       }
     }
-    for (std::size_t i = 0; i < parSizes.size(); ++i) {
-      sim::StrategyConfig config =
-          sim::StrategyConfig::maxSizeStrategy(parSizes[i]);
-      config.threads = 2;
-      sim::SimulationStats s;
-      const double t = bench::timedRun(circuit, config, cap, &s);
-      records.push_back(bench::makeRecord(
-          inst.name + "/s_max=" + std::to_string(parSizes[i]) + "+par", t,
-          s, cap));
-      if (std::isinf(t)) {
-        std::printf(" %7s", "t/o");
-      } else {
-        const double speedup = tSeq / t;
-        parSums[i] += speedup;
-        std::printf(" %7.2f", speedup);
-      }
-    }
     std::printf("\n");
     std::fflush(stdout);
   }
@@ -88,10 +65,6 @@ int main() {
   std::printf("%-18s %10s", "average", "");
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     std::printf(" %7.2f", sums[i] / static_cast<double>(instances.size()));
-  }
-  for (std::size_t i = 0; i < parSizes.size(); ++i) {
-    std::printf(" %7.2f",
-                parSums[i] / static_cast<double>(instances.size()));
   }
   std::printf("\n");
   return 0;

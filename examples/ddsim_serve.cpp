@@ -7,7 +7,6 @@
 ///
 /// Usage:
 ///   ddsim_serve <manifest.txt> [--workers <n>] [--queue <n>] [--cache <n>]
-///               [--threads <n>]
 ///               [--cache-dir <dir>] [--retries <n>] [--retry-backoff <s>]
 ///               [--checkpoint-interval <ops>]
 ///               [--out <results.json>] [--stats <stats.json>]
@@ -33,9 +32,6 @@
 ///
 /// SIGINT/SIGTERM drain gracefully: admission stops, running jobs finish,
 /// the cache snapshot and the final results/stats JSON are still written.
-///
-/// --threads overrides the manifest's per-job kernel worker count for every
-/// job (careful with oversubscription: workers x threads cores in play).
 ///
 /// --trace-out records every package/simulator/serve span of the run and
 /// writes Chrome trace-event JSON (open in Perfetto or chrome://tracing).
@@ -82,7 +78,7 @@ void onSignal(int sig) { gSignal.store(sig, std::memory_order_relaxed); }
 void usage() {
   std::printf(
       "usage: ddsim_serve <manifest.txt> [--workers <n>] [--queue <n>] "
-      "[--cache <n>] [--threads <n>] "
+      "[--cache <n>] "
       "[--cache-dir <dir>] [--retries <n>] [--retry-backoff <s>] "
       "[--checkpoint-interval <ops>] "
       "[--out <results.json>] [--stats <stats.json>] "
@@ -91,7 +87,7 @@ void usage() {
       "--listen runs a network worker on 127.0.0.1:<port> (0 = ephemeral)\n"
       "serving framed submissions from ddsim_router; no manifest is read.\n\n"
       "manifest lines: <qasm-path> [strategy=seq|k=<n>|maxsize=<n>|"
-      "adaptive[=<r>]] [dd-repeating] [threads=<n>] "
+      "adaptive[=<r>]] [dd-repeating] "
       "[detect-repetitions] [seed=<n>] "
       "[repeat=<n>] [priority=high|normal|low] [deadline=<s>] "
       "[time-limit=<s>] [node-budget=<n>] [label=<text>]\n");
@@ -198,8 +194,6 @@ int main(int argc, char** argv) {
   double statsDumpSeconds = 0.0;
   // Worker mode: bind this port instead of reading a manifest.
   std::optional<std::uint16_t> listenPort;
-  // Unset: follow the manifest's per-job threads= option.
-  std::optional<std::size_t> threadsOverride;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -215,8 +209,6 @@ int main(int argc, char** argv) {
       serviceConfig.queueCapacity = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--cache" && hasValue) {
       serviceConfig.cacheCapacity = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--threads" && hasValue) {
-      threadsOverride = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--cache-dir" && hasValue) {
       serviceConfig.cacheDir = argv[++i];
     } else if (arg == "--retries" && hasValue) {
@@ -360,9 +352,6 @@ int main(int argc, char** argv) {
         serve::JobSpec spec;
         spec.circuit = circuit;
         spec.config = entry.config;
-        if (threadsOverride) {
-          spec.config.threads = *threadsOverride;
-        }
         spec.seed = job.seed;
         spec.priority = entry.priority;
         spec.deadlineSeconds = entry.deadlineSeconds;

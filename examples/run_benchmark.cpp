@@ -7,7 +7,6 @@
 ///   run_benchmark <benchmark-name | file.qasm>
 ///                 [--strategy seq|k=<n>|maxsize=<n>|adaptive[=<ratio>]]
 ///                 [--dd-repeating] [--detect-repetitions] [--optimize]
-///                 [--threads <n>]
 ///                 [--shots <n>]
 ///                 [--trace <file.csv>] [--trace-out <trace.json>]
 ///                 [--seed <n>]
@@ -43,7 +42,7 @@ void usage() {
   std::printf(
       "usage: run_benchmark <name|file.qasm> [--strategy "
       "seq|k=<n>|maxsize=<n>|adaptive[=<r>]] [--dd-repeating] "
-      "[--detect-repetitions] [--threads <n>] [--shots <n>] [--trace <csv>] "
+      "[--detect-repetitions] [--shots <n>] [--trace <csv>] "
       "[--trace-out <json>] [--seed <n>]\n\n"
       "example benchmark names:\n");
   for (const auto& name : ddsim::algo::benchmarkExamples()) {
@@ -84,14 +83,10 @@ int main(int argc, char** argv) {
         return 1;
       }
       const bool reuse = config.reuseRepeatedBlocks;
-      const std::size_t threads = config.threads;
       config = *parsed;
       config.reuseRepeatedBlocks = reuse;
-      config.threads = threads;
     } else if (arg == "--dd-repeating") {
       config.reuseRepeatedBlocks = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      config.threads = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--detect-repetitions") {
       detectReps = true;
     } else if (arg == "--optimize") {

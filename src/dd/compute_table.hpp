@@ -28,19 +28,12 @@
 ///    reach the current capacity. A small job therefore neither allocates
 ///    nor zeroes the multi-megabyte worst case. Growth re-inserts every
 ///    entry with its `gen` and `stamp`, so retention is unaffected; each
-///    old set spreads over four new sets, so nothing is evicted. Serial
-///    growth runs inline in insert(): a table that could only grow between
+///    old set spreads over four new sets, so nothing is evicted. Growth
+///    runs inline in insert(): a table that could only grow between
 ///    top-level operations would thrash through one large multiplication.
 ///    The trigger counts inserts only, so the table size is a pure function
 ///    of the operation sequence. A std::bad_alloc while growing keeps the
 ///    smaller table (only the hit rate suffers).
-///
-/// Concurrency: in concurrent mode each probe holds the stripe mutex of its
-/// key hash (see stripe_locks.hpp) for the duration of the walk, so entries
-/// are never torn; growth re-indexes the table with every stripe held. The
-/// generation counter stays a plain integer — it only changes at quiescent
-/// points (GC, clear), never while parallel operations are in flight.
-/// Serial mode takes no locks.
 ///
 /// Counter semantics (see also CacheStats): `hits()` counts lookups served
 /// from the table (including revalidated stale entries), `misses()` counts
@@ -51,16 +44,13 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <new>
 #include <vector>
 
 #include "dd/complex_value.hpp"
-#include "dd/stripe_locks.hpp"
 
 namespace ddsim::dd {
 
@@ -73,8 +63,6 @@ struct ComputeTableCounters {
   std::uint64_t retained = 0;
   /// Stale entries whose operands/result died in a GC.
   std::uint64_t staleDropped = 0;
-  /// Concurrent probes that found their stripe lock already held.
-  std::uint64_t lockWaits = 0;
 };
 
 namespace detail {
@@ -137,7 +125,7 @@ struct UnaryEntry {
   }
 };
 
-/// Storage, growth, striping and counters shared by ComputeTable and
+/// Storage, growth and counters shared by ComputeTable and
 /// UnaryComputeTable.
 template <typename Entry, std::size_t MaxEntries>
 class SetAssociativeCache {
@@ -146,29 +134,21 @@ class SetAssociativeCache {
   static constexpr std::size_t kWays = 4;
   static constexpr std::size_t kInitialEntries = 1U << 10;
   static constexpr std::size_t kGrowthFactor = 4;
-  static constexpr std::size_t kStripes = 64;
   static_assert((MaxEntries & (MaxEntries - 1)) == 0 &&
                     MaxEntries >= kInitialEntries,
                 "table size must be a power of two of at least 2^10");
-  // A set is hash & setMask_ and its stripe is hash & (kStripes - 1): two
-  // probes of one set share a stripe only while there are >= kStripes sets.
-  static_assert(kInitialEntries / kWays >= kStripes,
-                "every table size must have at least one set per stripe");
 
   SetAssociativeCache() : table_(kInitialEntries) {}
 
-  /// Toggle striped locking. Only flip at quiescent points.
-  void setConcurrent(bool on) noexcept { concurrent_ = on; }
-
-  /// Entries the table currently holds room for. Quiescent points only.
+  /// Entries the table currently holds room for.
   [[nodiscard]] std::size_t capacity() const noexcept { return table_.size(); }
 
   /// O(1) whole-table invalidation: entries become stale and individually
-  /// eligible for revalidation on their next lookup. Quiescent points only.
+  /// eligible for revalidation on their next lookup.
   void newGeneration() noexcept { ++gen_; }
 
   /// Hard reset (tests / explicit cache flush): discards every entry with
-  /// no chance of revalidation. Quiescent points only.
+  /// no chance of revalidation.
   void clear() noexcept {
     for (auto& entry : table_) {
       entry.gen = 0;
@@ -176,62 +156,30 @@ class SetAssociativeCache {
     gen_ = 1;
   }
 
-  [[nodiscard]] std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t hits() const noexcept { return counters_.hits; }
   [[nodiscard]] std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
+    return counters_.misses;
   }
-  [[nodiscard]] ComputeTableCounters counters() const noexcept {
-    return ComputeTableCounters{
-        hits_.load(std::memory_order_relaxed),
-        misses_.load(std::memory_order_relaxed),
-        retained_.load(std::memory_order_relaxed),
-        staleDropped_.load(std::memory_order_relaxed),
-        lockWaits_.load(std::memory_order_relaxed)};
+  [[nodiscard]] const ComputeTableCounters& counters() const noexcept {
+    return counters_;
   }
 
  protected:
   void insertEntry(const Entry& fresh) noexcept {
-    const std::uint64_t h = fresh.hash();
-    if (!concurrent_) {
-      insertIn(h, fresh);
-      if (countInsert()) {
-        grow();
-      }
-      return;
-    }
-    bool full = false;
-    {
-      std::mutex& m = stripes_.acquire(h, lockWaits_);
-      const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
-      insertIn(h, fresh);
-      full = countInsert();
-    }
-    if (full) {
-      stripes_.exclusive([this]() noexcept {
-        if (wantsGrowth()) {  // another inserter may have grown it first
-          grow();
-        }
-      });
+    insertIn(fresh.hash(), fresh);
+    if (++inserts_ >= table_.size() && table_.size() < MaxEntries) {
+      grow();
     }
   }
 
-  /// On a hit the cached result is copied into \p out and true is returned
-  /// (returning a pointer would dangle once the stripe lock is released).
+  /// On a hit the cached result is copied into \p out and true is returned.
   /// \p revalidate is only invoked for key-matching entries from an older
   /// generation; it must return true iff the entry's stamp still matches
   /// the current incarnations of everything it references.
   template <typename Revalidate>
   bool findEntry(const Entry& key, Result& out,
                  Revalidate& revalidate) noexcept {
-    const std::uint64_t h = key.hash();
-    if (!concurrent_) {
-      return lookupIn(h, key, out, revalidate);
-    }
-    std::mutex& m = stripes_.acquire(h, lockWaits_);
-    const std::lock_guard<std::mutex> lock(m, std::adopt_lock);
-    return lookupIn(h, key, out, revalidate);
+    return lookupIn(key.hash(), key, out, revalidate);
   }
 
  private:
@@ -239,20 +187,10 @@ class SetAssociativeCache {
     return &table_[(static_cast<std::size_t>(h) & setMask_) * kWays];
   }
 
-  [[nodiscard]] bool wantsGrowth() const noexcept {
-    return table_.size() < MaxEntries &&
-           inserts_.load(std::memory_order_relaxed) >= table_.size();
-  }
-  /// Count one insert; true once the table should grow.
-  bool countInsert() noexcept {
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    return wantsGrowth();
-  }
-
   /// Re-insert every entry (live or stale) into a table kGrowthFactor times
-  /// larger. Serial mode or every stripe held.
+  /// larger.
   void grow() noexcept {
-    inserts_.store(0, std::memory_order_relaxed);
+    inserts_ = 0;
     const std::size_t entries =
         std::min(table_.size() * kGrowthFactor, MaxEntries);
     std::vector<Entry> bigger;
@@ -300,9 +238,7 @@ class SetAssociativeCache {
       }
     }
     if (victim == nullptr) {
-      victim =
-          &set[roundRobin_.fetch_add(1, std::memory_order_relaxed) &
-               (kWays - 1)];
+      victim = &set[roundRobin_++ & (kWays - 1)];
     }
     *victim = fresh;
     victim->gen = gen_;
@@ -316,24 +252,24 @@ class SetAssociativeCache {
       Entry& e = set[w];
       if (e.sameKey(key) && e.gen != 0) [[likely]] {
         if (e.gen == gen_) [[likely]] {
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          ++counters_.hits;
           out = e.result;
           return true;
         }
         if (revalidate(e)) {
           e.gen = gen_;
-          retained_.fetch_add(1, std::memory_order_relaxed);
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          ++counters_.retained;
+          ++counters_.hits;
           out = e.result;
           return true;
         }
         e.gen = 0;
-        staleDropped_.fetch_add(1, std::memory_order_relaxed);
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        ++counters_.staleDropped;
+        ++counters_.misses;
         return false;
       }
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.misses;
     return false;
   }
 
@@ -343,15 +279,9 @@ class SetAssociativeCache {
   std::size_t setMask_ = kInitialEntries / kWays - 1;
   std::uint64_t gen_ = 1;
   /// Inserts since the last resize (the growth trigger).
-  std::atomic<std::size_t> inserts_{0};
-  std::atomic<std::uint32_t> roundRobin_{0};
-  bool concurrent_ = false;
-  StripeLocks<kStripes> stripes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> retained_{0};
-  std::atomic<std::uint64_t> staleDropped_{0};
-  std::atomic<std::uint64_t> lockWaits_{0};
+  std::size_t inserts_ = 0;
+  std::uint32_t roundRobin_ = 0;
+  ComputeTableCounters counters_;
 };
 }  // namespace detail
 
@@ -382,7 +312,7 @@ class ComputeTable
 };
 
 /// Cache for unary DD operations (conjugate-transpose, norm, ...). Same
-/// associativity, generation-tag, growth and striping protocol as
+/// associativity, generation-tag and growth protocol as
 /// ComputeTable.
 template <typename ArgEdge, typename Result,
           std::size_t MaxEntries = (1U << 15)>

@@ -9,8 +9,9 @@
 /// collection at GC-poll S. It is compiled in unconditionally; an
 /// uninstalled injector costs one null-pointer check on the affected paths.
 ///
-/// Parallel kernels poll one injector from several worker threads, so every
-/// counter is a relaxed atomic. configure()/disarm() remain
+/// One injector may serve several SimulationService workers at once (a
+/// ServiceConfig::faultInjectorProvider can hand the same injector to every
+/// job), so every counter is a relaxed atomic. configure()/disarm() remain
 /// quiescent-point-only operations.
 
 #pragma once

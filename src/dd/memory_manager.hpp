@@ -15,11 +15,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <string>
 #include <vector>
@@ -28,11 +26,6 @@
 
 namespace ddsim::dd {
 
-/// Concurrency: in concurrent mode (Package::setWorkers > 1) one mutex
-/// serializes get()/free() — correctness-first; the parallel engine's
-/// speedup comes from coarse quadrant tasks, not from a lock-free
-/// allocator. The byte/occupancy accessors read atomics so the
-/// resource governor can poll them from any thread without the lock.
 template <typename NodeT>
 class MemoryManager {
  public:
@@ -48,41 +41,16 @@ class MemoryManager {
   MemoryManager(const MemoryManager&) = delete;
   MemoryManager& operator=(const MemoryManager&) = delete;
 
-  /// Toggle the allocator lock. Only flip at quiescent points.
-  void setConcurrent(bool on) noexcept { concurrent_ = on; }
-
   /// Obtain a fresh (default-initialized) node. The incarnation counter
   /// NodeT::id is preserved across recycling: together with the bump in
   /// free() it counts how often this address has been reclaimed, which is
   /// what lets stale compute-table entries detect pointer reuse.
   /// Throws ResourceExhausted when chunk growth hits std::bad_alloc.
   NodeT* get() {
-    if (concurrent_) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      return getLocked();
-    }
-    return getLocked();
-  }
-
-  /// Return a node to the free list. The caller must guarantee that no live
-  /// DD references it anymore. Bumping the incarnation here (not on reuse)
-  /// immediately invalidates any cached reference to the old node, even
-  /// while the node still sits on the free list.
-  void free(NodeT* n) noexcept {
-    if (concurrent_) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      freeLocked(n);
-      return;
-    }
-    freeLocked(n);
-  }
-
- private:
-  NodeT* getLocked() {
     if (free_ != nullptr) {
       NodeT* n = free_;
       free_ = n->next;
-      freeCount_.fetch_sub(1, std::memory_order_relaxed);
+      --freeCount_;
       const auto incarnation = n->id;
       *n = NodeT{};
       n->id = incarnation;
@@ -101,12 +69,11 @@ class MemoryManager {
                 "-node chunk; " + std::to_string(allocated()) +
                 " nodes carved, " + std::to_string(freeListSize()) + " free");
       }
-      chunkBytes_.fetch_add(chunkSize_ * sizeof(NodeT),
-                            std::memory_order_relaxed);
+      chunkBytes_ += chunkSize_ * sizeof(NodeT);
       chunkCapacity_ = chunkSize_;
       used_ = 0;
     }
-    allocated_.fetch_add(1, std::memory_order_relaxed);
+    ++allocated_;
     NodeT* n = &chunks_.back()[used_++];
     // Fresh carves start at the release epoch: every id in use stays above
     // any id that ever lived in a released chunk, so a new chunk landing on
@@ -115,14 +82,17 @@ class MemoryManager {
     return n;
   }
 
-  void freeLocked(NodeT* n) noexcept {
+  /// Return a node to the free list. The caller must guarantee that no live
+  /// DD references it anymore. Bumping the incarnation here (not on reuse)
+  /// immediately invalidates any cached reference to the old node, even
+  /// while the node still sits on the free list.
+  void free(NodeT* n) noexcept {
     ++n->id;
     n->next = free_;
     free_ = n;
-    freeCount_.fetch_add(1, std::memory_order_relaxed);
+    ++freeCount_;
   }
 
- public:
   /// Return chunks whose nodes are all on the free list to the OS. The
   /// caller must first drop every raw pointer into freed nodes (stale
   /// compute-table entries!) — Package::emergencyCollect clears the compute
@@ -210,26 +180,21 @@ class MemoryManager {
     }
     const std::size_t releasedBytes = releasedChunks * chunkSize_ *
                                       sizeof(NodeT);
-    chunkBytes_.fetch_sub(releasedBytes, std::memory_order_relaxed);
+    chunkBytes_ -= releasedBytes;
     return releasedBytes;
   }
 
   /// Nodes carved out of current chunks minus released ones.
-  [[nodiscard]] std::size_t allocated() const noexcept {
-    return allocated_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t allocated() const noexcept { return allocated_; }
   /// Nodes currently sitting on the free list.
-  [[nodiscard]] std::size_t freeListSize() const noexcept {
-    return freeCount_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t freeListSize() const noexcept { return freeCount_; }
   /// Nodes currently in use (allocated minus free-listed).
   [[nodiscard]] std::size_t inUse() const noexcept {
     return allocated() - freeListSize();
   }
-  /// Bytes currently held in chunks (what a byte budget governs). Atomic so
-  /// the governor may poll it while another thread is allocating.
+  /// Bytes currently held in chunks (what a byte budget governs).
   [[nodiscard]] std::size_t bytesAllocated() const noexcept {
-    return chunkBytes_.load(std::memory_order_relaxed);
+    return chunkBytes_;
   }
 
  private:
@@ -238,11 +203,9 @@ class MemoryManager {
   std::size_t chunkCapacity_ = 0;
   std::size_t used_ = 0;
   NodeT* free_ = nullptr;
-  std::atomic<std::size_t> allocated_{0};
-  std::atomic<std::size_t> freeCount_{0};
-  std::atomic<std::size_t> chunkBytes_{0};
-  std::mutex mutex_;
-  bool concurrent_ = false;
+  std::size_t allocated_ = 0;
+  std::size_t freeCount_ = 0;
+  std::size_t chunkBytes_ = 0;
   /// One past the largest incarnation id that ever lived in a released
   /// chunk; fresh carves start here (see get()).
   std::uint64_t idEpoch_ = 0;

@@ -13,11 +13,9 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -31,52 +29,9 @@
 #include "dd/memory_manager.hpp"
 #include "dd/node.hpp"
 #include "dd/resource_governor.hpp"
-#include "dd/task_pool.hpp"
 #include "dd/unique_table.hpp"
 
 namespace ddsim::dd {
-
-/// Copyable counter with relaxed-atomic increments, so hot per-recursion
-/// statistics stay data-race-free when quadrant tasks run on worker threads
-/// while PackageStats remains a plain copyable value type for snapshots.
-/// Relaxed ordering is sufficient: counters are only *read* at quiescent
-/// points (after joins), never used for synchronization.
-class RelaxedCounter {
- public:
-  RelaxedCounter() noexcept = default;
-  RelaxedCounter(std::uint64_t v) noexcept : v_(v) {}  // NOLINT(*-explicit-*)
-  RelaxedCounter(const RelaxedCounter& o) noexcept : v_(o.get()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) noexcept {
-    v_.store(o.get(), std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator=(std::uint64_t v) noexcept {
-    v_.store(v, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator++() noexcept {
-    v_.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator+=(std::uint64_t d) noexcept {
-    v_.fetch_add(d, std::memory_order_relaxed);
-    return *this;
-  }
-  /// Monotonic max (for peak tracking across threads).
-  void maxWith(std::uint64_t x) noexcept {
-    std::uint64_t cur = get();
-    while (x > cur &&
-           !v_.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
-    }
-  }
-  operator std::uint64_t() const noexcept { return get(); }  // NOLINT
-  [[nodiscard]] std::uint64_t get() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
 
 /// Row-major 2x2 unitary: {u00, u01, u10, u11}.
 using GateMatrix = std::array<ComplexValue, 4>;
@@ -112,23 +67,21 @@ using Controls = std::vector<Control>;
 struct PackageStats {
   std::uint64_t matrixVectorMultiplications = 0;  ///< top-level M x v
   std::uint64_t matrixMatrixMultiplications = 0;  ///< top-level M x M
-  // The recursive/fast-path counters are bumped from inside (possibly
-  // task-parallel) recursions, hence relaxed-atomic (see RelaxedCounter).
   /// Multiply recursions past the identity check (skips are not calls).
-  RelaxedCounter recursiveMulVCalls;
-  RelaxedCounter recursiveMulMCalls;
-  RelaxedCounter recursiveAddCalls;
+  std::uint64_t recursiveMulVCalls = 0;
+  std::uint64_t recursiveMulMCalls = 0;
+  std::uint64_t recursiveAddCalls = 0;
   /// Structure-aware fast paths: recursions short-circuited because an
   /// operand (sub)matrix is a scalar multiple of the identity (I·v = v,
   /// I·M = M, M·I = M), without descending the explicit identity chain.
-  RelaxedCounter identitySkipsMV;
-  RelaxedCounter identitySkipsMM;
+  std::uint64_t identitySkipsMV = 0;
+  std::uint64_t identitySkipsMM = 0;
   /// Diagonal·diagonal products where the off-diagonal quadrant recursions
   /// were pruned wholesale.
-  RelaxedCounter diagonalFastPathsMM;
+  std::uint64_t diagonalFastPathsMM = 0;
   std::uint64_t garbageCollections = 0;
   std::uint64_t nodesCollected = 0;
-  RelaxedCounter peakLiveNodes;
+  std::uint64_t peakLiveNodes = 0;
   /// Emergency collections triggered by resource pressure (subset of
   /// garbageCollections); these also release fully-free allocator chunks.
   std::uint64_t emergencyCollections = 0;
@@ -172,11 +125,6 @@ struct CacheStats {
   std::uint64_t addRetained = 0;
   std::uint64_t cacheRetained = 0;      ///< total across all op caches
   std::uint64_t cacheStaleDropped = 0;  ///< total across all op caches
-  /// Lock contention in concurrent mode (always 0 in serial mode): times a
-  /// probe found its stripe/shard lock already held by another thread.
-  std::uint64_t uniqueTableLockWaits = 0;
-  std::uint64_t complexTableLockWaits = 0;
-  std::uint64_t computeTableLockWaits = 0;  ///< total across all op caches
 
   [[nodiscard]] static double rate(std::uint64_t hits, std::uint64_t misses) noexcept {
     const std::uint64_t total = hits + misses;
@@ -391,31 +339,6 @@ class Package {
     injector_ = injector;
   }
 
-  // ------------------------------------------------- intra-package workers
-  /// Use \p n threads (including the caller) for the recursive kernels:
-  /// multiply (MxV and MxM) and add fork their top-level quadrants into a
-  /// work-stealing task pool down to a depth cutoff. n <= 1 restores the
-  /// fully serial engine (no locks anywhere). Switching is a quiescent-point
-  /// operation: never call it while an operation is in flight.
-  ///
-  /// Determinism: every subproblem computes the same arithmetic in the same
-  /// operand order as the serial recursion, so the resulting DDs are
-  /// canonically identical. One caveat: when two *distinct* weights within
-  /// the canonicalization tolerance are first inserted concurrently (values
-  /// that are algebraically equal but computed through different association
-  /// orders differ in the last ulp), which of them becomes the tolerance
-  /// class's representative depends on insertion order. Parallel amplitudes
-  /// may therefore differ from serial ones in the last ulp (~1e-16, far
-  /// below the 1e-13 tolerance). For gate sets whose weight arithmetic has a
-  /// single association order (e.g. Clifford+T) results are bit-identical,
-  /// and tests enforce exactly that; rotation-rich circuits are enforced to
-  /// ulp-level agreement.
-  void setWorkers(std::size_t n);
-  /// Current kernel parallelism (1 = serial).
-  [[nodiscard]] std::size_t workers() const noexcept {
-    return pool_ == nullptr ? 1 : pool_->workers() + 1;
-  }
-
  private:
   template <std::size_t Arity>
   void incRefNode(Node<Arity>* n) noexcept;
@@ -480,46 +403,11 @@ class Package {
   CachedEdge<Arity> makeNode(Qubit v,
                              const std::array<CachedEdge<Arity>, Arity>& children);
 
-  // \p spawn is the remaining task-fork budget: a positive value lets the
-  // call fork its quadrant subproblems into the task pool (each child runs
-  // with spawn - 1); zero recurses serially. Always zero in serial mode.
   template <std::size_t Arity>
   CachedEdge<Arity> addRec(const CachedEdge<Arity>& a,
-                           const CachedEdge<Arity>& b, std::size_t spawn = 0);
-  CachedVEdge mulNodesMV(MNode* a, VNode* b, std::size_t spawn = 0);
-  CachedMEdge mulNodesMM(MNode* a, MNode* b, std::size_t spawn = 0);
-  /// Fork budget for a top-level operation rooted at variable \p top: deep
-  /// enough to keep all workers fed (log2(workers) + 1 levels of 2/4-way
-  /// forks), but never parallelize shallow DDs where task overhead would
-  /// dominate the subproblem cost.
-  [[nodiscard]] std::size_t spawnBudget(Qubit top) const noexcept;
-  /// Run fn(0) .. fn(count-1): branch 0 inline on the calling thread, the
-  /// rest as pool tasks. Helps execute queued work while joining. A branch
-  /// exception is rethrown only after *all* branches finished, so stack
-  /// locals captured by the tasks stay alive for the full fork region.
-  template <typename F>
-  void forkJoin(std::size_t count, F&& fn) {
-    TaskPool::TaskGroup group;
-    for (std::size_t i = 1; i < count; ++i) {
-      pool_->submit(group, [&fn, i] { fn(i); });
-    }
-    std::exception_ptr pending;
-    try {
-      fn(0);
-    } catch (...) {
-      pending = std::current_exception();
-    }
-    try {
-      pool_->wait(group);
-    } catch (...) {
-      if (pending == nullptr) {
-        pending = std::current_exception();
-      }
-    }
-    if (pending != nullptr) {
-      std::rethrow_exception(pending);
-    }
-  }
+                           const CachedEdge<Arity>& b);
+  CachedVEdge mulNodesMV(MNode* a, VNode* b);
+  CachedMEdge mulNodesMM(MNode* a, MNode* b);
   template <std::size_t Arity>
   CachedEdge<Arity> kronRec(const Edge<Arity>& a, const Edge<Arity>& b);
   /// Conjugate transpose of the node, entered with weight one.
@@ -637,10 +525,7 @@ class Package {
     if (injector_ != nullptr && injector_->onAbortPoll(opIndex_)) {
       throw ComputationAborted{};
     }
-    // Thread-local so worker threads inside parallel kernels poll the
-    // abort check independently without sharing a counter.
-    static thread_local std::uint64_t abortCounter = 0;
-    if ((++abortCounter & 0x3FFFU) == 0 && abortCheck_ && abortCheck_()) {
+    if ((++abortPolls_ & 0x3FFFU) == 0 && abortCheck_ && abortCheck_()) {
       throw ComputationAborted{};
     }
   }
@@ -704,9 +589,7 @@ class Package {
   mutable std::uint32_t visitMark_ = 0;
   PackageStats stats_;
   std::function<bool()> abortCheck_;
-
-  /// Worker threads for the parallel kernels (nullptr = serial engine).
-  std::unique_ptr<TaskPool> pool_;
+  std::uint64_t abortPolls_ = 0;  ///< pollAbort calls; every 2^14th checks
 
   ResourceGovernor governor_;
   FaultInjector* injector_ = nullptr;  ///< not owned; nullptr = disabled

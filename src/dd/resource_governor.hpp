@@ -21,12 +21,12 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ddsim::dd {
 
@@ -113,7 +113,7 @@ class ResourceGovernor {
     budget_ = budget;
     softNodes_ = scaled(budget.maxLiveNodes, budget.softFraction);
     softBytes_ = scaled(budget.maxBytes, budget.softFraction);
-    signaled_.store(false, std::memory_order_relaxed);
+    signaled_ = false;
   }
 
   void setPressureCallback(PressureCallback cb) { onPressure_ = std::move(cb); }
@@ -136,18 +136,13 @@ class ResourceGovernor {
 
   /// Record the current pressure level; fires the callback on a rising edge
   /// (None -> Soft/Hard) and re-arms once the pressure has receded.
-  /// Thread-safe: worker threads observe from inside parallel kernels, and
-  /// the atomic exchange guarantees exactly one caller wins each rising
-  /// edge (the callback itself must be thread-safe — it only sets flags).
   void observe(ResourcePressure level, std::size_t liveNodes) {
     if (level == ResourcePressure::None) {
-      signaled_.store(false, std::memory_order_relaxed);
+      signaled_ = false;
       return;
     }
-    if (!signaled_.exchange(true, std::memory_order_acq_rel)) {
-      if (onPressure_) {
-        onPressure_(level, liveNodes);
-      }
+    if (!std::exchange(signaled_, true) && onPressure_) {
+      onPressure_(level, liveNodes);
     }
   }
 
@@ -161,7 +156,7 @@ class ResourceGovernor {
   ResourceBudget budget_;
   std::size_t softNodes_ = 0;
   std::size_t softBytes_ = 0;
-  std::atomic<bool> signaled_{false};
+  bool signaled_ = false;
   PressureCallback onPressure_;
 };
 

@@ -105,7 +105,6 @@ void configFields(IO& io, C& c) {
   io.u64(c.byteBudget);
   io.f64(c.softBudgetFraction);
   io.u64(c.degradeCooldownOps);
-  io.u64(c.threads);
   io.u64(c.checkpointIntervalOps);
 }
 

@@ -65,7 +65,7 @@ class FrameError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x46534444U;  // "DDSF"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderSize = 4 + 2 + 1 + 1 + 4 + 8;
 /// Payload ceiling: a submission is QASM text + config (KiB), a result is
 /// packed bits + stats (KiB), a checkpoint blob is two flat DDs (MiB for

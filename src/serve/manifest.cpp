@@ -104,12 +104,9 @@ std::vector<ManifestEntry> parseManifest(std::istream& in) {
         entry.config.nodeBudget = base.nodeBudget;
         entry.config.byteBudget = base.byteBudget;
         entry.config.approximateFidelity = base.approximateFidelity;
-        entry.config.threads = base.threads;
       } else if (key == "dd-repeating") {
         entry.ddRepeating = true;
         entry.config.reuseRepeatedBlocks = true;
-      } else if (key == "threads") {
-        entry.config.threads = parseUint(value, "threads", lineNo);
       } else if (key == "detect-repetitions") {
         entry.detectRepetitions = true;
       } else if (key == "seed") {

@@ -16,8 +16,7 @@
 ///
 /// Determinism contract: resuming a checkpoint and running to completion
 /// produces measurement outcomes bit-identical to the uninterrupted run —
-/// across schedules and kernel thread counts (enforced in
-/// tests/test_checkpoint.cpp). This holds because the checkpoint is only
+/// across schedules (enforced in tests/test_checkpoint.cpp). This holds because the checkpoint is only
 /// taken at quiescent block boundaries, the RNG position is exact, and DD
 /// import rebuilds canonically in the destination package.
 ///

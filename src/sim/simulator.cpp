@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "dd/approximation.hpp"
 #include "dd/migration.hpp"
@@ -27,8 +28,6 @@ CircuitSimulator::CircuitSimulator(const ir::Circuit& circuit,
       clbits_(std::max<std::size_t>(1, circuit.numClbits()), false),
       seed_(seed) {
   config_.validate();
-  // Kernel parallelism for the package (no-op at the default of 1).
-  pkg_->setWorkers(config_.threads);
   // DDSIM_NODE_BUDGET supplies a process-wide default (used e.g. by the CI
   // job that runs the whole suite under a tiny budget); an explicit config
   // value wins.
@@ -478,7 +477,7 @@ void CircuitSimulator::forcedApproximation() {
 /// Consume the pressure flag: true if the governor signaled pressure since
 /// the last check, or current usage still sits above the soft threshold.
 bool CircuitSimulator::pressureObserved() {
-  const bool signaled = pressureSignaled_.exchange(false);
+  const bool signaled = std::exchange(pressureSignaled_, false);
   return signaled ||
          pkg_->resourcePressure() != dd::ResourcePressure::None;
 }

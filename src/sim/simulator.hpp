@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -88,7 +87,7 @@ class CircuitSimulator {
   /// carried statistics, and continues at Checkpoint::nextOpIndex.
   /// Measurement outcomes of interrupted-then-resumed runs are
   /// bit-identical to uninterrupted ones (enforced in
-  /// tests/test_checkpoint.cpp across schedules x threads). Throws
+  /// tests/test_checkpoint.cpp across schedules). Throws
   /// CheckpointError when the checkpoint's (circuit, strategy, seed)
   /// identity triple does not match this simulator's, or when the embedded
   /// RNG state is malformed. Must be called before run().
@@ -147,9 +146,8 @@ class CircuitSimulator {
   /// before matrix-matrix combination is re-enabled.
   std::size_t sequentialCooldown_ = 0;
   /// Set by the governor's pressure callback (possibly deep inside a
-  /// multiplication, and — with threads > 1 — from a kernel worker
-  /// thread); consumed at the next quiescent point.
-  std::atomic<bool> pressureSignaled_{false};
+  /// multiplication); consumed at the next quiescent point.
+  bool pressureSignaled_ = false;
   std::function<bool()> cancelCheck_;
   Timer runTimer_;
 

@@ -41,9 +41,6 @@ void StrategyConfig::validate() const {
     throw std::invalid_argument(
         "StrategyConfig: softBudgetFraction must be in (0, 1]");
   }
-  if (threads < 1 || threads > 256) {
-    throw std::invalid_argument("StrategyConfig: threads must be in [1, 256]");
-  }
 }
 
 std::uint64_t StrategyConfig::contentHash() const noexcept {
@@ -58,10 +55,6 @@ std::uint64_t StrategyConfig::contentHash() const noexcept {
   // collectTrace is deliberately excluded: it only toggles step-trace
   // recording and never changes the simulation outcome, so trace-on and
   // trace-off submissions must coalesce to the same cache entry.
-  // threads is likewise excluded: kernel parallelism never changes
-  // measurement outcomes (only last-ulp weight representatives — see
-  // dd::Package::setWorkers), so parallel and serial submissions must
-  // coalesce too.
   h = hashDouble(h, timeLimitSeconds);
   h = hashDouble(h, approximateFidelity);
   h = hashCombine(h, approximateThreshold);
@@ -84,9 +77,6 @@ std::string StrategyConfig::toString() const {
   }
   if (reuseRepeatedBlocks) {
     ss << "+DD-repeating";
-  }
-  if (threads > 1) {
-    ss << "+threads(" << threads << ")";
   }
   if (nodeBudget > 0 || byteBudget > 0) {
     ss << "+budget(nodes=" << nodeBudget << ",bytes=" << byteBudget << ")";

@@ -76,21 +76,13 @@ struct StrategyConfig {
   /// After a pressure event the simulator stays in sequential (MxV-only)
   /// mode for this many operations before re-enabling combination.
   std::size_t degradeCooldownOps = 16;
-  /// Worker threads for the package's DD kernels (multiply/add
-  /// recursions fork over edge quadrants; the unique/complex/compute tables
-  /// take their lock-striped concurrent paths). 1 = fully serial engine.
-  /// Observation note: parallel canonicalization may pick a different
-  /// last-ulp representative for weights that are equal within tolerance
-  /// (see dd::Package::setWorkers); measurement outcomes are unaffected.
-  /// In [1, 256]; excluded from contentHash like collectTrace.
-  std::size_t threads = 1;
   /// Durability: snapshot simulation progress into a Checkpoint (see
   /// sim/checkpoint.hpp) every this many top-level circuit operations and
   /// hand it to the sink installed via CircuitSimulator::setCheckpointSink.
   /// 0 (the default) disables checkpointing. A resumed run is required to
   /// produce bit-identical measurement outcomes to an uninterrupted one,
   /// so the knob is excluded from contentHash like the other
-  /// outcome-neutral knobs (threads, collectTrace).
+  /// outcome-neutral knob collectTrace.
   std::size_t checkpointIntervalOps = 0;
 
   [[nodiscard]] static StrategyConfig sequential() { return {}; }

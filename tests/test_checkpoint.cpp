@@ -217,9 +217,9 @@ TEST(Checkpoint, SinkFiresAtQuiescentBoundariesOnly) {
   EXPECT_EQ(off.result.stats.checkpointsTaken, 0U);
 }
 
-/// The determinism matrix: schedules x threads. For each
-/// configuration, capture a mid-run checkpoint, resume it in a fresh
-/// simulator, and demand bit-identical classical outcomes.
+/// The determinism matrix over schedules. For each configuration, capture
+/// a mid-run checkpoint, resume it in a fresh simulator, and demand
+/// bit-identical classical outcomes.
 TEST(Checkpoint, ResumedRunsAreBitIdenticalAcrossConfigurations) {
   const auto circuit = makeMeasuredCircuit(17);
   constexpr std::uint64_t kSeed = 99;
@@ -228,19 +228,15 @@ TEST(Checkpoint, ResumedRunsAreBitIdenticalAcrossConfigurations) {
   for (const Schedule schedule :
        {Schedule::Sequential, Schedule::KOperations, Schedule::MaxSize,
         Schedule::Adaptive}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      StrategyConfig c;
-      c.schedule = schedule;
-      c.k = 3;
-      c.maxSize = 256;
-      c.threads = threads;
-      configs.push_back(c);
-    }
+    StrategyConfig c;
+    c.schedule = schedule;
+    c.k = 3;
+    c.maxSize = 256;
+    configs.push_back(c);
   }
 
   for (const StrategyConfig& config : configs) {
-    const std::string label = scheduleName(config.schedule) + "/threads=" +
-                              std::to_string(config.threads);
+    const std::string label = scheduleName(config.schedule);
 
     // Uninterrupted baseline (checkpointing off — the sink must be a pure
     // observer, so the captured run below must match it too).

@@ -42,14 +42,14 @@ TEST(Frame, HeaderGoldenBytes) {
   const net::Frame frame{net::FrameType::Hello, {0x01, 0x02}};
   const std::vector<std::uint8_t> bytes = net::encodeFrame(frame);
   ASSERT_EQ(bytes.size(), net::kFrameHeaderSize + 2);
-  // magic "DDSF" little-endian, version 2, type Hello, reserved 0,
+  // magic "DDSF" little-endian, version 3, type Hello, reserved 0,
   // length 2 — all byte positions pinned so the format cannot silently
   // drift.
   EXPECT_EQ(bytes[0], 0x44);  // 'D'
   EXPECT_EQ(bytes[1], 0x44);  // 'D'
   EXPECT_EQ(bytes[2], 0x53);  // 'S'
   EXPECT_EQ(bytes[3], 0x46);  // 'F'
-  EXPECT_EQ(bytes[4], 0x02);
+  EXPECT_EQ(bytes[4], 0x03);
   EXPECT_EQ(bytes[5], 0x00);
   EXPECT_EQ(bytes[6], 0x01);  // FrameType::Hello
   EXPECT_EQ(bytes[7], 0x00);  // reserved
@@ -104,29 +104,33 @@ TEST(Frame, CorruptionMatrixThrowsNeverUB) {
 }
 
 TEST(Frame, PreviousVersionFrameIsRejected) {
-  // A well-formed version-1 frame — checksum included — as a peer still on
-  // the old Submit layout (with the pipeline fields) would send it.
+  // Well-formed frames — checksum included — as peers on older Submit
+  // layouts would send them: version 1 still carried the pipeline fields,
+  // version 2 the kernel thread count.
   const std::vector<std::uint8_t> payload = {0xDE, 0xAD, 0xBE, 0xEF};
-  wire::WireWriter prefix;
-  prefix.u32(net::kFrameMagic);
-  prefix.u16(1);
-  prefix.u8(static_cast<std::uint8_t>(net::FrameType::Submit));
-  prefix.u8(0);
-  prefix.u32(static_cast<std::uint32_t>(payload.size()));
-  const std::uint64_t checksum =
-      wire::fnv1a(payload.data(), payload.size(),
-                  wire::fnv1a(prefix.out.data(), prefix.out.size()));
-  std::vector<std::uint8_t> v1 = prefix.out;
-  wire::putU64(v1, checksum);
-  wire::putRaw(v1, payload);
-  ASSERT_EQ(v1.size(), net::kFrameHeaderSize + payload.size());
-  try {
-    (void)net::decodeFrame(v1);
-    FAIL() << "version-1 frame was accepted";
-  } catch (const net::FrameError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported protocol version 1"),
-              std::string::npos)
-        << e.what();
+  for (const std::uint16_t version : {1, 2}) {
+    wire::WireWriter prefix;
+    prefix.u32(net::kFrameMagic);
+    prefix.u16(version);
+    prefix.u8(static_cast<std::uint8_t>(net::FrameType::Submit));
+    prefix.u8(0);
+    prefix.u32(static_cast<std::uint32_t>(payload.size()));
+    const std::uint64_t checksum =
+        wire::fnv1a(payload.data(), payload.size(),
+                    wire::fnv1a(prefix.out.data(), prefix.out.size()));
+    std::vector<std::uint8_t> old = prefix.out;
+    wire::putU64(old, checksum);
+    wire::putRaw(old, payload);
+    ASSERT_EQ(old.size(), net::kFrameHeaderSize + payload.size());
+    const std::string expected =
+        "unsupported protocol version " + std::to_string(version);
+    try {
+      (void)net::decodeFrame(old);
+      FAIL() << "version-" << version << " frame was accepted";
+    } catch (const net::FrameError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -144,7 +148,6 @@ TEST(Frame, PayloadRoundTrips) {
     p.qasm = kBellQasm;
     p.config.schedule = sim::Schedule::KOperations;
     p.config.k = 4;
-    p.config.threads = 2;
     p.config.checkpointIntervalOps = 128;
     p.config.nodeBudget = 1000;
     p.config.adaptiveRatio = 0.75;
@@ -159,7 +162,6 @@ TEST(Frame, PayloadRoundTrips) {
     EXPECT_EQ(back.qasm, kBellQasm);
     EXPECT_EQ(back.config.schedule, sim::Schedule::KOperations);
     EXPECT_EQ(back.config.k, 4U);
-    EXPECT_EQ(back.config.threads, 2U);
     EXPECT_EQ(back.config.checkpointIntervalOps, 128U);
     EXPECT_EQ(back.config.nodeBudget, 1000U);
     EXPECT_EQ(back.config.adaptiveRatio, 0.75);

@@ -493,20 +493,15 @@ TEST(Manifest, StrategyTokenPreservesEarlierOptions) {
   EXPECT_DOUBLE_EQ(entries[0].config.timeLimitSeconds, 5.0);
 }
 
-TEST(Manifest, ThreadsTokenParsesAndSurvivesStrategy) {
-  const auto entries = serve::parseManifest(
-      "a.qasm threads=4 strategy=k=8\n"
-      "b.qasm strategy=maxsize=256 threads=2\n");
-  ASSERT_EQ(entries.size(), 2U);
-  EXPECT_EQ(entries[0].config.threads, 4U);
-  EXPECT_EQ(entries[0].config.k, 8U);
-  EXPECT_EQ(entries[1].config.threads, 2U);
-
-  // Out-of-range values are caught by per-line config validation.
-  EXPECT_THROW((void)serve::parseManifest("a.qasm threads=0\n"),
-               serve::ManifestError);
-  EXPECT_THROW((void)serve::parseManifest("a.qasm threads=999\n"),
-               serve::ManifestError);
+TEST(Manifest, ThreadsTokenIsRejected) {
+  // The DD kernels are serial; threads= is an unknown option like any other.
+  try {
+    (void)serve::parseManifest("good.qasm\nb.qasm threads=4 strategy=k=8\n");
+    FAIL() << "expected ManifestError";
+  } catch (const serve::ManifestError& e) {
+    EXPECT_EQ(e.line(), 2U);
+    EXPECT_NE(std::string(e.what()).find("threads=4"), std::string::npos);
+  }
 }
 
 TEST(Manifest, ErrorsCarryLineNumbers) {

@@ -2,11 +2,15 @@
 
 #include <cctype>
 #include <complex>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <random>
 #include <sstream>
+#include <vector>
 
+#include "algo/grover.hpp"
+#include "algo/supremacy.hpp"
 #include "baseline/statevector.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -458,6 +462,47 @@ TEST(Simulator, LongCircuitSurvivesGarbageCollection) {
   CircuitSimulator sim(circuit, StrategyConfig::kOperations(3));
   const auto result = sim.run();
   EXPECT_NEAR(sim.package().norm2(result.finalState), 1.0, 1e-7);
+}
+
+// ------------------------------------------------------ outcome determinism
+
+struct Outcome {
+  std::vector<bool> bits;
+  std::size_t finalNodes = 0;
+  std::uint64_t peakStateNodes = 0;
+};
+
+Outcome simulateKOperations(const ir::Circuit& circuit, std::uint64_t seed) {
+  CircuitSimulator sim(circuit, StrategyConfig::kOperations(4), seed);
+  const SimulationResult r = sim.run();
+  return {r.classicalBits, sim.package().size(r.finalState),
+          r.stats.peakStateNodes};
+}
+
+TEST(Determinism, OutcomeDependsOnlyOnCircuitStrategyAndSeed) {
+  // The content-addressed result cache keys on (circuit, strategy, seed),
+  // so an earlier job in the process (which changes when the
+  // demand-sized tables grow) may not change a result.
+  const ir::Circuit body = algo::makeSupremacyCircuit({3, 3, 8, 11});
+  ir::Circuit job(body.numQubits(), 4);
+  for (const auto& op : body.ops()) {
+    job.append(op->clone());
+  }
+  for (ir::Qubit q = 0; q < 4; ++q) {
+    job.measure(q, static_cast<std::size_t>(q));  // leave a non-trivial state
+  }
+  const Outcome fresh = simulateKOperations(job, 7);
+  ASSERT_GT(fresh.finalNodes, job.numQubits() + 1);
+
+  // An unrelated, larger job grows its package's tables far past theirs.
+  algo::GroverOptions grover;
+  grover.measure = true;
+  (void)simulateKOperations(algo::makeGroverCircuit(12, 1234, grover), 3);
+
+  const Outcome after = simulateKOperations(job, 7);
+  EXPECT_EQ(after.bits, fresh.bits);
+  EXPECT_EQ(after.finalNodes, fresh.finalNodes);
+  EXPECT_EQ(after.peakStateNodes, fresh.peakStateNodes);
 }
 
 }  // namespace

@@ -372,8 +372,8 @@ TEST(WireGolden, CheckpointSizeAndDigest) {
 
 TEST(WireGolden, SubmitPayloadSizeAndDigest) {
   const Bytes bytes = net::encodeSubmit(goldenSubmit());
-  EXPECT_EQ(bytes.size(), 268U);
-  EXPECT_EQ(digest(bytes), 0xC7F2E5BC92AD53E1ULL);
+  EXPECT_EQ(bytes.size(), 260U);
+  EXPECT_EQ(digest(bytes), 0x520E8F27E7846572ULL);
   EXPECT_EQ(net::encodeSubmit(net::decodeSubmit(bytes)), bytes);
 }
 
