@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <unordered_set>
 #include <vector>
@@ -74,6 +77,46 @@ TEST(ComplexTable, NearBucketBoundary) {
   const CWeight a = tab.lookup(x - 1e-14, 0.0);
   const CWeight b = tab.lookup(x + 1e-14, 0.0);
   EXPECT_EQ(a, b);
+}
+
+TEST(ComplexTable, CellIndexKeepsOrdinaryValuesAndSeparatesHugeOnes) {
+  constexpr double kCell = 2.0 * kTolerance;
+  for (const double x : {0.0, -0.0, 0.5, -0.5, 1.0, -0.70710678118654757,
+                         3.0 * kTolerance, 1e-14, 123.456, -1e5, 9e5}) {
+    EXPECT_EQ(detail::cellIndex(x, kCell), std::llround(x / kCell)) << x;
+  }
+  // From ~1.8e6 on, llround(x / cell) is out of range; there one ulp of x
+  // is far above the tolerance, so every distinct double needs its own
+  // index, and none may be one that an ordinary value has.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> huge;
+  for (const double magnitude : {1e7, 1e9, 1e14, 1e300}) {
+    for (const double x : {magnitude, -magnitude}) {
+      huge.push_back(x);
+      huge.push_back(std::nextafter(x, 0.0));
+      huge.push_back(std::nextafter(x, std::copysign(kInf, x)));
+    }
+  }
+  std::unordered_set<std::int64_t> indices;
+  for (const double x : huge) {
+    const std::int64_t index = detail::cellIndex(x, kCell);
+    EXPECT_TRUE(indices.insert(index).second) << x;
+    EXPECT_GE(index < 0 ? -index : index, std::int64_t{1} << 62) << x;
+  }
+}
+
+TEST(ComplexTable, HugeValuesAreCanonicalizedExactly) {
+  ComplexTable tab;
+  for (const double x : {1e14, -1e14}) {
+    const CWeight a = tab.lookup(x, 0.0);
+    EXPECT_EQ(tab.lookup(x, 0.0), a);
+    const double next =
+        std::nextafter(x, std::copysign(std::numeric_limits<double>::infinity(), x));
+    const CWeight b = tab.lookup(next, 0.0);
+    EXPECT_NE(b, a);
+    EXPECT_EQ(b->r, next);
+    EXPECT_EQ(tab.lookup(x, 0.0), a);
+  }
 }
 
 TEST(ComplexTable, SizeGrowsOnlyForDistinctValues) {
