@@ -76,14 +76,11 @@ void statsBlock(IO& io, S& s) {
   }
 }
 
+/// A histogram's primary fields; count and quantiles are derived.
 template <class IO, class H>
 void histogramFields(IO& io, H& h) {
-  io.u64(h.count);
   io.f64(h.sum);
   io.f64(h.max);
-  io.f64(h.p50);
-  io.f64(h.p95);
-  io.f64(h.p99);
   listField(io, h.buckets, [&](auto& b) {
     io.f64(b.first);
     io.u64(b.second);
@@ -176,56 +173,30 @@ void fields(IO& io, Ref<IO, ErrorPayload> p) {
   io.string(p.message);
 }
 
+/// Every primary field of serve::visitFields in table order; the derived
+/// ones are recomputed on decode.
 template <class IO>
 void fields(IO& io, Ref<IO, serve::ServiceStats> s) {
-  io.u64(s.workers);
-  io.f64(s.elapsedSeconds);
-  io.u64(s.queueDepth);
-  io.u64(s.submitted);
-  io.u64(s.rejected);
-  io.u64(s.coalesced);
-  io.u64(s.simulationsRun);
-  io.u64(s.completed);
-  io.u64(s.cached);
-  io.u64(s.timedOut);
-  io.u64(s.expired);
-  io.u64(s.cancelled);
-  io.u64(s.resourceExhausted);
-  io.u64(s.failed);
-  io.f64(s.queueLatencyMeanSeconds);
-  io.f64(s.queueLatencyMaxSeconds);
-  io.f64(s.execSecondsTotal);
-  io.f64(s.jobsPerSecond);
-  io.f64(s.queueLatencyP50Seconds);
-  io.f64(s.queueLatencyP95Seconds);
-  io.f64(s.queueLatencyP99Seconds);
-  io.f64(s.execP50Seconds);
-  io.f64(s.execP95Seconds);
-  io.f64(s.execP99Seconds);
-  histogramFields(io, s.queueLatencyHistogram);
-  histogramFields(io, s.execHistogram);
-  histogramFields(io, s.degradationPerJobHistogram);
-  io.u64(s.cacheBypassed);
-  io.u64(s.cache.hits);
-  io.u64(s.cache.misses);
-  io.u64(s.cache.insertions);
-  io.u64(s.cache.evictions);
-  io.u64(s.cache.entries);
-  io.u64(s.spill.appended);
-  io.u64(s.spill.loaded);
-  io.u64(s.spill.corruptSkipped);
-  io.u64(s.spill.snapshots);
-  io.u64(s.retriesScheduled);
-  io.u64(s.resumedAttempts);
-  io.u64(s.restartedAttempts);
-  io.f64(s.backoffSecondsTotal);
-  io.u64(s.checkpointsTaken);
-  io.u64(s.degradationEvents);
-  io.u64(s.pressureFlushes);
-  io.u64(s.sequentialFallbackOps);
-  io.u64(s.pressureApproximations);
-  io.u64(s.resourceRecoveries);
-  listField(io, s.perWorkerJobs, [&](auto& jobs) { io.u64(jobs); });
+  serve::visitFields(
+      [&](const char*, const char*, serve::MergeRule rule, auto& f) {
+        using T = std::remove_cvref_t<decltype(f)>;
+        if (rule == serve::MergeRule::Derived) {
+          return;
+        }
+        if constexpr (std::is_same_v<T, double>) {
+          io.f64(f);
+        } else if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          histogramFields(io, f);
+        } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+          listField(io, f, [&](auto& jobs) { io.u64(jobs); });
+        } else {
+          io.u64(f);
+        }
+      },
+      s);
+  if constexpr (!IO::kWrites) {
+    s.derive();
+  }
 }
 
 /// Decode a whole payload through its field list. Bounds-check failures

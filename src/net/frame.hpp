@@ -37,7 +37,8 @@
 ///                classical bits, flat stats, optional partial progress.
 ///  * Checkpoint  worker -> router: latest checkpoint blob of a running
 ///                job (best-effort stream; enables resume-on-reroute).
-///  * StatsQuery / StatsReport: per-shard serve::ServiceStats, binary.
+///  * StatsQuery / StatsReport: per-shard serve::ServiceStats, binary,
+///                its primary fields only (serve::visitFields order).
 ///  * Hello       worker -> router on accept (protocol handshake).
 ///  * Goodbye     either direction: clean shutdown of the conversation.
 ///  * Error       worker -> router: the previous frame could not be
@@ -65,7 +66,7 @@ class FrameError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x46534444U;  // "DDSF"
-inline constexpr std::uint16_t kWireVersion = 3;
+inline constexpr std::uint16_t kWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderSize = 4 + 2 + 1 + 1 + 4 + 8;
 /// Payload ceiling: a submission is QASM text + config (KiB), a result is
 /// packed bits + stats (KiB), a checkpoint blob is two flat DDs (MiB for
@@ -198,9 +199,10 @@ struct ErrorPayload {
 [[nodiscard]] std::vector<std::uint8_t> encodeError(const ErrorPayload& p);
 [[nodiscard]] ErrorPayload decodeError(const std::vector<std::uint8_t>& b);
 
-/// Binary codec for a full per-shard serve::ServiceStats snapshot —
-/// counters, derived figures and the three bucketed histograms — so the
-/// router can merge shards without parsing JSON.
+/// Binary codec for a per-shard serve::ServiceStats snapshot — every
+/// primary field of serve::visitFields, the bucketed histograms included —
+/// so the router can merge shards without parsing JSON. The derived
+/// figures do not travel: decoding recomputes them (ServiceStats::derive).
 [[nodiscard]] std::vector<std::uint8_t> encodeServiceStats(
     const serve::ServiceStats& s);
 [[nodiscard]] serve::ServiceStats decodeServiceStats(

@@ -8,18 +8,6 @@
 
 namespace ddsim::obs {
 
-std::uint64_t Gauge::toBits(double v) noexcept {
-  std::uint64_t b = 0;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
-double Gauge::fromBits(std::uint64_t b) noexcept {
-  double v = 0;
-  std::memcpy(&v, &b, sizeof(v));
-  return v;
-}
-
 namespace {
 
 /// Precomputed bucket upper bounds (ascending); the overflow bucket is
@@ -58,7 +46,7 @@ std::size_t boundIndex(double bound) noexcept {
                   Histogram::kBuckets - 1);
 }
 
-/// The quantile estimator shared by live histograms and merged snapshots:
+/// The quantile estimator of every snapshot (HistogramSnapshot::derive):
 /// walk the cumulative counts, interpolate linearly inside the selected
 /// bucket, clamp to the observed maximum.
 double quantileFromCounts(
@@ -133,29 +121,30 @@ double Histogram::max() const noexcept {
   return v;
 }
 
-double Histogram::quantile(double q) const noexcept {
-  std::array<std::uint64_t, kBuckets + 1> counts{};
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    counts[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return quantileFromCounts(counts, q, max());
-}
-
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot s;
   for (std::size_t i = 0; i <= kBuckets; ++i) {
     const std::uint64_t c = counts_[i].load(std::memory_order_relaxed);
     if (c > 0) {
       s.buckets.emplace_back(bucketBound(i), c);
-      s.count += c;
     }
   }
   s.sum = static_cast<double>(sumNs_.load(std::memory_order_relaxed)) / 1e9;
   s.max = max();
-  s.p50 = quantile(0.50);
-  s.p95 = quantile(0.95);
-  s.p99 = quantile(0.99);
+  s.derive();
   return s;
+}
+
+void HistogramSnapshot::derive() {
+  std::array<std::uint64_t, Histogram::kBuckets + 1> counts{};
+  count = 0;
+  for (const auto& [bound, n] : buckets) {
+    counts[boundIndex(bound)] += n;
+    count += n;
+  }
+  p50 = quantileFromCounts(counts, 0.50, max);
+  p95 = quantileFromCounts(counts, 0.95, max);
+  p99 = quantileFromCounts(counts, 0.99, max);
 }
 
 HistogramSnapshot mergeHistogramSnapshots(const HistogramSnapshot& a,
@@ -172,12 +161,9 @@ HistogramSnapshot mergeHistogramSnapshots(const HistogramSnapshot& a,
   for (std::size_t i = 0; i <= Histogram::kBuckets; ++i) {
     if (counts[i] > 0) {
       m.buckets.emplace_back(Histogram::bucketBound(i), counts[i]);
-      m.count += counts[i];
     }
   }
-  m.p50 = quantileFromCounts(counts, 0.50, m.max);
-  m.p95 = quantileFromCounts(counts, 0.95, m.max);
-  m.p99 = quantileFromCounts(counts, 0.99, m.max);
+  m.derive();
   return m;
 }
 
@@ -196,55 +182,6 @@ std::string HistogramSnapshot::toJson() const {
     os << ", \"count\": " << buckets[i].second << "}";
   }
   os << "]}";
-  return os.str();
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (!slot) {
-    slot = std::make_unique<Counter>();
-  }
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (!slot) {
-    slot = std::make_unique<Gauge>();
-  }
-  return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<Histogram>();
-  }
-  return *slot;
-}
-
-std::string MetricsRegistry::toJson() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "" : ", ") << "\"" << name << "\": " << c->value();
-    first = false;
-  }
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "" : ", ") << "\"" << name << "\": " << g->value();
-    first = false;
-  }
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ", ") << "\"" << name
-       << "\": " << h->snapshot().toJson();
-    first = false;
-  }
-  os << "}";
   return os.str();
 }
 

@@ -1,9 +1,8 @@
 /// \file metrics.hpp
-/// \brief Thread-safe metrics primitives: counters, gauges, and fixed-bucket
-///        histograms with quantile estimation, plus a named registry.
+/// \brief Thread-safe fixed-bucket histograms with quantile estimation.
 ///
-/// All primitives are lock-free on the update path (relaxed atomics) and
-/// safe to snapshot concurrently — a snapshot is a coherent-enough view for
+/// A histogram is lock-free on the update path (relaxed atomics) and safe
+/// to snapshot concurrently — a snapshot is a coherent-enough view for
 /// reporting, not a linearizable one, matching the existing ServiceStats
 /// counter semantics.
 ///
@@ -19,45 +18,14 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ddsim::obs {
 
-/// Monotonic event counter.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins instantaneous value (queue depth, live nodes, ...).
-class Gauge {
- public:
-  void set(double v) noexcept {
-    bits_.store(toBits(v), std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    return fromBits(bits_.load(std::memory_order_relaxed));
-  }
-
- private:
-  static std::uint64_t toBits(double v) noexcept;
-  static double fromBits(std::uint64_t b) noexcept;
-  std::atomic<std::uint64_t> bits_{0};
-};
-
-/// Exported view of a histogram (see Histogram::snapshot()).
+/// Exported view of a histogram (see Histogram::snapshot()). sum, max and
+/// buckets are primary; count and the quantiles are derived from them.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   double sum = 0.0;
@@ -69,6 +37,9 @@ struct HistogramSnapshot {
   /// order. The final bucket's bound may be +inf (overflow bucket).
   std::vector<std::pair<double, std::uint64_t>> buckets;
 
+  /// Recompute count and p50/p95/p99 from the buckets and max.
+  void derive();
+
   /// Flat JSON object: count/sum/max/p50/p95/p99 plus a `buckets` array of
   /// {"le": bound, "count": n} objects.
   [[nodiscard]] std::string toJson() const;
@@ -76,10 +47,10 @@ struct HistogramSnapshot {
 
 /// Element-wise merge of two snapshots taken from histograms with the
 /// standard layout (Histogram::kBuckets geometric buckets): bucket counts
-/// sum bound-by-bound, count/sum add, max takes the max, and p50/p95/p99
-/// are *recomputed* from the merged buckets with the same interpolation
-/// Histogram::quantile uses — quantiles of shards never add, so this is
-/// how the distributed router aggregates per-shard latency distributions.
+/// sum bound-by-bound, sum adds, max takes the max, and count and
+/// p50/p95/p99 are *derived* from the merged buckets — quantiles of shards
+/// never add, so this is how the distributed router aggregates per-shard
+/// latency distributions.
 [[nodiscard]] HistogramSnapshot mergeHistogramSnapshots(
     const HistogramSnapshot& a, const HistogramSnapshot& b);
 
@@ -97,8 +68,6 @@ class Histogram {
 
   [[nodiscard]] std::uint64_t count() const noexcept;
   [[nodiscard]] double max() const noexcept;
-  /// Quantile estimate for q in [0, 1]; 0 when the histogram is empty.
-  [[nodiscard]] double quantile(double q) const noexcept;
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
   /// Upper bound of bucket i (the overflow bucket has bound +inf).
@@ -108,26 +77,6 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets + 1> counts_{};
   std::atomic<std::uint64_t> sumNs_{0};  ///< sum in nanoseconds-of-value
   std::atomic<std::uint64_t> maxBits_{0};
-};
-
-/// Named metric registry. Lookup is mutex-guarded (call sites cache the
-/// returned reference); the metrics themselves are lock-free. References
-/// remain valid for the registry's lifetime.
-class MetricsRegistry {
- public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
-  /// One JSON object with every registered metric: counters and gauges as
-  /// scalars, histograms via HistogramSnapshot::toJson().
-  [[nodiscard]] std::string toJson() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace ddsim::obs

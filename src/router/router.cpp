@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "ir/hash.hpp"
@@ -159,7 +160,6 @@ void Router::connect() {
       allChannels_.push_back(ch);
     }
     ch->reader = std::thread([this, ch] { readerLoop(ch); });
-    metrics_.gauge("router.shard." + endpoint + ".live").set(1.0);
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   if (ring_.empty()) {
@@ -218,7 +218,6 @@ void Router::readerLoop(const std::shared_ptr<Channel>& ch) {
             p->resumeSent && p->result.payload.resumed;
         ++counters_.resultsReceived;
         --unresolved_;
-        metrics_.counter("router.shard." + ch->endpoint + ".results").add(1);
         obs::traceInstant("router.result", obs::cat::kRouter, p->wireId);
         cv_.notify_all();
         break;
@@ -283,7 +282,6 @@ void Router::onChannelDeathLocked(const std::shared_ptr<Channel>& ch) {
   ch->alive.store(false, std::memory_order_relaxed);
   ring_.remove(ch->endpoint);
   channels_.erase(ch->endpoint);
-  metrics_.gauge("router.shard." + ch->endpoint + ".live").set(0.0);
   if (shutdown_) {
     return;  // a goodbye'd conversation ending is not a death
   }
@@ -399,7 +397,6 @@ std::vector<RouterResult> Router::run(const std::vector<RouterJob>& jobs) {
       p->resumeSent = true;
     }
     obs::traceInstant("router.submit", obs::cat::kRouter, p->wireId);
-    metrics_.counter("router.shard." + endpoint + ".submissions").add(1);
 
     // The actual socket write happens off the router lock — a slow or
     // dying worker must not stall result processing for the others.
@@ -506,7 +503,17 @@ std::string ClusterStats::toJson() const {
     os << (i > 0 ? ", " : "") << "{\"endpoint\": \"" << shards[i].first
        << "\", \"stats\": " << shards[i].second.toJson() << "}";
   }
-  os << "]}";
+  os << "], \"merge_rules\": {";
+  const char* sep = "";
+  serve::visitFields(
+      [&](std::string_view group, const char* name, serve::MergeRule rule,
+          const auto&) {
+        os << sep << "\"" << group << (group.empty() ? "" : ".") << name
+           << "\": \"" << serve::mergeRuleName(rule) << "\"";
+        sep = ", ";
+      },
+      aggregate);
+  os << "}}";
   return os.str();
 }
 

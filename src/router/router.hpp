@@ -39,7 +39,6 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "obs/metrics.hpp"
 #include "serve/service.hpp"
 
 namespace ddsim::router {
@@ -128,7 +127,10 @@ struct ClusterStats {
   serve::ServiceStats aggregate;
 
   /// {"workers_live": n, "aggregate": {...}, "shards": [{"endpoint": ...,
-  ///  "stats": {...}}, ...]} — aggregate/stats are ServiceStats::toJson().
+  ///  "stats": {...}}, ...], "merge_rules": {"workers": "sum", ...,
+  ///  "cache.hits": "sum", ...}} — aggregate/stats are
+  ///  ServiceStats::toJson(); merge_rules maps every JSON path of them to
+  ///  its serve::MergeRule (the rules tools/check_stats_merge.py checks).
   [[nodiscard]] std::string toJson() const;
 };
 
@@ -158,9 +160,6 @@ class Router {
 
   [[nodiscard]] std::size_t liveWorkers() const;
   [[nodiscard]] RouterCounters counters() const;
-  /// Router-side gauges/counters registry (per-shard assigned/completed
-  /// gauges, named "router.shard.<endpoint>....").
-  [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
  private:
   struct Channel;
@@ -176,7 +175,6 @@ class Router {
   void markLostLocked(const std::shared_ptr<Pending>& job);
 
   RouterConfig config_;
-  obs::MetricsRegistry metrics_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

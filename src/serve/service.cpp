@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "ir/hash.hpp"
@@ -585,9 +587,7 @@ void SimulationService::accumulate(const JobResult& result) {
       failed_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  const std::uint64_t queueNs = toNs(result.queueSeconds);
-  queueLatencySumNs_.fetch_add(queueNs, std::memory_order_relaxed);
-  atomicMax(queueLatencyMaxNs_, queueNs);
+  atomicMax(queueLatencyMaxNs_, toNs(result.queueSeconds));
   execSumNs_.fetch_add(toNs(result.runSeconds), std::memory_order_relaxed);
   queueLatencyHist_.observe(result.queueSeconds);
   // Execution/degradation distributions cover only jobs that consumed
@@ -694,31 +694,13 @@ ServiceStats SimulationService::stats() const {
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.resourceExhausted = resourceExhausted_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
-  const std::uint64_t finished = s.completed + s.cached + s.timedOut +
-                                 s.expired + s.cancelled +
-                                 s.resourceExhausted + s.failed;
-  if (finished > 0) {
-    s.queueLatencyMeanSeconds =
-        static_cast<double>(queueLatencySumNs_.load(
-            std::memory_order_relaxed)) /
-        1e9 / static_cast<double>(finished);
-  }
   s.queueLatencyMaxSeconds =
       static_cast<double>(queueLatencyMaxNs_.load(std::memory_order_relaxed)) /
       1e9;
   s.execSecondsTotal =
       static_cast<double>(execSumNs_.load(std::memory_order_relaxed)) / 1e9;
-  s.jobsPerSecond = s.elapsedSeconds > 0.0
-                        ? static_cast<double>(finished) / s.elapsedSeconds
-                        : 0.0;
   s.queueLatencyHistogram = queueLatencyHist_.snapshot();
-  s.queueLatencyP50Seconds = s.queueLatencyHistogram.p50;
-  s.queueLatencyP95Seconds = s.queueLatencyHistogram.p95;
-  s.queueLatencyP99Seconds = s.queueLatencyHistogram.p99;
   s.execHistogram = execHist_.snapshot();
-  s.execP50Seconds = s.execHistogram.p50;
-  s.execP95Seconds = s.execHistogram.p95;
-  s.execP99Seconds = s.execHistogram.p99;
   s.degradationPerJobHistogram = degradationPerJobHist_.snapshot();
   s.cacheBypassed = cacheBypassed_.load(std::memory_order_relaxed);
   s.cache = cache_.counters();
@@ -742,150 +724,93 @@ ServiceStats SimulationService::stats() const {
   for (const auto& counter : perWorkerJobs_) {
     s.perWorkerJobs.push_back(counter->load(std::memory_order_relaxed));
   }
+  s.derive();
   return s;
 }
 
-namespace {
-
-std::uint64_t finishedCount(const ServiceStats& s) {
-  return s.completed + s.cached + s.timedOut + s.expired + s.cancelled +
-         s.resourceExhausted + s.failed;
+const char* mergeRuleName(MergeRule rule) {
+  switch (rule) {
+    case MergeRule::Sum: return "sum";
+    case MergeRule::Max: return "max";
+    case MergeRule::Histogram: return "histogram";
+    case MergeRule::Concat: return "concat";
+    case MergeRule::Derived: return "derived";
+  }
+  return "?";
 }
 
-}  // namespace
+void ServiceStats::derive() {
+  for (obs::HistogramSnapshot* h :
+       {&queueLatencyHistogram, &execHistogram, &degradationPerJobHistogram}) {
+    h->derive();
+  }
+  const std::uint64_t finished = completed + cached + timedOut + expired +
+                                 cancelled + resourceExhausted + failed;
+  jobsPerSecond = elapsedSeconds > 0.0
+                      ? static_cast<double>(finished) / elapsedSeconds
+                      : 0.0;
+  const obs::HistogramSnapshot& queue = queueLatencyHistogram;
+  queueLatencyMeanSeconds =
+      queue.count > 0 ? queue.sum / static_cast<double>(queue.count) : 0.0;
+  queueLatencyP50Seconds = queue.p50;
+  queueLatencyP95Seconds = queue.p95;
+  queueLatencyP99Seconds = queue.p99;
+  execP50Seconds = execHistogram.p50;
+  execP95Seconds = execHistogram.p95;
+  execP99Seconds = execHistogram.p99;
+}
 
 void mergeStats(ServiceStats& into, const ServiceStats& shard) {
-  // Weighted pieces first, while `into` still holds its pre-merge totals.
-  const std::uint64_t finishedA = finishedCount(into);
-  const std::uint64_t finishedB = finishedCount(shard);
-  if (finishedA + finishedB > 0) {
-    into.queueLatencyMeanSeconds =
-        (into.queueLatencyMeanSeconds * static_cast<double>(finishedA) +
-         shard.queueLatencyMeanSeconds * static_cast<double>(finishedB)) /
-        static_cast<double>(finishedA + finishedB);
-  }
-
-  into.workers += shard.workers;
-  into.elapsedSeconds = std::max(into.elapsedSeconds, shard.elapsedSeconds);
-  into.queueDepth += shard.queueDepth;
-
-  into.submitted += shard.submitted;
-  into.rejected += shard.rejected;
-  into.coalesced += shard.coalesced;
-  into.simulationsRun += shard.simulationsRun;
-  into.completed += shard.completed;
-  into.cached += shard.cached;
-  into.timedOut += shard.timedOut;
-  into.expired += shard.expired;
-  into.cancelled += shard.cancelled;
-  into.resourceExhausted += shard.resourceExhausted;
-  into.failed += shard.failed;
-
-  into.queueLatencyMaxSeconds =
-      std::max(into.queueLatencyMaxSeconds, shard.queueLatencyMaxSeconds);
-  into.execSecondsTotal += shard.execSecondsTotal;
-  into.jobsPerSecond =
-      into.elapsedSeconds > 0.0
-          ? static_cast<double>(finishedCount(into)) / into.elapsedSeconds
-          : 0.0;
-
-  into.queueLatencyHistogram = obs::mergeHistogramSnapshots(
-      into.queueLatencyHistogram, shard.queueLatencyHistogram);
-  into.execHistogram =
-      obs::mergeHistogramSnapshots(into.execHistogram, shard.execHistogram);
-  into.degradationPerJobHistogram = obs::mergeHistogramSnapshots(
-      into.degradationPerJobHistogram, shard.degradationPerJobHistogram);
-  into.queueLatencyP50Seconds = into.queueLatencyHistogram.p50;
-  into.queueLatencyP95Seconds = into.queueLatencyHistogram.p95;
-  into.queueLatencyP99Seconds = into.queueLatencyHistogram.p99;
-  into.execP50Seconds = into.execHistogram.p50;
-  into.execP95Seconds = into.execHistogram.p95;
-  into.execP99Seconds = into.execHistogram.p99;
-
-  into.cacheBypassed += shard.cacheBypassed;
-  into.cache.hits += shard.cache.hits;
-  into.cache.misses += shard.cache.misses;
-  into.cache.insertions += shard.cache.insertions;
-  into.cache.evictions += shard.cache.evictions;
-  into.cache.entries += shard.cache.entries;
-  into.spill.appended += shard.spill.appended;
-  into.spill.loaded += shard.spill.loaded;
-  into.spill.corruptSkipped += shard.spill.corruptSkipped;
-  into.spill.snapshots += shard.spill.snapshots;
-
-  into.retriesScheduled += shard.retriesScheduled;
-  into.resumedAttempts += shard.resumedAttempts;
-  into.restartedAttempts += shard.restartedAttempts;
-  into.backoffSecondsTotal += shard.backoffSecondsTotal;
-  into.checkpointsTaken += shard.checkpointsTaken;
-
-  into.degradationEvents += shard.degradationEvents;
-  into.pressureFlushes += shard.pressureFlushes;
-  into.sequentialFallbackOps += shard.sequentialFallbackOps;
-  into.pressureApproximations += shard.pressureApproximations;
-  into.resourceRecoveries += shard.resourceRecoveries;
-
-  into.perWorkerJobs.insert(into.perWorkerJobs.end(),
-                            shard.perWorkerJobs.begin(),
-                            shard.perWorkerJobs.end());
+  visitFields(
+      [](const char*, const char*, MergeRule rule, auto& a, const auto& b) {
+        using T = std::remove_cvref_t<decltype(a)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          a = obs::mergeHistogramSnapshots(a, b);
+        } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+          a.insert(a.end(), b.begin(), b.end());
+        } else if (rule == MergeRule::Sum) {
+          a += b;
+        } else if (rule == MergeRule::Max) {
+          a = std::max(a, b);
+        }
+      },
+      into, shard);
+  into.derive();
 }
 
 std::string ServiceStats::toJson() const {
   std::ostringstream os;
   os << "{";
-  os << "\"workers\": " << workers;
-  os << ", \"elapsed_seconds\": " << elapsedSeconds;
-  os << ", \"queue_depth\": " << queueDepth;
-  os << ", \"submitted\": " << submitted;
-  os << ", \"rejected\": " << rejected;
-  os << ", \"coalesced\": " << coalesced;
-  os << ", \"simulations_run\": " << simulationsRun;
-  os << ", \"completed\": " << completed;
-  os << ", \"cached\": " << cached;
-  os << ", \"timed_out\": " << timedOut;
-  os << ", \"expired\": " << expired;
-  os << ", \"cancelled\": " << cancelled;
-  os << ", \"resource_exhausted\": " << resourceExhausted;
-  os << ", \"failed\": " << failed;
-  os << ", \"jobs_per_second\": " << jobsPerSecond;
-  os << ", \"queue_latency_mean_seconds\": " << queueLatencyMeanSeconds;
-  os << ", \"queue_latency_max_seconds\": " << queueLatencyMaxSeconds;
-  os << ", \"queue_latency_p50_seconds\": " << queueLatencyP50Seconds;
-  os << ", \"queue_latency_p95_seconds\": " << queueLatencyP95Seconds;
-  os << ", \"queue_latency_p99_seconds\": " << queueLatencyP99Seconds;
-  os << ", \"exec_seconds_total\": " << execSecondsTotal;
-  os << ", \"exec_p50_seconds\": " << execP50Seconds;
-  os << ", \"exec_p95_seconds\": " << execP95Seconds;
-  os << ", \"exec_p99_seconds\": " << execP99Seconds;
-  os << ", \"queue_latency_histogram\": " << queueLatencyHistogram.toJson();
-  os << ", \"exec_histogram\": " << execHistogram.toJson();
-  os << ", \"degradation_per_job_histogram\": "
-     << degradationPerJobHistogram.toJson();
-  os << ", \"cache\": {\"hits\": " << cache.hits
-     << ", \"misses\": " << cache.misses
-     << ", \"insertions\": " << cache.insertions
-     << ", \"evictions\": " << cache.evictions
-     << ", \"entries\": " << cache.entries
-     << ", \"bypassed\": " << cacheBypassed << "}";
-  os << ", \"degradation\": {\"events\": " << degradationEvents
-     << ", \"pressure_flushes\": " << pressureFlushes
-     << ", \"sequential_fallback_ops\": " << sequentialFallbackOps
-     << ", \"pressure_approximations\": " << pressureApproximations
-     << ", \"resource_recoveries\": " << resourceRecoveries << "}";
-  os << ", \"retry\": {\"scheduled\": " << retriesScheduled
-     << ", \"resumed_attempts\": " << resumedAttempts
-     << ", \"restarted_attempts\": " << restartedAttempts
-     << ", \"backoff_seconds_total\": " << backoffSecondsTotal
-     << ", \"checkpoints_taken\": " << checkpointsTaken << "}";
-  os << ", \"spill\": {\"appended\": " << spill.appended
-     << ", \"loaded\": " << spill.loaded
-     << ", \"corrupt_skipped\": " << spill.corruptSkipped
-     << ", \"snapshots\": " << spill.snapshots << "}";
-  os << ", \"per_worker_jobs\": [";
-  for (std::size_t i = 0; i < perWorkerJobs.size(); ++i) {
-    os << (i > 0 ? ", " : "") << perWorkerJobs[i];
-  }
-  os << "]}";
+  std::string_view open;  // the group whose nested object is open, or ""
+  bool first = true;      // no key written yet
+  visitFields(
+      [&](std::string_view group, const char* name, MergeRule,
+          const auto& field) {
+        if (group != open) {
+          os << (open.empty() ? "" : "}");
+          if (!group.empty()) {
+            os << ", \"" << group << "\": {";
+            first = true;
+          }
+          open = group;
+        }
+        os << (first ? "\"" : ", \"") << name << "\": ";
+        first = false;
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          os << field.toJson();
+        } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+          os << "[";
+          for (std::size_t i = 0; i < field.size(); ++i) {
+            os << (i > 0 ? ", " : "") << field[i];
+          }
+          os << "]";
+        } else {
+          os << field;
+        }
+      },
+      *this);
+  os << (open.empty() ? "}" : "}}");
   return os.str();
 }
 

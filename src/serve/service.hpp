@@ -245,7 +245,8 @@ struct ServiceConfig {
 };
 
 /// Aggregated service statistics snapshot (all counters monotonic since
-/// service construction).
+/// service construction). Every field has one line in visitFields below;
+/// the derived ones are recomputed from the primary fields by derive().
 struct ServiceStats {
   std::size_t workers = 0;
   double elapsedSeconds = 0.0;
@@ -263,18 +264,19 @@ struct ServiceStats {
   std::uint64_t resourceExhausted = 0;
   std::uint64_t failed = 0;
 
+  /// Derived: queueLatencyHistogram sum / count.
   double queueLatencyMeanSeconds = 0.0;
   double queueLatencyMaxSeconds = 0.0;
   double execSecondsTotal = 0.0;
-  /// Finished jobs (every status) per elapsed wall second.
+  /// Derived: finished jobs (every status) per elapsed wall second.
   double jobsPerSecond = 0.0;
 
-  /// Queue-wait quantiles over every finished job (histogram-estimated,
-  /// clamped so p50 <= p95 <= p99 <= max always holds).
+  /// Derived: queue-wait quantiles over every finished job, the
+  /// histogram's (clamped so p50 <= p95 <= p99 <= max always holds).
   double queueLatencyP50Seconds = 0.0;
   double queueLatencyP95Seconds = 0.0;
   double queueLatencyP99Seconds = 0.0;
-  /// Execution-time quantiles over jobs that actually simulated.
+  /// Derived: execution-time quantiles over jobs that actually simulated.
   double execP50Seconds = 0.0;
   double execP95Seconds = 0.0;
   double execP99Seconds = 0.0;
@@ -312,18 +314,94 @@ struct ServiceStats {
 
   std::vector<std::uint64_t> perWorkerJobs;
 
-  /// Stable flat JSON object (keys documented in DESIGN.md).
+  /// Recompute every derived figure (the histograms' counts and
+  /// quantiles included) from the primary fields.
+  void derive();
+
+  /// Stable JSON object, one key per visitFields line, nested objects for
+  /// the groups.
   [[nodiscard]] std::string toJson() const;
 };
 
+/// How mergeStats folds one ServiceStats field across shards.
+enum class MergeRule {
+  Sum,        ///< counters and totals add
+  Max,        ///< elapsed time and maxima (shards run concurrently)
+  Histogram,  ///< bucket-wise, obs::mergeHistogramSnapshots
+  Concat,     ///< per-worker lists append in shard order
+  Derived,    ///< recomputed by ServiceStats::derive(); never merged or sent
+};
+
+[[nodiscard]] const char* mergeRuleName(MergeRule rule);
+
+/// The one field table of ServiceStats. toJson, mergeStats, the net
+/// StatsReport codec and the router's "merge_rules" dump all walk it, so a
+/// new field takes its member, one line here and its source in
+/// SimulationService::stats(). Calls v(group, jsonName, rule, field...)
+/// once per field in JSON order, passing that field of each \p s (one
+/// struct to print or code, two to merge). group is "" for a top-level key
+/// or the nested JSON object the key lives in.
+template <class V, class... S>
+void visitFields(V&& v, S&... s) {
+  using R = MergeRule;
+  v("", "workers", R::Sum, s.workers...);
+  v("", "elapsed_seconds", R::Max, s.elapsedSeconds...);
+  v("", "queue_depth", R::Sum, s.queueDepth...);
+  v("", "submitted", R::Sum, s.submitted...);
+  v("", "rejected", R::Sum, s.rejected...);
+  v("", "coalesced", R::Sum, s.coalesced...);
+  v("", "simulations_run", R::Sum, s.simulationsRun...);
+  v("", "completed", R::Sum, s.completed...);
+  v("", "cached", R::Sum, s.cached...);
+  v("", "timed_out", R::Sum, s.timedOut...);
+  v("", "expired", R::Sum, s.expired...);
+  v("", "cancelled", R::Sum, s.cancelled...);
+  v("", "resource_exhausted", R::Sum, s.resourceExhausted...);
+  v("", "failed", R::Sum, s.failed...);
+  v("", "jobs_per_second", R::Derived, s.jobsPerSecond...);
+  v("", "queue_latency_mean_seconds", R::Derived, s.queueLatencyMeanSeconds...);
+  v("", "queue_latency_max_seconds", R::Max, s.queueLatencyMaxSeconds...);
+  v("", "queue_latency_p50_seconds", R::Derived, s.queueLatencyP50Seconds...);
+  v("", "queue_latency_p95_seconds", R::Derived, s.queueLatencyP95Seconds...);
+  v("", "queue_latency_p99_seconds", R::Derived, s.queueLatencyP99Seconds...);
+  v("", "exec_seconds_total", R::Sum, s.execSecondsTotal...);
+  v("", "exec_p50_seconds", R::Derived, s.execP50Seconds...);
+  v("", "exec_p95_seconds", R::Derived, s.execP95Seconds...);
+  v("", "exec_p99_seconds", R::Derived, s.execP99Seconds...);
+  v("", "queue_latency_histogram", R::Histogram, s.queueLatencyHistogram...);
+  v("", "exec_histogram", R::Histogram, s.execHistogram...);
+  v("", "degradation_per_job_histogram", R::Histogram,
+    s.degradationPerJobHistogram...);
+  v("cache", "hits", R::Sum, s.cache.hits...);
+  v("cache", "misses", R::Sum, s.cache.misses...);
+  v("cache", "insertions", R::Sum, s.cache.insertions...);
+  v("cache", "evictions", R::Sum, s.cache.evictions...);
+  v("cache", "entries", R::Sum, s.cache.entries...);
+  v("cache", "bypassed", R::Sum, s.cacheBypassed...);
+  v("degradation", "events", R::Sum, s.degradationEvents...);
+  v("degradation", "pressure_flushes", R::Sum, s.pressureFlushes...);
+  v("degradation", "sequential_fallback_ops", R::Sum,
+    s.sequentialFallbackOps...);
+  v("degradation", "pressure_approximations", R::Sum,
+    s.pressureApproximations...);
+  v("degradation", "resource_recoveries", R::Sum, s.resourceRecoveries...);
+  v("retry", "scheduled", R::Sum, s.retriesScheduled...);
+  v("retry", "resumed_attempts", R::Sum, s.resumedAttempts...);
+  v("retry", "restarted_attempts", R::Sum, s.restartedAttempts...);
+  v("retry", "backoff_seconds_total", R::Sum, s.backoffSecondsTotal...);
+  v("retry", "checkpoints_taken", R::Sum, s.checkpointsTaken...);
+  v("spill", "appended", R::Sum, s.spill.appended...);
+  v("spill", "loaded", R::Sum, s.spill.loaded...);
+  v("spill", "corrupt_skipped", R::Sum, s.spill.corruptSkipped...);
+  v("spill", "snapshots", R::Sum, s.spill.snapshots...);
+  v("", "per_worker_jobs", R::Concat, s.perWorkerJobs...);
+}
+
 /// Merge one shard's stats snapshot into a cluster aggregate (the
-/// distributed router's stats-merge rule, see DESIGN.md): counters and
-/// totals sum, maxima take the max, histograms merge bucket-wise with
-/// quantiles recomputed from the merged buckets
-/// (obs::mergeHistogramSnapshots), derived figures (means, jobs/s) are
-/// re-derived from the merged totals, and per-worker job counts
-/// concatenate. Merging shard snapshots is associative, so the router can
-/// fold any number of shards into one report.
+/// distributed router's stats-merge rule, see DESIGN.md): each field folds
+/// by its visitFields rule, then derive() recomputes the derived figures
+/// from the merged totals. Merging shard snapshots is associative, so the
+/// router can fold any number of shards into one report.
 void mergeStats(ServiceStats& into, const ServiceStats& shard);
 
 class SimulationService {
@@ -423,7 +501,6 @@ class SimulationService {
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> resourceExhausted_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> queueLatencySumNs_{0};
   std::atomic<std::uint64_t> queueLatencyMaxNs_{0};
   std::atomic<std::uint64_t> execSumNs_{0};
   std::atomic<std::uint64_t> cacheBypassed_{0};

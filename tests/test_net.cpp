@@ -42,14 +42,14 @@ TEST(Frame, HeaderGoldenBytes) {
   const net::Frame frame{net::FrameType::Hello, {0x01, 0x02}};
   const std::vector<std::uint8_t> bytes = net::encodeFrame(frame);
   ASSERT_EQ(bytes.size(), net::kFrameHeaderSize + 2);
-  // magic "DDSF" little-endian, version 3, type Hello, reserved 0,
+  // magic "DDSF" little-endian, version 4, type Hello, reserved 0,
   // length 2 — all byte positions pinned so the format cannot silently
   // drift.
   EXPECT_EQ(bytes[0], 0x44);  // 'D'
   EXPECT_EQ(bytes[1], 0x44);  // 'D'
   EXPECT_EQ(bytes[2], 0x53);  // 'S'
   EXPECT_EQ(bytes[3], 0x46);  // 'F'
-  EXPECT_EQ(bytes[4], 0x03);
+  EXPECT_EQ(bytes[4], 0x04);
   EXPECT_EQ(bytes[5], 0x00);
   EXPECT_EQ(bytes[6], 0x01);  // FrameType::Hello
   EXPECT_EQ(bytes[7], 0x00);  // reserved
@@ -104,11 +104,11 @@ TEST(Frame, CorruptionMatrixThrowsNeverUB) {
 }
 
 TEST(Frame, PreviousVersionFrameIsRejected) {
-  // Well-formed frames — checksum included — as peers on older Submit
-  // layouts would send them: version 1 still carried the pipeline fields,
-  // version 2 the kernel thread count.
+  // Well-formed frames — checksum included — as peers on older layouts
+  // would send them: version 1 still carried the pipeline fields, version
+  // 2 the kernel thread count, version 3 the derived stats figures.
   const std::vector<std::uint8_t> payload = {0xDE, 0xAD, 0xBE, 0xEF};
-  for (const std::uint16_t version : {1, 2}) {
+  for (const std::uint16_t version : {1, 2, 3}) {
     wire::WireWriter prefix;
     prefix.u32(net::kFrameMagic);
     prefix.u16(version);

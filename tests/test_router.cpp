@@ -8,15 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "ir/hash.hpp"
 #include "ir/qasm.hpp"
+#include "net/frame.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "router/router.hpp"
@@ -179,7 +186,9 @@ TEST(StatsMerge, CountersSumAndDerivedFieldsRecompute) {
   a.completed = 6;
   a.cached = 2;
   a.simulationsRun = 6;
-  a.queueLatencyMeanSeconds = 0.5;
+  // Queue waits of 8 jobs, 0.5 s on average.
+  a.queueLatencyHistogram.buckets = {{obs::Histogram::bucketBound(33), 8}};
+  a.queueLatencyHistogram.sum = 4.0;
   a.queueLatencyMaxSeconds = 2.0;
   a.execSecondsTotal = 5.0;
   a.cache.hits = 2;
@@ -191,7 +200,9 @@ TEST(StatsMerge, CountersSumAndDerivedFieldsRecompute) {
   b.completed = 2;
   b.cached = 2;
   b.simulationsRun = 2;
-  b.queueLatencyMeanSeconds = 1.0;
+  // Queue waits of 4 jobs, 1.0 s on average.
+  b.queueLatencyHistogram.buckets = {{obs::Histogram::bucketBound(34), 4}};
+  b.queueLatencyHistogram.sum = 4.0;
   b.queueLatencyMaxSeconds = 1.5;
   b.execSecondsTotal = 3.0;
   b.cache.hits = 2;
@@ -210,11 +221,149 @@ TEST(StatsMerge, CountersSumAndDerivedFieldsRecompute) {
   EXPECT_EQ(into.retriesScheduled, 4U);
   EXPECT_DOUBLE_EQ(into.queueLatencyMaxSeconds, 2.0);
   EXPECT_DOUBLE_EQ(into.execSecondsTotal, 8.0);
-  // Weighted mean over finished jobs: (8*0.5 + 4*1.0) / 12.
+  // Mean over every finished job, merged histogram sum / count:
+  // (8*0.5 + 4*1.0) / 12.
   EXPECT_NEAR(into.queueLatencyMeanSeconds, (8 * 0.5 + 4 * 1.0) / 12.0,
               1e-12);
   // Throughput re-derived from merged totals, not added.
   EXPECT_NEAR(into.jobsPerSecond, 12.0 / 10.0, 1e-12);
+}
+
+/// Every field set to a distinct nonzero value through the table, the
+/// derived figures left to derive().
+serve::ServiceStats everyFieldDistinct() {
+  serve::ServiceStats s;
+  std::uint64_t next = 1;
+  serve::visitFields(
+      [&](const char*, const char*, serve::MergeRule rule, auto& f) {
+        using T = std::remove_cvref_t<decltype(f)>;
+        const std::uint64_t n = next++;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          f.buckets = {{obs::Histogram::bucketBound(n), n},
+                       {obs::Histogram::bucketBound(n + 20), n + 1}};
+          f.sum = 0.5 * static_cast<double>(n);
+          f.max = obs::Histogram::bucketBound(n + 19);
+        } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+          f = {n, n + 100};
+        } else if (rule != serve::MergeRule::Derived) {
+          f = static_cast<T>(n);
+        }
+      },
+      s);
+  s.derive();
+  return s;
+}
+
+/// Field equality; histograms compare every member through their JSON.
+template <class T>
+bool sameField(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+    return a.toJson() == b.toJson();
+  } else {
+    return a == b;
+  }
+}
+
+TEST(ServiceStatsSchema, EveryFieldRoundTripsMergesAndPrintsOnce) {
+  const serve::ServiceStats x = everyFieldDistinct();
+
+  // Wire: every field survives, and the derived ones do not travel.
+  const std::vector<std::uint8_t> bytes = net::encodeServiceStats(x);
+  const serve::ServiceStats back = net::decodeServiceStats(bytes);
+  serve::visitFields(
+      [](const char*, const char* name, serve::MergeRule, const auto& a,
+         const auto& b) { EXPECT_TRUE(sameField(a, b)) << name; },
+      back, x);
+  serve::ServiceStats skewed = x;
+  skewed.jobsPerSecond = 1e6;
+  skewed.queueLatencyP50Seconds = 1e6;
+  skewed.execHistogram.p99 = 1e6;
+  skewed.degradationPerJobHistogram.count = 1;
+  EXPECT_EQ(net::encodeServiceStats(skewed), bytes);
+
+  // JSON: each key once, inside its group's object.
+  const std::string json = x.toJson();
+  serve::visitFields(
+      [&](std::string_view group, const char* name, serve::MergeRule,
+          const auto&) {
+        const std::string key = "\"" + std::string(name) + "\": ";
+        const std::size_t at = json.find(key);
+        ASSERT_NE(at, std::string::npos) << name;
+        EXPECT_EQ(json.find(key, at + 1), std::string::npos) << name;
+        if (!group.empty()) {
+          const std::size_t open =
+              json.find("\"" + std::string(group) + "\": {");
+          ASSERT_NE(open, std::string::npos) << group;
+          EXPECT_LT(open, at) << name;
+          EXPECT_LT(at, json.find('}', open)) << name;
+        }
+      },
+      x);
+
+  // Merge with itself: sums double, maxima stay, lists concatenate,
+  // histograms double bucket by bucket.
+  serve::ServiceStats twice = x;
+  serve::mergeStats(twice, x);
+  serve::visitFields(
+      [](const char*, const char* name, serve::MergeRule rule,
+         const auto& got, const auto& one) {
+        using T = std::remove_cvref_t<decltype(got)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          EXPECT_EQ(got.count, 2 * one.count) << name;
+          EXPECT_EQ(got.sum, 2 * one.sum) << name;
+          EXPECT_EQ(got.max, one.max) << name;
+          ASSERT_EQ(got.buckets.size(), one.buckets.size()) << name;
+          for (std::size_t i = 0; i < got.buckets.size(); ++i) {
+            EXPECT_EQ(got.buckets[i].first, one.buckets[i].first) << name;
+            EXPECT_EQ(got.buckets[i].second, 2 * one.buckets[i].second)
+                << name;
+          }
+        } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+          T both = one;
+          both.insert(both.end(), one.begin(), one.end());
+          EXPECT_EQ(got, both) << name;
+        } else if (rule == serve::MergeRule::Sum) {
+          EXPECT_EQ(got, one + one) << name;
+        } else if (rule == serve::MergeRule::Max) {
+          EXPECT_EQ(got, one) << name;
+        }
+      },
+      twice, x);
+
+  // Derived figures: derive() from the primary fields alone, by their
+  // definitions.
+  serve::ServiceStats primary = twice;
+  serve::visitFields(
+      [](const char*, const char*, serve::MergeRule rule, auto& f) {
+        using T = std::remove_cvref_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          f.count = 0;
+          f.p50 = f.p95 = f.p99 = 0.0;
+        } else if constexpr (std::is_same_v<T, double>) {
+          if (rule == serve::MergeRule::Derived) {
+            f = 0.0;
+          }
+        }
+      },
+      primary);
+  primary.derive();
+  EXPECT_EQ(primary.toJson(), twice.toJson());
+  const serve::ServiceStats& d = twice;
+  const std::uint64_t finished = d.completed + d.cached + d.timedOut +
+                                 d.expired + d.cancelled +
+                                 d.resourceExhausted + d.failed;
+  EXPECT_DOUBLE_EQ(d.jobsPerSecond,
+                   static_cast<double>(finished) / d.elapsedSeconds);
+  EXPECT_DOUBLE_EQ(d.queueLatencyMeanSeconds,
+                   d.queueLatencyHistogram.sum /
+                       static_cast<double>(d.queueLatencyHistogram.count));
+  EXPECT_EQ(d.queueLatencyP95Seconds, d.queueLatencyHistogram.p95);
+  EXPECT_EQ(d.execP99Seconds, d.execHistogram.p99);
+  std::uint64_t bucketTotal = 0;
+  for (const auto& [bound, count] : d.execHistogram.buckets) {
+    bucketTotal += count;
+  }
+  EXPECT_EQ(d.execHistogram.count, bucketTotal);
 }
 
 // ---------------------------------------------------------------- cluster
@@ -457,6 +606,36 @@ TEST(Router, ClusterStatsAggregateEqualsShardMerge) {
   EXPECT_EQ(stats.aggregate.toJson(), expected.toJson());
   EXPECT_EQ(stats.aggregate.submitted, 6U);
   r.shutdown();
+}
+
+/// Exit status of tools/check_stats_merge.py run on \p stats' dump.
+int checkStatsMerge(const router::ClusterStats& stats) {
+  const std::string path = ::testing::TempDir() + "ddsim_cluster_stats.json";
+  std::ofstream(path) << stats.toJson();
+  const std::string command =
+      "python3 " DDSIM_SOURCE_DIR "/tools/check_stats_merge.py " + path;
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Router, StatsCheckerAcceptsLiveDumpAndRejectsTamperedAggregate) {
+  Cluster cluster(2);
+  router::Router r(cluster.routerConfig());
+  r.connect();
+  std::vector<router::RouterJob> jobs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    jobs.push_back(bellJob("s" + std::to_string(seed), seed));
+    jobs.push_back(bellJob("again" + std::to_string(seed), seed));
+  }
+  for (const auto& res : r.run(jobs)) {
+    ASSERT_FALSE(res.lost);
+  }
+  router::ClusterStats stats = r.clusterStats();
+  r.shutdown();
+  ASSERT_EQ(stats.shards.size(), 2U);
+  EXPECT_EQ(checkStatsMerge(stats), 0);
+  stats.aggregate.submitted += 1;
+  EXPECT_EQ(checkStatsMerge(stats), 1);
 }
 
 TEST(Router, ShutdownIsIdempotentAndDestructorSafe) {

@@ -956,6 +956,108 @@ TEST(ServiceStats, JsonExportCarriesRetryAndSpillGroups) {
   }
 }
 
+/// A fixed snapshot with every field nonzero whose derived figures agree
+/// with their definitions: jobs/s is finished jobs over elapsed seconds,
+/// the mean and the quantiles come from the histograms.
+serve::ServiceStats fixedSnapshot() {
+  obs::Histogram queue;
+  for (const double v : {0.5, 0.25, 0.125, 2.0, 1.0, 0.75, 0.5, 0.25, 1.5,
+                         3.0}) {
+    queue.observe(v);
+  }
+  obs::Histogram exec;
+  for (const double v : {0.5, 1.0, 2.0, 3.0}) {
+    exec.observe(v);
+  }
+  obs::Histogram degradation;
+  for (const double v : {0.0, 1.0, 2.0, 3.0}) {
+    degradation.observe(v);
+  }
+  serve::ServiceStats s;
+  s.workers = 2;
+  s.elapsedSeconds = 4.0;
+  s.queueDepth = 3;
+  s.submitted = 14;
+  s.rejected = 1;
+  s.coalesced = 2;
+  s.simulationsRun = 4;
+  s.completed = 3;
+  s.cached = 2;
+  s.timedOut = 1;
+  s.expired = 1;
+  s.cancelled = 1;
+  s.resourceExhausted = 1;
+  s.failed = 1;
+  s.queueLatencyHistogram = queue.snapshot();
+  s.execHistogram = exec.snapshot();
+  s.degradationPerJobHistogram = degradation.snapshot();
+  s.jobsPerSecond = 10.0 / 4.0;
+  s.queueLatencyMeanSeconds = s.queueLatencyHistogram.sum / 10.0;
+  s.queueLatencyMaxSeconds = 3.0;
+  s.queueLatencyP50Seconds = s.queueLatencyHistogram.p50;
+  s.queueLatencyP95Seconds = s.queueLatencyHistogram.p95;
+  s.queueLatencyP99Seconds = s.queueLatencyHistogram.p99;
+  s.execSecondsTotal = 6.5;
+  s.execP50Seconds = s.execHistogram.p50;
+  s.execP95Seconds = s.execHistogram.p95;
+  s.execP99Seconds = s.execHistogram.p99;
+  s.cacheBypassed = 1;
+  s.cache = {2, 5, 4, 1, 3};
+  s.spill = {4, 2, 1, 1};
+  s.retriesScheduled = 3;
+  s.resumedAttempts = 2;
+  s.restartedAttempts = 1;
+  s.backoffSecondsTotal = 0.375;
+  s.checkpointsTaken = 5;
+  s.degradationEvents = 6;
+  s.pressureFlushes = 2;
+  s.sequentialFallbackOps = 7;
+  s.pressureApproximations = 1;
+  s.resourceRecoveries = 1;
+  s.perWorkerJobs = {3, 1};
+  return s;
+}
+
+TEST(ServiceStats, JsonOfFixedSnapshotIsGolden) {
+  EXPECT_EQ(
+      fixedSnapshot().toJson(),
+      "{\"workers\": 2, \"elapsed_seconds\": 4, \"queue_depth\": 3"
+      ", \"submitted\": 14, \"rejected\": 1, \"coalesced\": 2"
+      ", \"simulations_run\": 4, \"completed\": 3, \"cached\": 2"
+      ", \"timed_out\": 1, \"expired\": 1, \"cancelled\": 1"
+      ", \"resource_exhausted\": 1, \"failed\": 1, \"jobs_per_second\": 2.5"
+      ", \"queue_latency_mean_seconds\": 0.9875"
+      ", \"queue_latency_max_seconds\": 3"
+      ", \"queue_latency_p50_seconds\": 0.64716"
+      ", \"queue_latency_p95_seconds\": 2.73021"
+      ", \"queue_latency_p99_seconds\": 3, \"exec_seconds_total\": 6.5"
+      ", \"exec_p50_seconds\": 1.45611, \"exec_p95_seconds\": 3"
+      ", \"exec_p99_seconds\": 3, \"queue_latency_histogram\": {\"count\": 10"
+      ", \"sum\": 9.875, \"max\": 3, \"p50\": 0.64716, \"p95\": 2.73021"
+      ", \"p99\": 3, \"buckets\": [{\"le\": 0.127834, \"count\": 1}"
+      ", {\"le\": 0.287627, \"count\": 2}, {\"le\": 0.64716, \"count\": 2}"
+      ", {\"le\": 0.97074, \"count\": 1}, {\"le\": 1.45611, \"count\": 1}"
+      ", {\"le\": 2.18416, \"count\": 2}, {\"le\": 3.27625, \"count\": 1}]}"
+      ", \"exec_histogram\": {\"count\": 4, \"sum\": 6.5, \"max\": 3"
+      ", \"p50\": 1.45611, \"p95\": 3, \"p99\": 3"
+      ", \"buckets\": [{\"le\": 0.64716, \"count\": 1}, {\"le\": 1.45611"
+      ", \"count\": 1}, {\"le\": 2.18416, \"count\": 1}, {\"le\": 3.27625"
+      ", \"count\": 1}]}, \"degradation_per_job_histogram\": {\"count\": 4"
+      ", \"sum\": 6, \"max\": 3, \"p50\": 1.45611, \"p95\": 3, \"p99\": 3"
+      ", \"buckets\": [{\"le\": 1e-06, \"count\": 1}, {\"le\": 1.45611"
+      ", \"count\": 1}, {\"le\": 2.18416, \"count\": 1}, {\"le\": 3.27625"
+      ", \"count\": 1}]}, \"cache\": {\"hits\": 2, \"misses\": 5"
+      ", \"insertions\": 4, \"evictions\": 1, \"entries\": 3"
+      ", \"bypassed\": 1}, \"degradation\": {\"events\": 6"
+      ", \"pressure_flushes\": 2, \"sequential_fallback_ops\": 7"
+      ", \"pressure_approximations\": 1, \"resource_recoveries\": 1}"
+      ", \"retry\": {\"scheduled\": 3, \"resumed_attempts\": 2"
+      ", \"restarted_attempts\": 1, \"backoff_seconds_total\": 0.375"
+      ", \"checkpoints_taken\": 5}, \"spill\": {\"appended\": 4"
+      ", \"loaded\": 2, \"corrupt_skipped\": 1, \"snapshots\": 1}"
+      ", \"per_worker_jobs\": [3, 1]}");
+}
+
 // ------------------------------------------------------------- shutdown
 
 TEST(SimulationService, NonDrainingShutdownCancelsQueuedJobs) {

@@ -214,13 +214,8 @@ serve::ServiceStats goldenServiceStats() {
   s.submitted = 10;
   s.completed = 8;
   s.cached = 2;
-  s.queueLatencyMeanSeconds = 0.125;
-  s.jobsPerSecond = 8.0;
-  s.execP50Seconds = 0.0625;
-  s.execHistogram.count = 8;
   s.execHistogram.sum = 0.75;
   s.execHistogram.max = 0.25;
-  s.execHistogram.p50 = 0.0625;
   s.execHistogram.buckets = {{0.125, 6}, {0.25, 2}};
   s.cache.hits = 2;
   s.cache.entries = 8;
@@ -386,8 +381,8 @@ TEST(WireGolden, ResultPayloadSizeAndDigest) {
 
 TEST(WireGolden, ServiceStatsSizeAndDigest) {
   const Bytes bytes = net::encodeServiceStats(goldenServiceStats());
-  EXPECT_EQ(bytes.size(), 560U);
-  EXPECT_EQ(digest(bytes), 0xF94E0D53C7AE8D4FULL);
+  EXPECT_EQ(bytes.size(), 400U);
+  EXPECT_EQ(digest(bytes), 0x6B92002EF112E11EULL);
   EXPECT_EQ(net::encodeServiceStats(net::decodeServiceStats(bytes)), bytes);
 }
 

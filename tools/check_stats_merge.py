@@ -5,22 +5,29 @@ The router's --stats file has the shape
 
     {"workers_live": N,
      "aggregate": { ...ServiceStats JSON... },
-     "shards": [{"endpoint": "...", "stats": { ...ServiceStats JSON... }}]}
+     "shards": [{"endpoint": "...", "stats": { ...ServiceStats JSON... }}],
+     "merge_rules": {"workers": "sum", ..., "cache.hits": "sum", ...}}
 
 where `aggregate` is produced by serve::mergeStats folding the per-shard
-snapshots. This script re-derives the aggregate element-wise in Python and
-fails loudly when the C++ merge and the naive merge disagree:
+snapshots, and `merge_rules` maps every JSON path of a snapshot to its rule.
+Both come from serve::visitFields, the one field table of ServiceStats, so
+this script keeps no field list of its own. It re-derives the aggregate in
+Python by those rules and fails loudly when the C++ merge disagrees:
 
-  * counters (submitted, completed, cache.hits, spill.appended, ...) must
-    be the exact sum across shards;
-  * max fields (elapsed_seconds, queue_latency_max_seconds, histogram
-    max) must be the max across shards;
-  * histogram bucket counts must sum bound-by-bound, and count/sum must
-    sum;
-  * derived figures (jobs_per_second, means, quantiles) are NOT re-derived
-    exactly — quantiles are interpolated from merged buckets — but they are
-    sanity-bounded: a quantile must lie within [0, histogram max] and the
-    mean within [0, max].
+  * sum: the exact sum over shards (within float rounding for doubles);
+  * max: the max over shards;
+  * concat: the shards' lists appended in shard order;
+  * histogram: bucket counts sum bound by bound, `sum` sums, `max` takes
+    the max;
+  * derived: never merged, so in the aggregate and in every shard it must
+    equal its definition:
+      - jobs_per_second = finished jobs / elapsed_seconds;
+      - <name>_mean_seconds = <name>_histogram sum / count;
+      - <name>_pNN_seconds = <name>_histogram pNN;
+    and inside every histogram, count = the sum of the bucket counts and
+    each pNN = the quantile interpolated from the buckets.
+
+An aggregate key without a rule, or a rule naming no key, is a mismatch.
 
 Exit code 0 = aggregate consistent, 1 = at least one mismatch, 2 = bad
 input (missing file, malformed JSON, missing keys).
@@ -28,52 +35,21 @@ input (missing file, malformed JSON, missing keys).
 
 import argparse
 import json
+import re
 import sys
 
-# Integer counter fields at the top level of ServiceStats JSON: the
-# aggregate must be the exact sum over shards.
-TOP_SUM_FIELDS = [
-    "workers",
-    "queue_depth",
-    "submitted",
-    "rejected",
-    "coalesced",
-    "simulations_run",
-    "completed",
-    "cached",
-    "timed_out",
-    "expired",
-    "cancelled",
-    "resource_exhausted",
-    "failed",
-]
+# The job statuses whose counts add up to the finished jobs that
+# jobs_per_second divides by elapsed time (ServiceStats::derive).
+FINISHED = ["completed", "cached", "timed_out", "expired", "cancelled",
+            "resource_exhausted", "failed"]
 
-# Float fields that sum.
-TOP_SUM_FLOAT_FIELDS = ["exec_seconds_total"]
-
-# Fields where the merge takes the maximum across shards.
-TOP_MAX_FIELDS = ["elapsed_seconds", "queue_latency_max_seconds"]
-
-# Nested counter objects: every key inside sums (backoff_seconds_total is
-# a double but still sums).
-NESTED_SUM_OBJECTS = ["cache", "degradation", "retry", "spill"]
-
-HISTOGRAMS = ["queue_latency_histogram", "exec_histogram",
-              "degradation_per_job_histogram"]
-
-# Derived fields we only sanity-bound, never compare exactly.
-DERIVED_FIELDS = [
-    "jobs_per_second",
-    "queue_latency_mean_seconds",
-    "queue_latency_p50_seconds",
-    "queue_latency_p95_seconds",
-    "queue_latency_p99_seconds",
-    "exec_p50_seconds",
-    "exec_p95_seconds",
-    "exec_p99_seconds",
-]
-
-EPS = 1e-9
+# obs::Histogram's bucket layout: bucket i has upper bound
+# FIRST_BOUND * GROWTH^i, built by repeated multiplication as in C++; one
+# overflow bucket follows with bound "+inf".
+BUCKETS = 64
+FIRST_BOUND = 1e-6
+GROWTH = 1.5
+QUANTILES = {"p50": 0.50, "p95": 0.95, "p99": 0.99}
 
 # ServiceStats::toJson streams doubles at the default ostream precision
 # (6 significant digits), so every float in the dump carries ~1e-6
@@ -87,13 +63,26 @@ class Mismatch(Exception):
     pass
 
 
+def bucket_bounds():
+    bounds = []
+    bound = FIRST_BOUND
+    for _ in range(BUCKETS):
+        bounds.append(bound)
+        bound *= GROWTH
+    return bounds
+
+
+BOUNDS = bucket_bounds()
+
+
 def approx_equal(a, b, rel=FLOAT_REL, abs_tol=FLOAT_ABS):
     return abs(a - b) <= max(abs_tol, rel * max(abs(a), abs(b)))
 
 
-def check_sum(errors, path, aggregate_value, shard_values, integral):
+def check_sum(errors, path, aggregate_value, shard_values):
     expected = sum(shard_values)
-    if integral:
+    if isinstance(aggregate_value, int) and \
+            all(isinstance(v, int) for v in shard_values):
         ok = aggregate_value == expected
     else:
         ok = approx_equal(aggregate_value, expected)
@@ -111,12 +100,18 @@ def check_max(errors, path, aggregate_value, shard_values):
             f"{expected!r} (shards: {shard_values!r})")
 
 
-def check_histogram(errors, name, aggregate_hist, shard_hists):
-    check_sum(errors, f"{name}.count", aggregate_hist["count"],
-              [h["count"] for h in shard_hists], integral=True)
-    check_sum(errors, f"{name}.sum", aggregate_hist["sum"],
-              [h["sum"] for h in shard_hists], integral=False)
-    check_max(errors, f"{name}.max", aggregate_hist["max"],
+def check_concat(errors, path, aggregate_value, shard_values):
+    expected = [x for values in shard_values for x in values]
+    if aggregate_value != expected:
+        errors.append(
+            f"{path}: aggregate={aggregate_value!r} but shards appended="
+            f"{expected!r}")
+
+
+def check_histogram(errors, path, aggregate_hist, shard_hists):
+    check_sum(errors, f"{path}.sum", aggregate_hist["sum"],
+              [h["sum"] for h in shard_hists])
+    check_max(errors, f"{path}.max", aggregate_hist["max"],
               [h["max"] for h in shard_hists])
 
     # Bucket counts must sum bound-by-bound. Shards share one layout (same
@@ -128,81 +123,133 @@ def check_histogram(errors, name, aggregate_hist, shard_hists):
             merged[b["le"]] = merged.get(b["le"], 0) + b["count"]
     if set(agg_buckets) != set(merged):
         errors.append(
-            f"{name}.buckets: bound sets differ — aggregate has "
-            f"{sorted(agg_buckets)} vs shards {sorted(merged)}")
+            f"{path}.buckets: bound sets differ — aggregate has "
+            f"{sorted(agg_buckets, key=str)} vs shards "
+            f"{sorted(merged, key=str)}")
         return
-    for le in sorted(agg_buckets):
+    for le in sorted(agg_buckets, key=str):
         if agg_buckets[le] != merged[le]:
             errors.append(
-                f"{name}.buckets[le={le}]: aggregate={agg_buckets[le]} "
+                f"{path}.buckets[le={le}]: aggregate={agg_buckets[le]} "
                 f"but shard sum={merged[le]}")
 
 
-def check_derived_bounds(errors, aggregate):
-    hist_max = {
-        "queue_latency": aggregate["queue_latency_histogram"]["max"],
-        "exec": aggregate["exec_histogram"]["max"],
-    }
-    for field in DERIVED_FIELDS:
-        value = aggregate[field]
-        if value < -EPS:
-            errors.append(f"aggregate.{field}: negative ({value!r})")
-        if field.startswith("queue_latency_p") or field == \
-                "queue_latency_mean_seconds":
-            # Quantiles are interpolated inside a bucket, so they can
-            # overshoot the exact max by up to one bucket width; only flag
-            # the clearly-broken case where there were observations but the
-            # quantile is wildly above everything recorded.
-            count = aggregate["queue_latency_histogram"]["count"]
-            if count > 0 and hist_max["queue_latency"] > 0 and \
-                    value > 100.0 * hist_max["queue_latency"]:
-                errors.append(
-                    f"aggregate.{field}: {value!r} is implausibly above "
-                    f"histogram max {hist_max['queue_latency']!r}")
+def bucket_index(le):
+    """Layout index of a printed bucket bound (6 significant digits)."""
+    if le == "+inf":
+        return BUCKETS
+    return min(range(BUCKETS), key=lambda i: abs(BOUNDS[i] - le))
+
+
+def quantile(counts, q, max_value):
+    """obs::Histogram's estimator: walk the cumulative counts, interpolate
+    linearly inside the selected bucket, clamp to the observed maximum."""
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    target = q * total
+    cumulative = 0
+    for i, c in enumerate(counts):
+        if c == 0:
+            continue
+        before = cumulative
+        cumulative += c
+        if cumulative >= target:
+            if i >= BUCKETS:
+                return max_value
+            lower = 0.0 if i == 0 else BOUNDS[i - 1]
+            upper = BOUNDS[i]
+            fraction = min(max((target - before) / c, 0.0), 1.0)
+            return min(lower + fraction * (upper - lower), max_value)
+    return max_value
+
+
+def check_histogram_derived(errors, path, hist):
+    counts = [0] * (BUCKETS + 1)
+    for b in hist["buckets"]:
+        counts[bucket_index(b["le"])] += b["count"]
+    if hist["count"] != sum(counts):
+        errors.append(f"{path}.count: {hist['count']!r} but its buckets "
+                      f"hold {sum(counts)}")
+    for name, q in QUANTILES.items():
+        expected = quantile(counts, q, hist["max"])
+        if not approx_equal(hist[name], expected):
+            errors.append(f"{path}.{name}: {hist[name]!r} but its buckets "
+                          f"give {expected!r}")
+
+
+def derived_value(stats, key):
+    """The definition of derived field `key`, evaluated on `stats`."""
+    if key == "jobs_per_second":
+        elapsed = stats["elapsed_seconds"]
+        finished = sum(stats[s] for s in FINISHED)
+        return finished / elapsed if elapsed > 0 else 0.0
+    m = re.fullmatch(r"(.+)_mean_seconds", key)
+    if m:
+        hist = stats[f"{m.group(1)}_histogram"]
+        return hist["sum"] / hist["count"] if hist["count"] > 0 else 0.0
+    m = re.fullmatch(r"(.+)_(p50|p95|p99)_seconds", key)
+    if m:
+        return stats[f"{m.group(1)}_histogram"][m.group(2)]
+    raise Mismatch(f"derived field {key!r} has no known definition")
+
+
+def flatten(stats, rules):
+    """JSON path -> value; a nested object without a rule of its own is a
+    group whose keys become `group.key`."""
+    flat = {}
+    for key, value in stats.items():
+        if isinstance(value, dict) and key not in rules:
+            for sub, sub_value in value.items():
+                flat[f"{key}.{sub}"] = sub_value
+        else:
+            flat[key] = value
+    return flat
+
+
+def check_derived(errors, where, stats, rules):
+    flat = flatten(stats, rules)
+    for path, rule in rules.items():
+        if rule == "histogram":
+            check_histogram_derived(errors, f"{where}.{path}", flat[path])
+        elif rule == "derived":
+            expected = derived_value(stats, path)
+            if not approx_equal(flat[path], expected):
+                errors.append(f"{where}.{path}: {flat[path]!r} but its "
+                              f"definition gives {expected!r}")
 
 
 def validate(cluster):
-    for key in ("workers_live", "aggregate", "shards"):
+    for key in ("workers_live", "aggregate", "shards", "merge_rules"):
         if key not in cluster:
             raise Mismatch(f"top-level key {key!r} missing from dump")
 
-    aggregate = cluster["aggregate"]
-    shards = [s["stats"] for s in cluster["shards"]]
+    rules = cluster["merge_rules"]
+    aggregate = flatten(cluster["aggregate"], rules)
+    shards = [flatten(s["stats"], rules) for s in cluster["shards"]]
     if not shards:
         raise Mismatch("dump has no shards to merge")
 
     errors = []
+    for path in sorted(set(aggregate) - set(rules)):
+        errors.append(f"{path}: aggregate key has no merge rule")
+    for path in sorted(set(rules) - set(aggregate)):
+        errors.append(f"{path}: merge rule names no aggregate key")
 
-    for field in TOP_SUM_FIELDS:
-        check_sum(errors, field, aggregate[field],
-                  [s[field] for s in shards], integral=True)
-    for field in TOP_SUM_FLOAT_FIELDS:
-        check_sum(errors, field, aggregate[field],
-                  [s[field] for s in shards], integral=False)
-    for field in TOP_MAX_FIELDS:
-        check_max(errors, field, aggregate[field],
-                  [s[field] for s in shards])
+    checks = {"sum": check_sum, "max": check_max, "concat": check_concat,
+              "histogram": check_histogram}
+    for path, rule in rules.items():
+        if path not in aggregate or rule == "derived":
+            continue
+        if rule not in checks:
+            errors.append(f"{path}: unknown merge rule {rule!r}")
+            continue
+        checks[rule](errors, path, aggregate[path],
+                     [s[path] for s in shards])
 
-    for obj in NESTED_SUM_OBJECTS:
-        agg_obj = aggregate[obj]
-        keys = set(agg_obj)
-        for s in shards:
-            if set(s[obj]) != keys:
-                errors.append(
-                    f"{obj}: shard key set {sorted(s[obj])} differs from "
-                    f"aggregate key set {sorted(keys)}")
-        for key in sorted(keys):
-            values = [s[obj].get(key, 0) for s in shards]
-            integral = all(isinstance(v, int) for v in values) and \
-                isinstance(agg_obj[key], int)
-            check_sum(errors, f"{obj}.{key}", agg_obj[key], values,
-                      integral=integral)
-
-    for name in HISTOGRAMS:
-        check_histogram(errors, name, aggregate[name],
-                        [s[name] for s in shards])
-
-    check_derived_bounds(errors, aggregate)
+    check_derived(errors, "aggregate", cluster["aggregate"], rules)
+    for i, shard in enumerate(cluster["shards"]):
+        check_derived(errors, f"shards[{i}]", shard["stats"], rules)
     return errors
 
 
