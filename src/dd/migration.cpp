@@ -1,6 +1,5 @@
 #include "dd/migration.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -124,116 +123,32 @@ void validateFlat(const FlatDD<Arity>& flat, std::size_t dstQubits) {
 // ------------------------------------------------- byte-level wire format
 
 constexpr std::uint32_t kMagic = 0x4464444dU;  // "MDdD"
-constexpr std::uint32_t kVersion = 1;
-/// Header: magic, version, arity, numQubits, nodeCount, payloadLen,
-/// checksum — all fixed-width little-endian. The checksum covers the whole
-/// blob with the checksum field itself zeroed, so a bit flip anywhere —
-/// including header fields like numQubits that no structural check would
-/// catch — is detected.
-constexpr std::size_t kHeaderSize = 4 + 4 + 4 + 8 + 8 + 8 + 8;
-/// Payload entries: an edge is (child index i32, weight 2 x f64); a node is
-/// its level (i32) followed by its Arity edges.
-constexpr std::size_t kEdgeSize = 4 + 8 + 8;
-
-/// The payload: the root edge, then each node's level and its Arity edges.
-/// An edge is its child index and the two weight components.
-template <class IO, class Flat>
-void payloadFields(IO& io, Flat& flat) {
-  const auto edge = [&io](auto& e) {
-    io.i32(e.node);
-    io.f64(e.w.r);
-    io.f64(e.w.i);
-  };
-  edge(flat.root);
-  for (auto& n : flat.nodes) {
-    io.i32(n.v);
-    for (auto& e : n.children) {
-      edge(e);
-    }
-  }
-}
+constexpr std::uint16_t kVersion = 2;
 
 template <std::size_t Arity>
 std::vector<std::uint8_t> serializeImpl(const FlatDD<Arity>& flat) {
-  const std::size_t nodeSize = 4 + Arity * kEdgeSize;
-  const std::size_t payloadLen = kEdgeSize + flat.nodes.size() * nodeSize;
   wire::WireWriter w;
-  w.out.reserve(kHeaderSize + payloadLen);
-  w.u32(kMagic);
-  w.u32(kVersion);
-  w.u32(static_cast<std::uint32_t>(Arity));
-  w.u64(flat.numQubits);
-  w.u64(flat.nodes.size());
-  w.u64(payloadLen);
-  w.u64(0);  // checksum patched below, once the payload is written
-  payloadFields(w, flat);
-  // The checksum field still holds its zero placeholder here, so hashing
-  // the full buffer implements the zeroed-checksum-field convention.
-  std::vector<std::uint8_t> sum;
-  wire::putU64(sum, wire::fnv1a(w.out.data(), w.out.size()));
-  std::copy(sum.begin(), sum.end(), w.out.begin() + (kHeaderSize - 8));
-  return std::move(w.out);
+  flatFields(w, flat);
+  return wire::seal(kMagic, kVersion, Arity, w.out);
 }
 
 template <std::size_t Arity>
 FlatDD<Arity> deserializeImpl(const std::uint8_t* data, std::size_t size) {
-  auto fail = [](const std::string& what) {
-    throw MigrationError("deserializeDD: " + what);
-  };
-  if (data == nullptr || size < kHeaderSize) {
-    fail("buffer of " + std::to_string(size) +
-         " bytes is shorter than the header (" + std::to_string(kHeaderSize) +
-         " bytes)");
+  try {
+    const wire::Opened blob = wire::open({data, size}, kMagic, kVersion);
+    if (blob.kind != Arity) {
+      throw wire::WireError("arity " + std::to_string(blob.kind) +
+                            " does not match the requested " +
+                            (Arity == 2 ? "vector" : "matrix") + " DD");
+    }
+    FlatDD<Arity> flat;
+    wire::WireReader r(blob.payload);
+    flatFields(r, flat);
+    r.expectEnd();
+    return flat;
+  } catch (const wire::WireError& e) {
+    throw MigrationError(std::string("deserializeDD: ") + e.what());
   }
-  if (wire::peekU32(data) != kMagic) {
-    fail("bad magic (not a serialized DD)");
-  }
-  if (const std::uint32_t version = wire::peekU32(data + 4);
-      version != kVersion) {
-    fail("unsupported format version " + std::to_string(version) +
-         " (expected " + std::to_string(kVersion) + ")");
-  }
-  if (const std::uint32_t arity = wire::peekU32(data + 8); arity != Arity) {
-    fail("arity " + std::to_string(arity) + " does not match the requested " +
-         (Arity == 2 ? std::string("vector") : std::string("matrix")) +
-         " DD");
-  }
-  const std::uint64_t numQubits = wire::peekU64(data + 12);
-  const std::uint64_t nodeCount = wire::peekU64(data + 20);
-  const std::uint64_t payloadLen = wire::peekU64(data + 28);
-  const std::uint64_t checksum = wire::peekU64(data + 36);
-  const std::size_t nodeSize = 4 + Arity * kEdgeSize;
-  if (nodeCount >
-      static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) {
-    fail("node count " + std::to_string(nodeCount) + " exceeds 2^31");
-  }
-  if (payloadLen != kEdgeSize + nodeCount * nodeSize) {
-    fail("payload length " + std::to_string(payloadLen) +
-         " inconsistent with node count " + std::to_string(nodeCount));
-  }
-  if (size != kHeaderSize + payloadLen) {
-    fail("buffer of " + std::to_string(size) + " bytes, expected " +
-         std::to_string(kHeaderSize + payloadLen) + " (truncated or padded)");
-  }
-  const std::uint8_t* payload = data + kHeaderSize;
-  // Re-derive the zeroed-checksum-field hash by chaining: header prefix,
-  // eight zero bytes in place of the checksum field, then the payload.
-  const std::uint8_t zeros[8] = {};
-  std::uint64_t expected = wire::fnv1a(data, kHeaderSize - 8);
-  expected = wire::fnv1a(zeros, 8, expected);
-  expected = wire::fnv1a(payload, payloadLen, expected);
-  if (expected != checksum) {
-    fail("checksum mismatch (corrupted header or edge list)");
-  }
-  if (numQubits == 0) {
-    fail("numQubits must be nonzero");
-  }
-  FlatDD<Arity> flat;
-  flat.numQubits = numQubits;
-  flat.nodes.resize(nodeCount);
-  wire::WireReader r(payload, payloadLen);
-  payloadFields(r, flat);
-  return flat;
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 /// The consumer in this codebase is the simulation checkpoint
 /// (sim/checkpoint.hpp): it carries the state and the pending accumulator
 /// out of one package and resumes them in another — in another simulator,
-/// even another process.
+/// even another process. Its bytes hold the flat form through flatFields,
+/// the same field list a standalone migration blob (serializeDD) seals in
+/// the one wire envelope (wire/wire.hpp).
 
 #pragma once
 
@@ -25,10 +27,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dd/complex_value.hpp"
 #include "dd/node.hpp"
+#include "wire/wire.hpp"
 
 namespace ddsim::dd {
 
@@ -68,6 +73,8 @@ struct FlatNode {
 /// which importDD validates and exploits for a single bottom-up pass.
 template <std::size_t Arity>
 struct FlatDD {
+  static constexpr std::size_t kArity = Arity;
+
   std::size_t numQubits = 0;
   std::vector<FlatNode<Arity>> nodes;
   FlatEdge root{};
@@ -103,23 +110,54 @@ using FlatMatrixDD = FlatDD<4>;
 [[nodiscard]] VEdge importDD(Package& dst, const FlatVectorDD& flat);
 [[nodiscard]] MEdge importDD(Package& dst, const FlatMatrixDD& flat);
 
-/// Byte-level wire format of a FlatDD, for checkpoints and cross-process
-/// shipping. Layout: a fixed header — magic, format version, arity, qubit
-/// count, node count, payload length, wire::fnv1a checksum over the entire
-/// blob (checksum field zeroed) — followed by the payload (root edge, then
-/// the nodes in their children-before-parents order). Numbers are encoded
-/// by the shared byte codec (wire/wire.hpp): little-endian, weights as
-/// IEEE-754 doubles by bit pattern, so a blob re-imports bit-identically
-/// on any supported host.
+/// The field list of a FlatDD: numQubits and the node count (u64 each),
+/// the root edge, then each node's level (i32) and its Arity edges, an
+/// edge being its child index (i32) and its weight (two f64). It is the
+/// migration blob's payload, and the checkpoint embeds its state and
+/// accumulator through it. \p io is a wire::WireWriter (with a const
+/// \p flat) or a wire::WireReader; the reader bounds the node count by the
+/// bytes left before it allocates.
+template <class IO, class Flat>
+void flatFields(IO& io, Flat& flat) {
+  constexpr std::size_t kEdgeBytes = 4 + 8 + 8;
+  constexpr std::size_t kNodeBytes =
+      4 + std::remove_cvref_t<Flat>::kArity * kEdgeBytes;
+  const auto edge = [&io](auto& e) {
+    io.i32(e.node);
+    io.f64(e.w.r);
+    io.f64(e.w.i);
+  };
+  io.u64(flat.numQubits);
+  std::uint64_t count = flat.nodes.size();
+  io.u64(count);
+  if constexpr (!IO::kWrites) {
+    if (count > io.remaining() / kNodeBytes) {
+      throw wire::WireError("flat DD node count " + std::to_string(count) +
+                            " exceeds the payload");
+    }
+    flat.nodes.resize(count);
+  }
+  edge(flat.root);
+  for (auto& n : flat.nodes) {
+    io.i32(n.v);
+    for (auto& e : n.children) {
+      edge(e);
+    }
+  }
+}
+
+/// The migration blob: one wire envelope (wire/wire.hpp) whose kind is
+/// the arity (2 or 4) and whose payload is flatFields. Numbers are
+/// little-endian and weights travel as their IEEE-754 bit pattern, so a
+/// blob re-imports bit-identically on any supported host.
 [[nodiscard]] std::vector<std::uint8_t> serializeDD(const FlatVectorDD& flat);
 [[nodiscard]] std::vector<std::uint8_t> serializeDD(const FlatMatrixDD& flat);
 
-/// Decode a serialized flat DD. Throws MigrationError on a truncated
-/// buffer, bad magic, unsupported version, arity mismatch, payload-length
-/// mismatch or checksum failure — a corrupted blob is rejected before any
-/// FlatDD structure is built (and importDD re-validates the structure
-/// itself, so even a forged checksum cannot cause undefined
-/// reconstruction).
+/// Decode a serialized flat DD. Throws MigrationError on anything
+/// wire::open rejects (truncation, bad magic, unsupported version,
+/// checksum failure), an arity mismatch or a payload that does not hold
+/// exactly one flat DD. importDD re-validates the structure itself, so
+/// even a forged checksum cannot cause undefined reconstruction.
 [[nodiscard]] FlatVectorDD deserializeVectorDD(const std::uint8_t* data,
                                                std::size_t size);
 [[nodiscard]] FlatMatrixDD deserializeMatrixDD(const std::uint8_t* data,

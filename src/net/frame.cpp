@@ -12,22 +12,19 @@ namespace {
 using wire::WireReader;
 using wire::WireWriter;
 
-/// Frame checksum: FNV-1a chained over the 12-byte canonical header
-/// prefix (magic, version, type, reserved, length) and then the payload.
-/// Covering the prefix means a bit flip that turns one VALID header field
-/// value into another (e.g. Submit -> Result in the type byte, which the
-/// field validators cannot catch) still fails verification.
-std::uint64_t frameChecksum(FrameType type, const std::uint8_t* payload,
-                            std::size_t size) {
-  WireWriter prefix;
-  prefix.out.reserve(12);
-  prefix.u32(kFrameMagic);
-  prefix.u16(kWireVersion);
-  prefix.u8(static_cast<std::uint8_t>(type));
-  prefix.u8(0);
-  prefix.u32(static_cast<std::uint32_t>(size));
-  return wire::fnv1a(payload, size,
-                     wire::fnv1a(prefix.out.data(), prefix.out.size()));
+/// The frame rules on top of the envelope: a known type and a payload
+/// within the ceiling.
+FrameType checkFrame(std::uint8_t kind, std::uint64_t length) {
+  if (kind < static_cast<std::uint8_t>(FrameType::Hello) ||
+      kind > static_cast<std::uint8_t>(FrameType::Error)) {
+    throw wire::WireError("unknown type " + std::to_string(kind));
+  }
+  if (length > kMaxFramePayload) {
+    throw wire::WireError("payload length " + std::to_string(length) +
+                          " exceeds the frame ceiling (corrupted length "
+                          "field)");
+  }
+  return static_cast<FrameType>(kind);
 }
 
 /// A one-byte enum; decoding rejects values above \p last.
@@ -258,76 +255,32 @@ std::vector<std::uint8_t> encodeFrame(const Frame& frame) {
                      std::to_string(frame.payload.size()) +
                      " bytes exceeds the frame ceiling");
   }
-  WireWriter w;
-  w.out.reserve(kFrameHeaderSize + frame.payload.size());
-  w.u32(kFrameMagic);
-  w.u16(kWireVersion);
-  w.u8(static_cast<std::uint8_t>(frame.type));
-  w.u8(0);  // reserved
-  w.u32(static_cast<std::uint32_t>(frame.payload.size()));
-  w.u64(frameChecksum(frame.type, frame.payload.data(), frame.payload.size()));
-  wire::putRaw(w.out, frame.payload);
-  return std::move(w.out);
+  return wire::seal(kFrameMagic, kWireVersion,
+                    static_cast<std::uint8_t>(frame.type), frame.payload);
 }
 
-FrameHeader decodeFrameHeader(const std::uint8_t* data) {
-  if (wire::peekU32(data) != kFrameMagic) {
-    throw FrameError("frame: bad magic (not a ddsim frame)");
-  }
-  const std::uint16_t version = wire::peekU16(data + 4);
-  if (version != kWireVersion) {
-    throw FrameError("frame: unsupported protocol version " +
-                     std::to_string(version) + " (expected " +
-                     std::to_string(kWireVersion) + ")");
-  }
-  const std::uint8_t type = data[6];
-  if (type < static_cast<std::uint8_t>(FrameType::Hello) ||
-      type > static_cast<std::uint8_t>(FrameType::Error)) {
-    throw FrameError("frame: unknown type " + std::to_string(type));
-  }
-  if (data[7] != 0) {
-    throw FrameError("frame: nonzero reserved byte");
-  }
-  FrameHeader h;
-  h.type = static_cast<FrameType>(type);
-  h.payloadLength = wire::peekU32(data + 8);
-  if (h.payloadLength > kMaxFramePayload) {
-    throw FrameError("frame: payload length " +
-                     std::to_string(h.payloadLength) +
-                     " exceeds the frame ceiling (corrupted length field)");
-  }
-  h.checksum = wire::peekU64(data + 12);
-  return h;
-}
-
-void verifyFramePayload(const FrameHeader& header, const std::uint8_t* payload,
-                        std::size_t size) {
-  if (size != header.payloadLength) {
-    throw FrameError("frame: payload size mismatch");
-  }
-  if (frameChecksum(header.type, payload, size) != header.checksum) {
-    throw FrameError("frame: checksum mismatch (corrupted frame)");
+std::size_t decodeFrameHeader(const std::uint8_t* header) {
+  try {
+    const wire::Header h = wire::readHeader({header, wire::kHeaderSize},
+                                            kFrameMagic, kWireVersion);
+    checkFrame(h.kind, h.length);
+    return h.length;
+  } catch (const wire::WireError& e) {
+    throw FrameError(std::string("frame: ") + e.what());
   }
 }
 
 Frame decodeFrame(const std::uint8_t* data, std::size_t size) {
-  if (data == nullptr || size < kFrameHeaderSize) {
-    throw FrameError("frame: buffer of " + std::to_string(size) +
-                     " bytes is shorter than the header (" +
-                     std::to_string(kFrameHeaderSize) + ")");
+  try {
+    const wire::Opened opened =
+        wire::open({data, size}, kFrameMagic, kWireVersion);
+    Frame f;
+    f.type = checkFrame(opened.kind, opened.payload.size());
+    f.payload.assign(opened.payload.begin(), opened.payload.end());
+    return f;
+  } catch (const wire::WireError& e) {
+    throw FrameError(std::string("frame: ") + e.what());
   }
-  const FrameHeader header = decodeFrameHeader(data);
-  if (size != kFrameHeaderSize + header.payloadLength) {
-    throw FrameError("frame: buffer of " + std::to_string(size) +
-                     " bytes, expected " +
-                     std::to_string(kFrameHeaderSize + header.payloadLength) +
-                     " (truncated or padded)");
-  }
-  verifyFramePayload(header, data + kFrameHeaderSize, header.payloadLength);
-  Frame f;
-  f.type = header.type;
-  f.payload.assign(data + kFrameHeaderSize, data + size);
-  return f;
 }
 
 Frame decodeFrame(const std::vector<std::uint8_t>& bytes) {

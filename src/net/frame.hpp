@@ -3,25 +3,10 @@
 ///        distributed ddsim serving.
 ///
 /// Every message between the router and a `ddsim_serve --listen` worker is
-/// one *frame*:
-///
-///     offset  size  field
-///     0       4     magic 0x46534444 ("DDSF" little-endian)
-///     4       2     protocol version (kWireVersion)
-///     6       1     frame type (FrameType)
-///     7       1     reserved (must be 0)
-///     8       4     payload length in bytes (u32, <= kMaxFramePayload)
-///     12      8     FNV-1a checksum over bytes 0..11 then the payload
-///     20      ...   payload
-///
-/// All numbers are explicit little-endian, written with the byte codec the
-/// migration/checkpoint/spill formats share (wire/wire.hpp); the checksum
-/// is that module's wire::fnv1a — it detects truncation and bit flips, not
-/// adversaries.
-/// Chaining the header prefix into it means a bit flip that turns one
-/// valid header field into another (Submit -> Result in the type byte,
-/// say) still fails verification, even though the field validators alone
-/// could not catch it.
+/// one *frame*: a wire envelope (wire/wire.hpp) with magic kFrameMagic,
+/// version kWireVersion and the FrameType as its kind. On top of the
+/// envelope's checks a frame has two rules of its own: the type is a known
+/// FrameType and the payload is at most kMaxFramePayload bytes.
 /// Decoding is defensive end to end: a bad magic, unsupported version,
 /// unknown type, oversized length or checksum mismatch throws FrameError
 /// before any payload structure is interpreted, and payload decoding is
@@ -66,8 +51,7 @@ class FrameError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x46534444U;  // "DDSF"
-inline constexpr std::uint16_t kWireVersion = 4;
-inline constexpr std::size_t kFrameHeaderSize = 4 + 2 + 1 + 1 + 4 + 8;
+inline constexpr std::uint16_t kWireVersion = 5;
 /// Payload ceiling: a submission is QASM text + config (KiB), a result is
 /// packed bits + stats (KiB), a checkpoint blob is two flat DDs (MiB for
 /// big states). Anything above this is a corrupted length field.
@@ -91,28 +75,18 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Parsed frame header (the fixed 20-byte prefix).
-struct FrameHeader {
-  FrameType type = FrameType::Error;
-  std::uint32_t payloadLength = 0;
-  std::uint64_t checksum = 0;
-};
-
 /// Serialize a frame (header + payload, checksum computed).
 [[nodiscard]] std::vector<std::uint8_t> encodeFrame(const Frame& frame);
 
-/// Decode and validate the fixed header. \p data must hold at least
-/// kFrameHeaderSize bytes. Throws FrameError on bad magic/version/type,
-/// a nonzero reserved byte or an oversized length.
-[[nodiscard]] FrameHeader decodeFrameHeader(const std::uint8_t* data);
-
-/// Verify \p payload against the header's checksum; throws FrameError on
-/// mismatch.
-void verifyFramePayload(const FrameHeader& header, const std::uint8_t* payload,
-                        std::size_t size);
+/// Check a frame's envelope header (\p header holds wire::kHeaderSize
+/// bytes) and the frame rules, and return the payload length, so a reader
+/// knows how many bytes to receive before decodeFrame verifies them.
+/// Throws FrameError on bad magic/version/type, a nonzero reserved byte or
+/// an oversized length.
+[[nodiscard]] std::size_t decodeFrameHeader(const std::uint8_t* header);
 
 /// Decode one complete frame from a contiguous buffer (header + payload,
-/// exactly). Throws FrameError on any inconsistency.
+/// exactly; wire::open). Throws FrameError on any inconsistency.
 [[nodiscard]] Frame decodeFrame(const std::uint8_t* data, std::size_t size);
 [[nodiscard]] Frame decodeFrame(const std::vector<std::uint8_t>& bytes);
 

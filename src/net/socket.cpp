@@ -12,6 +12,8 @@
 
 #include <utility>
 
+#include "wire/wire.hpp"
+
 namespace ddsim::net {
 
 namespace {
@@ -280,21 +282,17 @@ void writeFrame(TcpConnection& conn, const Frame& frame) {
 }
 
 std::optional<Frame> readFrame(TcpConnection& conn) {
-  std::uint8_t header[kFrameHeaderSize];
-  if (!conn.recvAll(header, kFrameHeaderSize)) {
+  std::vector<std::uint8_t> bytes(wire::kHeaderSize);
+  if (!conn.recvAll(bytes.data(), bytes.size())) {
     return std::nullopt;  // peer closed between frames
   }
-  const FrameHeader h = decodeFrameHeader(header);
-  Frame frame;
-  frame.type = h.type;
-  frame.payload.resize(h.payloadLength);
-  if (h.payloadLength > 0 &&
-      !conn.recvAll(frame.payload.data(), h.payloadLength)) {
+  const std::size_t length = decodeFrameHeader(bytes.data());
+  bytes.resize(wire::kHeaderSize + length);
+  if (length > 0 && !conn.recvAll(bytes.data() + wire::kHeaderSize, length)) {
     throw SocketError("recv: connection closed mid-frame (header promised " +
-                      std::to_string(h.payloadLength) + " payload bytes)");
+                      std::to_string(length) + " payload bytes)");
   }
-  verifyFramePayload(h, frame.payload.data(), frame.payload.size());
-  return frame;
+  return decodeFrame(bytes);
 }
 
 }  // namespace ddsim::net

@@ -17,16 +17,11 @@ namespace ddsim::serve {
 
 namespace {
 
-/// The record has no version field, so a layout change takes a new magic:
-/// records of an older layout are then skipped and counted as corrupt,
-/// never decoded with shifted fields.
-constexpr std::uint32_t kRecordMagic = 0x3253504cU;  // "LPS2" on disk (LE)
-/// magic u32 + payload length u32 + FNV-1a payload checksum u64.
-constexpr std::size_t kRecordHeader = 4 + 4 + 8;
-/// Per-record payload ceiling: a cache outcome is a classical bit vector
-/// plus flat stats — far below this. Anything larger is a corrupted length
-/// field, not a record.
-constexpr std::uint32_t kMaxPayload = 64U * 1024U * 1024U;
+/// Records of an older layout — the versionless "LPSD" and "LPS2" records,
+/// or this magic with another version — are skipped and counted as
+/// corrupt, never decoded with shifted fields.
+constexpr std::uint32_t kRecordMagic = 0x5253504cU;  // "LPSR" on disk (LE)
+constexpr std::uint16_t kRecordVersion = 3;
 
 /// Record payload: the cache-key triple, the classical bits, then the flat
 /// stats shared with the checkpoint blob.
@@ -43,13 +38,30 @@ std::vector<std::uint8_t> encodeRecord(const CacheKey& key,
                                        const CachedOutcome& outcome) {
   wire::WireWriter payload;
   recordFields(payload, key, outcome);
-  wire::WireWriter record;
-  record.out.reserve(kRecordHeader + payload.out.size());
-  record.u32(kRecordMagic);
-  record.u32(static_cast<std::uint32_t>(payload.out.size()));
-  record.u64(wire::fnv1a(payload.out.data(), payload.out.size()));
-  wire::putRaw(record.out, payload.out);
-  return std::move(record.out);
+  return wire::seal(kRecordMagic, kRecordVersion, 0, payload.out);
+}
+
+/// Decode the record at the front of \p rest, the file's bytes from a
+/// record magic on. Returns its size in the file; throws wire::WireError
+/// when the record is damaged or of another layout.
+std::size_t decodeRecord(std::span<const std::uint8_t> rest, CacheKey& key,
+                         CachedOutcome& outcome) {
+  const wire::Header h = wire::readHeader(rest, kRecordMagic, kRecordVersion);
+  // A torn tail (the common SIGKILL artifact) or a corrupted length:
+  // bound the declared length by the bytes left before slicing.
+  if (h.length > rest.size() - wire::kHeaderSize) {
+    throw wire::WireError("record length exceeds the file");
+  }
+  const std::size_t size = wire::kHeaderSize + h.length;
+  const wire::Opened record =
+      wire::open(rest.first(size), kRecordMagic, kRecordVersion);
+  if (record.kind != 0) {
+    throw wire::WireError("unknown record kind");
+  }
+  wire::WireReader r(record.payload);
+  recordFields(r, key, outcome);
+  r.expectEnd();
+  return size;
 }
 
 bool fsyncFile(std::FILE* f) {
@@ -118,46 +130,29 @@ std::size_t CacheSpill::loadFile(
       obs::traceInstant("serve.spill.corrupt-record", obs::cat::kServe, off);
     }
   };
-  while (off + kRecordHeader <= bytes.size()) {
+  while (off + wire::kHeaderSize <= bytes.size()) {
     if (wire::peekU32(bytes.data() + off) != kRecordMagic) {
       // Resync: scan forward for the next record magic.
       markCorrupt();
       ++off;
       continue;
     }
-    const std::uint32_t payloadLen = wire::peekU32(bytes.data() + off + 4);
-    const std::uint64_t checksum = wire::peekU64(bytes.data() + off + 8);
-    if (payloadLen > kMaxPayload ||
-        payloadLen > bytes.size() - off - kRecordHeader) {
-      // Torn tail (the common SIGKILL artifact) or a corrupted length.
-      // Step past the magic and rescan — if the length was the only
-      // damaged field, the next record's magic is still findable.
-      markCorrupt();
-      off += 4;
-      continue;
-    }
-    const std::uint8_t* payload = bytes.data() + off + kRecordHeader;
-    if (wire::fnv1a(payload, payloadLen) != checksum) {
-      markCorrupt();
-      off += 4;
-      continue;
-    }
     try {
       CacheKey key;
       CachedOutcome outcome;
-      wire::WireReader r(payload, payloadLen);
-      recordFields(r, key, outcome);
-      r.expectEnd();
+      const std::size_t size = decodeRecord(
+          std::span<const std::uint8_t>(bytes).subspan(off), key, outcome);
       sink(key, std::move(outcome));
       ++restored;
       ++loaded_;
       inCorruptRun = false;
+      off += size;
     } catch (const std::exception&) {
+      // Step past the magic and rescan: if only the header was damaged,
+      // the next record's magic is still findable.
       markCorrupt();
       off += 4;
-      continue;
     }
-    off += kRecordHeader + payloadLen;
   }
   if (off < bytes.size()) {
     markCorrupt();  // trailing fragment shorter than a record header

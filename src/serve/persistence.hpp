@@ -12,11 +12,10 @@
 ///    completed job, flushed on every append. Survives a SIGKILL mid-run
 ///    up to the last flushed record.
 ///
-/// Both files hold the same record format, written with the shared byte
-/// codec (wire/wire.hpp): a fixed header (magic, payload length, FNV-1a
-/// payload checksum) followed by the cache key triple, the classical bits
-/// and the flat SimulationStats field list shared with the checkpoint blob
-/// (sim::statsFields). Loading is corruption-tolerant by
+/// Both files hold the same record format: one wire envelope
+/// (wire/wire.hpp) whose payload is the cache key triple, the classical
+/// bits and the flat SimulationStats field list shared with the checkpoint
+/// blob (sim::statsFields). Loading is corruption-tolerant by
 /// design: a record whose header, length or checksum does not line up is
 /// *skipped and counted* — the loader rescans for the next record magic —
 /// and never fails the restart. A torn final record (the common crash

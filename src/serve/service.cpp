@@ -61,14 +61,6 @@ std::uint64_t toNs(double seconds) {
   return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
 }
 
-void atomicMax(std::atomic<std::uint64_t>& target, std::uint64_t value) {
-  std::uint64_t cur = target.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !target.compare_exchange_weak(cur, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 std::string priorityName(JobPriority p) {
@@ -587,7 +579,6 @@ void SimulationService::accumulate(const JobResult& result) {
       failed_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  atomicMax(queueLatencyMaxNs_, toNs(result.queueSeconds));
   execSumNs_.fetch_add(toNs(result.runSeconds), std::memory_order_relaxed);
   queueLatencyHist_.observe(result.queueSeconds);
   // Execution/degradation distributions cover only jobs that consumed
@@ -694,9 +685,6 @@ ServiceStats SimulationService::stats() const {
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.resourceExhausted = resourceExhausted_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
-  s.queueLatencyMaxSeconds =
-      static_cast<double>(queueLatencyMaxNs_.load(std::memory_order_relaxed)) /
-      1e9;
   s.execSecondsTotal =
       static_cast<double>(execSumNs_.load(std::memory_order_relaxed)) / 1e9;
   s.queueLatencyHistogram = queueLatencyHist_.snapshot();
@@ -752,6 +740,7 @@ void ServiceStats::derive() {
   const obs::HistogramSnapshot& queue = queueLatencyHistogram;
   queueLatencyMeanSeconds =
       queue.count > 0 ? queue.sum / static_cast<double>(queue.count) : 0.0;
+  queueLatencyMaxSeconds = queue.max;
   queueLatencyP50Seconds = queue.p50;
   queueLatencyP95Seconds = queue.p95;
   queueLatencyP99Seconds = queue.p99;

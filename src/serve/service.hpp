@@ -264,7 +264,7 @@ struct ServiceStats {
   std::uint64_t resourceExhausted = 0;
   std::uint64_t failed = 0;
 
-  /// Derived: queueLatencyHistogram sum / count.
+  /// Derived: queueLatencyHistogram sum / count, and its max.
   double queueLatencyMeanSeconds = 0.0;
   double queueLatencyMaxSeconds = 0.0;
   double execSecondsTotal = 0.0;
@@ -326,7 +326,7 @@ struct ServiceStats {
 /// How mergeStats folds one ServiceStats field across shards.
 enum class MergeRule {
   Sum,        ///< counters and totals add
-  Max,        ///< elapsed time and maxima (shards run concurrently)
+  Max,        ///< elapsed time (shards run concurrently)
   Histogram,  ///< bucket-wise, obs::mergeHistogramSnapshots
   Concat,     ///< per-worker lists append in shard order
   Derived,    ///< recomputed by ServiceStats::derive(); never merged or sent
@@ -360,7 +360,7 @@ void visitFields(V&& v, S&... s) {
   v("", "failed", R::Sum, s.failed...);
   v("", "jobs_per_second", R::Derived, s.jobsPerSecond...);
   v("", "queue_latency_mean_seconds", R::Derived, s.queueLatencyMeanSeconds...);
-  v("", "queue_latency_max_seconds", R::Max, s.queueLatencyMaxSeconds...);
+  v("", "queue_latency_max_seconds", R::Derived, s.queueLatencyMaxSeconds...);
   v("", "queue_latency_p50_seconds", R::Derived, s.queueLatencyP50Seconds...);
   v("", "queue_latency_p95_seconds", R::Derived, s.queueLatencyP95Seconds...);
   v("", "queue_latency_p99_seconds", R::Derived, s.queueLatencyP99Seconds...);
@@ -501,7 +501,6 @@ class SimulationService {
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> resourceExhausted_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> queueLatencyMaxNs_{0};
   std::atomic<std::uint64_t> execSumNs_{0};
   std::atomic<std::uint64_t> cacheBypassed_{0};
   obs::Histogram queueLatencyHist_;

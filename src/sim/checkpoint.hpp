@@ -20,10 +20,11 @@
 /// taken at quiescent block boundaries, the RNG position is exact, and DD
 /// import rebuilds canonically in the destination package.
 ///
-/// The serialized form is versioned and checksummed (wire::fnv1a over the
-/// payload) and written with the shared byte codec (wire/wire.hpp);
-/// deserialize() rejects truncated or bit-flipped blobs — nested DD blobs
-/// included — with a CheckpointError instead of resuming from garbage.
+/// The serialized form is one wire envelope (wire/wire.hpp): versioned,
+/// with one checksum over the header and the whole payload, the state and
+/// accumulator included (they are embedded through dd::flatFields, not as
+/// nested blobs). deserialize() rejects truncated or bit-flipped blobs with
+/// a CheckpointError instead of resuming from garbage.
 
 #pragma once
 

@@ -1,7 +1,7 @@
 /// \file wire.hpp
-/// \brief The one byte codec behind every ddsim binary format: the DD
-///        migration blob, the checkpoint blob, the spill-journal record
-///        and the net frame.
+/// \brief The one byte codec and the one checksummed envelope behind every
+///        ddsim binary format: the DD migration blob, the checkpoint blob,
+///        the spill-journal record and the net frame.
 ///
 /// Numbers are explicit little-endian; doubles travel as their IEEE-754
 /// bit pattern; classical bits are a u64 count followed by the bits packed
@@ -24,9 +24,22 @@
 /// longer layout) fail the same way. Each format maps WireError to its own
 /// public error type.
 ///
-/// fnv1a() is the integrity checksum of all four formats and the hash of
-/// the router's ring points. It detects truncation and bit flips, not
-/// adversaries.
+/// Every format is one envelope, written by seal() and checked by open():
+///
+///     offset  size  field
+///     0       4     magic (one per format)
+///     4       2     version (one per format; bumped on a layout change)
+///     6       1     kind (what the format says it is: arity, frame type)
+///     7       1     reserved (must be 0)
+///     8       8     payload length in bytes
+///     16      8     fnv1a over bytes 0..15, then over the payload
+///     24      ...   payload
+///
+/// The checksum chains the header prefix into the payload hash, so a flip
+/// that turns one valid header field into another (a frame type, an
+/// arity) fails verification like a flip in the payload. fnv1a() is also
+/// the hash of the router's ring points. It detects truncation and bit
+/// flips, not adversaries.
 
 #pragma once
 
@@ -52,6 +65,38 @@ class WireError : public std::runtime_error {
 [[nodiscard]] std::uint64_t fnv1a(
     const std::uint8_t* data, std::size_t size,
     std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
+
+/// Size of the envelope header in front of every payload.
+inline constexpr std::size_t kHeaderSize = 24;
+
+/// An envelope header that passed readHeader().
+struct Header {
+  std::uint8_t kind = 0;
+  std::uint64_t length = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// A verified envelope: its kind and its payload, borrowed from the bytes
+/// handed to open().
+struct Opened {
+  std::uint8_t kind = 0;
+  std::span<const std::uint8_t> payload;
+};
+
+/// The envelope around \p payload: header, then the payload bytes.
+[[nodiscard]] std::vector<std::uint8_t> seal(
+    std::uint32_t magic, std::uint16_t version, std::uint8_t kind,
+    std::span<const std::uint8_t> payload);
+
+/// Check the header at the front of \p bytes (at least kHeaderSize bytes):
+/// magic, version and the reserved byte. Throws WireError.
+[[nodiscard]] Header readHeader(std::span<const std::uint8_t> bytes,
+                                std::uint32_t magic, std::uint16_t version);
+
+/// readHeader(), then check that the payload fills the rest of \p bytes
+/// exactly and matches the checksum. Throws WireError.
+[[nodiscard]] Opened open(std::span<const std::uint8_t> bytes,
+                          std::uint32_t magic, std::uint16_t version);
 
 /// Little-endian append / load of an unsigned integer; every put*/peek*
 /// below is one of these.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algo/grover.hpp"
@@ -13,6 +14,7 @@
 #include "sim/build_dd.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
+#include "wire/wire.hpp"
 
 namespace ddsim::dd {
 namespace {
@@ -267,13 +269,15 @@ TEST(DDMigration, GoldenBlobPinsTheWireFormat) {
   //
   // Layout (offsets in bytes):
   //    0  u32  magic "MDdD" (0x4464444D)
-  //    4  u32  version (1)
-  //    8  u32  arity (2 = vector)
-  //   12  u64  numQubits (1)
-  //   20  u64  node count (1, excluding the terminal)
-  //   28  u64  payload length (64 = one 20-byte root edge + one 44-byte node)
-  //   36  u64  FNV-1a over the header with this field zeroed, then payload
-  //   44  ...  root edge (i32 node index, f64 re, f64 im), then nodes
+  //    4  u16  version (2)
+  //    6  u8   kind = arity (2 = vector)
+  //    7  u8   reserved (0)
+  //    8  u64  payload length (80: numQubits, node count, one 20-byte root
+  //            edge and one 44-byte node)
+  //   16  u64  FNV-1a over bytes 0..15, then the payload
+  //   24  u64  numQubits (1)
+  //   32  u64  node count (1, excluding the terminal)
+  //   40  ...  root edge (i32 node index, f64 re, f64 im), then nodes
   //        (i32 level, then `arity` edges), children-before-parents.
   FlatVectorDD flat;
   flat.numQubits = 1;
@@ -285,15 +289,15 @@ TEST(DDMigration, GoldenBlobPinsTheWireFormat) {
   flat.root = FlatEdge{0, ComplexValue{0.75, 0.0}};
 
   const std::vector<std::uint8_t> kGoldenBlob = {
-      0x4D, 0x44, 0x64, 0x44, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x4D, 0x44, 0x64, 0x44, 0x02, 0x00, 0x02, 0x00, 0x50, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0xC7, 0xA3, 0x4C, 0x67, 0xA3, 0x35, 0x80,
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0xC7, 0x31, 0x9F, 0x04, 0xF4, 0x3D, 0x90, 0x53, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE8, 0x3F, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xE8, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0xE0, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0xBF,
+      0x00, 0x00, 0xF0, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0xBF,
   };
   // Encode: byte-for-byte identical to the pinned blob.
   EXPECT_EQ(serializeDD(flat), kGoldenBlob);
@@ -305,43 +309,6 @@ TEST(DDMigration, GoldenBlobPinsTheWireFormat) {
   const VEdge imported = importDD(pkg, deserializeVectorDD(kGoldenBlob));
   pkg.incRef(imported);
   EXPECT_EQ(pkg.size(imported), flat.nodeCount());
-}
-
-TEST(DDMigration, DeserializeRejectsTruncation) {
-  const auto circuit = test::randomCircuit(4, 40, 29);
-  SimulatedState src(circuit);
-  const std::vector<std::uint8_t> bytes =
-      serializeDD(exportDD(src.sim.package(), src.state));
-  ASSERT_GT(bytes.size(), 8U);
-
-  // Every truncation point — header cuts and payload cuts alike — must be
-  // rejected, never read out of bounds or produce a partial DD.
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{3}, std::size_t{8}, bytes.size() / 2,
-        bytes.size() - 1}) {
-    const std::vector<std::uint8_t> cut(bytes.begin(),
-                                        bytes.begin() + keep);
-    EXPECT_THROW((void)deserializeVectorDD(cut), MigrationError)
-        << "kept " << keep << " of " << bytes.size() << " bytes";
-  }
-}
-
-TEST(DDMigration, DeserializeRejectsBitFlips) {
-  const auto circuit = test::randomCircuit(4, 40, 31);
-  SimulatedState src(circuit);
-  const std::vector<std::uint8_t> bytes =
-      serializeDD(exportDD(src.sim.package(), src.state));
-
-  // Flip one bit at a spread of positions across header and payload. Any
-  // flip must either fail the checksum or trip a header/structure check —
-  // importing silently-wrong edges is the failure mode this guards.
-  for (std::size_t pos = 0; pos < bytes.size();
-       pos += std::max<std::size_t>(1, bytes.size() / 23)) {
-    std::vector<std::uint8_t> bad = bytes;
-    bad[pos] ^= 0x10U;
-    EXPECT_THROW((void)deserializeVectorDD(bad), MigrationError)
-        << "bit flip at byte " << pos << " was accepted";
-  }
 }
 
 TEST(DDMigration, DeserializeRejectsBadMagicAndVersion) {
@@ -359,6 +326,22 @@ TEST(DDMigration, DeserializeRejectsBadMagicAndVersion) {
   std::vector<std::uint8_t> badVersion = bytes;
   badVersion[4] += 1;
   EXPECT_THROW((void)deserializeVectorDD(badVersion), MigrationError);
+
+  // A checksum-valid blob claiming the version-1 layout (44-byte header)
+  // is refused, not decoded with shifted fields.
+  const std::uint32_t magic = wire::peekU32(bytes.data());
+  ASSERT_EQ(wire::peekU16(bytes.data() + 4), 2U);
+  const wire::Opened opened = wire::open(bytes, magic, 2);
+  const std::vector<std::uint8_t> v1 =
+      wire::seal(magic, 1, opened.kind, opened.payload);
+  try {
+    (void)deserializeVectorDD(v1);
+    FAIL() << "version-1 migration blob was accepted";
+  } catch (const MigrationError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
 
   EXPECT_THROW((void)deserializeVectorDD(nullptr, 0), MigrationError);
 }

@@ -41,22 +41,19 @@ measure q[1] -> c[1];
 TEST(Frame, HeaderGoldenBytes) {
   const net::Frame frame{net::FrameType::Hello, {0x01, 0x02}};
   const std::vector<std::uint8_t> bytes = net::encodeFrame(frame);
-  ASSERT_EQ(bytes.size(), net::kFrameHeaderSize + 2);
-  // magic "DDSF" little-endian, version 4, type Hello, reserved 0,
-  // length 2 — all byte positions pinned so the format cannot silently
+  ASSERT_EQ(bytes.size(), wire::kHeaderSize + 2);
+  // magic "DDSF" little-endian, version 5, type Hello, reserved 0,
+  // u64 length 2 — all byte positions pinned so the format cannot silently
   // drift.
-  EXPECT_EQ(bytes[0], 0x44);  // 'D'
-  EXPECT_EQ(bytes[1], 0x44);  // 'D'
-  EXPECT_EQ(bytes[2], 0x53);  // 'S'
-  EXPECT_EQ(bytes[3], 0x46);  // 'F'
-  EXPECT_EQ(bytes[4], 0x04);
-  EXPECT_EQ(bytes[5], 0x00);
-  EXPECT_EQ(bytes[6], 0x01);  // FrameType::Hello
-  EXPECT_EQ(bytes[7], 0x00);  // reserved
-  EXPECT_EQ(bytes[8], 0x02);  // payload length
-  EXPECT_EQ(bytes[9], 0x00);
-  EXPECT_EQ(bytes[10], 0x00);
-  EXPECT_EQ(bytes[11], 0x00);
+  const std::vector<std::uint8_t> header = {
+      0x44, 0x44, 0x53, 0x46,  // "DDSF"
+      0x05, 0x00,              // version
+      0x01,                    // FrameType::Hello
+      0x00,                    // reserved
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload length
+  };
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 16),
+            header);
 
   const net::Frame back = net::decodeFrame(bytes);
   EXPECT_EQ(back.type, net::FrameType::Hello);
@@ -88,42 +85,35 @@ TEST(Frame, CorruptionMatrixThrowsNeverUB) {
     EXPECT_THROW((void)net::decodeFrame(bad), net::FrameError)
         << "bit flip at byte " << i;
   }
-  // Unknown frame types on both sides of the valid range.
+  // Unknown frame types on both sides of the valid range, in envelopes
+  // that are otherwise intact.
   for (const std::uint8_t type : {0x00, 0x09, 0xFF}) {
-    std::vector<std::uint8_t> bad = good;
-    bad[6] = type;
+    const std::vector<std::uint8_t> bad =
+        wire::seal(net::kFrameMagic, net::kWireVersion, type, frame.payload);
     EXPECT_THROW((void)net::decodeFrame(bad), net::FrameError);
+    EXPECT_THROW((void)net::decodeFrameHeader(bad.data()), net::FrameError);
   }
   // Oversized declared length.
   {
     std::vector<std::uint8_t> bad = good;
-    const std::uint32_t huge = net::kMaxFramePayload + 1;
+    const std::uint64_t huge = net::kMaxFramePayload + 1;
     std::memcpy(&bad[8], &huge, sizeof huge);
     EXPECT_THROW((void)net::decodeFrameHeader(bad.data()), net::FrameError);
   }
 }
 
 TEST(Frame, PreviousVersionFrameIsRejected) {
-  // Well-formed frames — checksum included — as peers on older layouts
-  // would send them: version 1 still carried the pipeline fields, version
-  // 2 the kernel thread count, version 3 the derived stats figures.
+  // Well-formed frames — checksum included — claiming the older layouts:
+  // version 1 still carried the pipeline fields, version 2 the kernel
+  // thread count, version 3 the derived stats figures and version 4 the
+  // 20-byte header and a shipped queue-latency maximum.
   const std::vector<std::uint8_t> payload = {0xDE, 0xAD, 0xBE, 0xEF};
-  for (const std::uint16_t version : {1, 2, 3}) {
-    wire::WireWriter prefix;
-    prefix.u32(net::kFrameMagic);
-    prefix.u16(version);
-    prefix.u8(static_cast<std::uint8_t>(net::FrameType::Submit));
-    prefix.u8(0);
-    prefix.u32(static_cast<std::uint32_t>(payload.size()));
-    const std::uint64_t checksum =
-        wire::fnv1a(payload.data(), payload.size(),
-                    wire::fnv1a(prefix.out.data(), prefix.out.size()));
-    std::vector<std::uint8_t> old = prefix.out;
-    wire::putU64(old, checksum);
-    wire::putRaw(old, payload);
-    ASSERT_EQ(old.size(), net::kFrameHeaderSize + payload.size());
+  for (const std::uint16_t version : {1, 2, 3, 4}) {
+    const std::vector<std::uint8_t> old = wire::seal(
+        net::kFrameMagic, version,
+        static_cast<std::uint8_t>(net::FrameType::Submit), payload);
     const std::string expected =
-        "unsupported protocol version " + std::to_string(version);
+        "unsupported version " + std::to_string(version);
     try {
       (void)net::decodeFrame(old);
       FAIL() << "version-" << version << " frame was accepted";

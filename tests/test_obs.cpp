@@ -338,8 +338,7 @@ TEST(ObservedService, HistogramsUnderContendedQueue) {
   EXPECT_LE(stats.queueLatencyP50Seconds, stats.queueLatencyP95Seconds);
   EXPECT_LE(stats.queueLatencyP95Seconds, stats.queueLatencyP99Seconds);
   EXPECT_LE(stats.queueLatencyP99Seconds, stats.queueLatencyHistogram.max);
-  EXPECT_LE(stats.queueLatencyHistogram.max, stats.queueLatencyMaxSeconds +
-                                                 1e-9);
+  EXPECT_EQ(stats.queueLatencyMaxSeconds, stats.queueLatencyHistogram.max);
 
   // Execution histogram covers exactly the simulated jobs.
   EXPECT_EQ(stats.execHistogram.count, stats.simulationsRun);

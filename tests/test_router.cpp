@@ -189,7 +189,7 @@ TEST(StatsMerge, CountersSumAndDerivedFieldsRecompute) {
   // Queue waits of 8 jobs, 0.5 s on average.
   a.queueLatencyHistogram.buckets = {{obs::Histogram::bucketBound(33), 8}};
   a.queueLatencyHistogram.sum = 4.0;
-  a.queueLatencyMaxSeconds = 2.0;
+  a.queueLatencyHistogram.max = 2.0;
   a.execSecondsTotal = 5.0;
   a.cache.hits = 2;
   a.retriesScheduled = 1;
@@ -203,7 +203,7 @@ TEST(StatsMerge, CountersSumAndDerivedFieldsRecompute) {
   // Queue waits of 4 jobs, 1.0 s on average.
   b.queueLatencyHistogram.buckets = {{obs::Histogram::bucketBound(34), 4}};
   b.queueLatencyHistogram.sum = 4.0;
-  b.queueLatencyMaxSeconds = 1.5;
+  b.queueLatencyHistogram.max = 1.5;
   b.execSecondsTotal = 3.0;
   b.cache.hits = 2;
   b.retriesScheduled = 3;
@@ -219,6 +219,7 @@ TEST(StatsMerge, CountersSumAndDerivedFieldsRecompute) {
   EXPECT_EQ(into.simulationsRun, 8U);
   EXPECT_EQ(into.cache.hits, 4U);
   EXPECT_EQ(into.retriesScheduled, 4U);
+  // The maximum is the merged histogram's.
   EXPECT_DOUBLE_EQ(into.queueLatencyMaxSeconds, 2.0);
   EXPECT_DOUBLE_EQ(into.execSecondsTotal, 8.0);
   // Mean over every finished job, merged histogram sum / count:
@@ -358,6 +359,7 @@ TEST(ServiceStatsSchema, EveryFieldRoundTripsMergesAndPrintsOnce) {
                    d.queueLatencyHistogram.sum /
                        static_cast<double>(d.queueLatencyHistogram.count));
   EXPECT_EQ(d.queueLatencyP95Seconds, d.queueLatencyHistogram.p95);
+  EXPECT_EQ(d.queueLatencyMaxSeconds, d.queueLatencyHistogram.max);
   EXPECT_EQ(d.execP99Seconds, d.execHistogram.p99);
   std::uint64_t bucketTotal = 0;
   for (const auto& [bound, count] : d.execHistogram.buckets) {

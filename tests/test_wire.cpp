@@ -1,13 +1,14 @@
-/// Tests for the shared byte codec (wire/wire.hpp) and the four binary
-/// formats written with it — the DD migration blob, the checkpoint blob,
-/// the spill-journal record and the net frame:
+/// Tests for the shared byte codec and envelope (wire/wire.hpp) and the
+/// four binary formats sealed in it — the DD migration blob, the checkpoint
+/// blob, the spill-journal record and the net frame:
 ///  * the little-endian primitives and their bounds-checked reader;
 ///  * golden bytes and digests that pin each format, so a refactor of the
 ///    codec cannot change a byte that existing checkpoints, `--cache-dir`
 ///    journals or peers depend on;
-///  * one corruption matrix over all four formats: every truncation, every
-///    single-bit flip and a payload byte past the last field (length and
-///    checksum fixed up to match) is rejected in the format's own way.
+///  * one corruption matrix on the envelope, every truncation and every
+///    single-bit flip, with one row per format on top: the same damage is
+///    rejected in the format's own way, and so is a payload byte past the
+///    last field (resealed, so length and checksum match).
 
 #include <gtest/gtest.h>
 
@@ -262,35 +263,53 @@ Bytes spillRecord(const serve::CacheKey& key,
   return readFile(dir + "/cache.log");
 }
 
+/// \p sealed (any envelope) with \p pad zero bytes appended to its payload,
+/// sealed again as \p version: the one pad-and-fix-up rule of every format,
+/// and a checksum-valid envelope claiming another version.
+Bytes reseal(const Bytes& sealed, std::size_t pad, std::uint16_t version) {
+  const std::uint32_t magic = wire::peekU32(sealed.data());
+  const wire::Opened opened =
+      wire::open(sealed, magic, wire::peekU16(sealed.data() + 4));
+  Bytes payload(opened.payload.begin(), opened.payload.end());
+  payload.resize(payload.size() + pad, 0);
+  return wire::seal(magic, version, opened.kind, payload);
+}
+
+/// The version \p sealed claims.
+std::uint16_t versionOf(const Bytes& sealed) {
+  return wire::peekU16(sealed.data() + 4);
+}
+
 // --------------------------------------------------------------- goldens
 //
 // The spill record is pinned byte for byte; the larger encodings by size
-// and FNV-1a digest. The migration blob's values date from before the
-// formats moved onto the shared codec; the others were re-captured when
-// the pipeline fields left their layouts (checkpoint and frame version 2,
-// spill magic "LPS2").
+// and FNV-1a digest. The sealed formats were re-captured when they moved
+// into the one envelope (checkpoint version 3, spill magic "LPSR" version
+// 3); the StatsReport payload when its queue-latency maximum became a
+// derived figure.
 
 TEST(WireGolden, SpillRecordBytes) {
-  // Layout: magic "LPS2", u32 payload length (170), u64 FNV-1a of the
-  // payload; payload = key triple, u64 bit count + packed bits, then the
-  // 17 flat SimulationStats fields.
+  // Layout: the envelope header (magic "LPSR", version 3, kind 0, u64
+  // payload length 170, u64 checksum), then the payload: key triple, u64
+  // bit count + packed bits, then the 17 flat SimulationStats fields.
   const Bytes kGolden = {
-      0x4C, 0x50, 0x53, 0x32, 0xAA, 0x00, 0x00, 0x00, 0x0F, 0x7C, 0x85, 0x39,
-      0x4A, 0xA1, 0xF7, 0xCE, 0x44, 0x44, 0x33, 0x33, 0x22, 0x22, 0x11, 0x11,
-      0x88, 0x88, 0x77, 0x77, 0x66, 0x66, 0x55, 0x55, 0x2A, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x4D, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, 0x07, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0xEC, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x4C, 0x50, 0x53, 0x52, 0x03, 0x00, 0x00, 0x00, 0xAA, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x9F, 0xB0, 0xA7, 0xEF, 0x85, 0x7B, 0xE5, 0x68,
+      0x44, 0x44, 0x33, 0x33, 0x22, 0x22, 0x11, 0x11, 0x88, 0x88, 0x77, 0x77,
+      0x66, 0x66, 0x55, 0x55, 0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4D, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xEC, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00,
   };
   EXPECT_EQ(spillRecord(goldenKey(), goldenOutcome()), kGolden);
 
@@ -311,11 +330,13 @@ TEST(WireGolden, SpillRecordBytes) {
 }
 
 TEST(WireGolden, PreviousLayoutSpillRecordIsSkippedAndCounted) {
-  // A record as the previous layout wrote it: magic "LPSD", payload of the
-  // key, the bits and 22 stats fields (the pipeline counters included).
-  // Its checksum is intact, but the magic no longer matches, so the loader
-  // skips it as one corrupt region and still loads the record after it.
-  const Bytes kV1Record = {
+  // Records as the previous layouts wrote them, their checksums intact:
+  // magic "LPSD", payload of the key, the bits and 22 stats fields (the
+  // pipeline counters included); magic "LPS2" with the 17 stats fields of
+  // today, both behind a versionless 16-byte header; and today's magic
+  // claiming version 2. The loader skips each as one corrupt region and
+  // still loads the record after it.
+  const Bytes kLpsdRecord = {
       0x4C, 0x50, 0x53, 0x44, 0xD2, 0x00, 0x00, 0x00, 0xEE, 0x1F, 0xA9, 0x21,
       0x65, 0x8B, 0x5E, 0xF4, 0x44, 0x44, 0x33, 0x33, 0x22, 0x22, 0x11, 0x11,
       0x88, 0x88, 0x77, 0x77, 0x66, 0x66, 0x55, 0x55, 0x2A, 0x00, 0x00, 0x00,
@@ -336,27 +357,50 @@ TEST(WireGolden, PreviousLayoutSpillRecordIsSkippedAndCounted) {
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,
   };
+  const Bytes kLps2Record = {
+      0x4C, 0x50, 0x53, 0x32, 0xAA, 0x00, 0x00, 0x00, 0x0F, 0x7C, 0x85, 0x39,
+      0x4A, 0xA1, 0xF7, 0xCE, 0x44, 0x44, 0x33, 0x33, 0x22, 0x22, 0x11, 0x11,
+      0x88, 0x88, 0x77, 0x77, 0x66, 0x66, 0x55, 0x55, 0x2A, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x4D, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, 0x07, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xEC, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  const Bytes current = spillRecord(goldenKey(), goldenOutcome());
+  const Bytes previousVersion = reseal(
+      current, 0, static_cast<std::uint16_t>(versionOf(current) - 1));
   const serve::CacheKey key{1, 2, 3};
-  Bytes journal = kV1Record;
-  const Bytes current = spillRecord(key, goldenOutcome());
-  journal.insert(journal.end(), current.begin(), current.end());
-  const std::string dir = freshDir("v1_journal");
-  writeFile(dir + "/cache.log", journal);
-  serve::CacheSpill spill(dir);
-  std::vector<serve::CacheKey> keys;
-  EXPECT_EQ(spill.load([&](const serve::CacheKey& k, serve::CachedOutcome) {
-              keys.push_back(k);
-            }),
-            1U);
-  EXPECT_EQ(keys, std::vector<serve::CacheKey>{key});
-  EXPECT_EQ(spill.counters().corruptSkipped, 1U);
-  EXPECT_EQ(spill.counters().loaded, 1U);
+  const Bytes intact = spillRecord(key, goldenOutcome());
+  for (const Bytes* old : {&kLpsdRecord, &kLps2Record, &previousVersion}) {
+    Bytes journal = *old;
+    journal.insert(journal.end(), intact.begin(), intact.end());
+    const std::string dir = freshDir("old_journal");
+    writeFile(dir + "/cache.log", journal);
+    serve::CacheSpill spill(dir);
+    std::vector<serve::CacheKey> keys;
+    EXPECT_EQ(spill.load([&](const serve::CacheKey& k, serve::CachedOutcome) {
+                keys.push_back(k);
+              }),
+              1U);
+    EXPECT_EQ(keys, std::vector<serve::CacheKey>{key});
+    EXPECT_EQ(spill.counters().corruptSkipped, 1U);
+    EXPECT_EQ(spill.counters().loaded, 1U);
+  }
 }
 
 TEST(WireGolden, CheckpointSizeAndDigest) {
   const Bytes bytes = goldenCheckpoint().serialize();
-  EXPECT_EQ(bytes.size(), 517U);
-  EXPECT_EQ(digest(bytes), 0x5C9BB4B3C98AD0EBULL);
+  EXPECT_EQ(bytes.size(), 438U);
+  EXPECT_EQ(digest(bytes), 0xC3DB368B673A2DEBULL);
   const sim::Checkpoint back = sim::Checkpoint::deserialize(bytes);
   EXPECT_EQ(back.rngState, "12 34 56");
   EXPECT_EQ(back.state, goldenCheckpoint().state);
@@ -381,8 +425,8 @@ TEST(WireGolden, ResultPayloadSizeAndDigest) {
 
 TEST(WireGolden, ServiceStatsSizeAndDigest) {
   const Bytes bytes = net::encodeServiceStats(goldenServiceStats());
-  EXPECT_EQ(bytes.size(), 400U);
-  EXPECT_EQ(digest(bytes), 0x6B92002EF112E11EULL);
+  EXPECT_EQ(bytes.size(), 392U);
+  EXPECT_EQ(digest(bytes), 0x335DEAE296AFFE5EULL);
   EXPECT_EQ(net::encodeServiceStats(net::decodeServiceStats(bytes)), bytes);
 }
 
@@ -410,37 +454,48 @@ Bytes migrationBlob(std::uint64_t seed) {
   return dd::serializeDD(dd::exportDD(simulator.package(), state));
 }
 
-/// Overwrite the little-endian field at \p at with \p v.
-template <class T>
-void poke(Bytes& b, std::size_t at, T v) {
-  Bytes le;
-  wire::putLE(le, v);
-  std::copy(le.begin(), le.end(), b.begin() + static_cast<std::ptrdiff_t>(at));
-}
-
-/// \p b with \p n zero bytes appended to its payload and the header's
-/// length and checksum rewritten to cover them, for a format whose header
-/// holds a \p Len payload length at \p lenAt and a u64 FNV-1a of the
-/// \p headerSize-byte-offset payload at \p sumAt.
-template <class Len>
-Bytes padPayload(Bytes b, std::size_t n, std::size_t lenAt, std::size_t sumAt,
-                 std::size_t headerSize) {
-  b.resize(b.size() + n, 0);
-  poke(b, lenAt, static_cast<Len>(b.size() - headerSize));
-  poke(b, sumAt, digest(Bytes(b.begin() + static_cast<std::ptrdiff_t>(headerSize),
-                              b.end())));
-  return b;
-}
-
 struct Format {
   std::string name;
   Bytes good;
   std::function<bool(const Bytes&)> rejects;
-  /// The pad-and-fix-up rule of this format's header (see padPayload).
-  std::function<Bytes(const Bytes&, std::size_t)> pad;
 };
 
+/// Every truncation and every single-bit flip of \p f.good, header fields
+/// included, is rejected. \p shortest is the first cut length tried.
+void expectEveryCutAndFlipRejected(const Format& f, std::size_t shortest) {
+  ASSERT_FALSE(f.rejects(f.good)) << f.name << ": intact bytes rejected";
+  for (std::size_t len = shortest; len < f.good.size(); ++len) {
+    const Bytes cut(f.good.begin(),
+                    f.good.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_TRUE(f.rejects(cut)) << f.name << " truncated to " << len;
+  }
+  for (std::size_t i = 0; i < f.good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes bad = f.good;
+      bad[i] ^= static_cast<std::uint8_t>(1U << bit);
+      EXPECT_TRUE(f.rejects(bad))
+          << f.name << ": bit " << bit << " of byte " << i << " flipped";
+    }
+  }
+}
+
 TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
+  // The envelope itself, once: every cut and flip fails wire::open.
+  const Bytes payload = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07};
+  const std::uint32_t magic = 0x12345678U;
+  const Bytes envelope = wire::seal(magic, 9, 3, payload);
+  expectEveryCutAndFlipRejected(
+      {"envelope", envelope,
+       throwsOwnError<wire::WireError>(
+           [&](const Bytes& b) { return wire::open(b, magic, 9); })},
+      0);
+  // Resealing with zero padding reproduces the intact bytes, so the pad
+  // rule rewrites exactly the fields the envelope checks.
+  ASSERT_EQ(reseal(envelope, 0, 9), envelope);
+
+  // One row per format: the same damage to a real blob surfaces as the
+  // format's own error, and so does one payload byte past the last field,
+  // resealed to match — what an encoder with a longer layout writes.
   std::vector<Format> formats;
   // The two random-state blobs the migration format was sampled on.
   for (const std::uint64_t seed : {29, 31}) {
@@ -448,25 +503,12 @@ TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
         {"migration blob (seed " + std::to_string(seed) + ")",
          migrationBlob(seed),
          throwsOwnError<dd::MigrationError>(
-             [](const Bytes& b) { return dd::deserializeVectorDD(b); }),
-         [](const Bytes& b, std::size_t n) {
-           // u64 length at 28; the u64 checksum at 36 covers the whole
-           // blob with its own field zeroed.
-           Bytes out = b;
-           out.resize(out.size() + n, 0);
-           poke(out, 28, wire::peekU64(out.data() + 28) + n);
-           poke(out, 36, std::uint64_t{0});
-           poke(out, 36, digest(out));
-           return out;
-         }});
+             [](const Bytes& b) { return dd::deserializeVectorDD(b); })});
   }
   formats.push_back({"checkpoint blob", goldenCheckpoint().serialize(),
                      throwsOwnError<sim::CheckpointError>([](const Bytes& b) {
                        return sim::Checkpoint::deserialize(b);
-                     }),
-                     [](const Bytes& b, std::size_t n) {
-                       return padPayload<std::uint64_t>(b, n, 8, 16, 24);
-                     }});
+                     })});
   // The frame row decodes the Submit payload too, so bytes past its last
   // field are seen.
   formats.push_back(
@@ -475,18 +517,7 @@ TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
            {net::FrameType::Submit, net::encodeSubmit(goldenSubmit())}),
        throwsOwnError<net::FrameError>([](const Bytes& b) {
          return net::decodeSubmit(net::decodeFrame(b).payload);
-       }),
-       [](const Bytes& b, std::size_t n) {
-         // u32 length at 8; the checksum at 12 chains the 12-byte header
-         // prefix into the payload's.
-         Bytes out = b;
-         out.resize(out.size() + n, 0);
-         poke(out, 8, static_cast<std::uint32_t>(out.size() - 20));
-         poke(out, 12,
-              wire::fnv1a(out.data() + 20, out.size() - 20,
-                          wire::fnv1a(out.data(), 12)));
-         return out;
-       }});
+       })});
   // A spill record is rejected when a journal holding it, followed by an
   // intact record, loads only the intact record and counts the damage.
   const serve::CacheKey intactKey{1, 2, 3};
@@ -505,36 +536,13 @@ TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
          });
          return keys == std::vector<serve::CacheKey>{intactKey} &&
                 spill.counters().corruptSkipped >= 1;
-       },
-       [](const Bytes& b, std::size_t n) {
-         return padPayload<std::uint32_t>(b, n, 4, 8, 16);
        }});
 
   for (const Format& f : formats) {
-    ASSERT_FALSE(f.rejects(f.good)) << f.name << ": intact bytes rejected";
-    // Every truncation length. (A spill record cut to nothing leaves no
-    // damage to count, so the spill sweep starts at one byte.)
-    const std::size_t shortest = f.name == "spill record" ? 1 : 0;
-    for (std::size_t len = shortest; len < f.good.size(); ++len) {
-      const Bytes cut(f.good.begin(),
-                      f.good.begin() + static_cast<std::ptrdiff_t>(len));
-      EXPECT_TRUE(f.rejects(cut)) << f.name << " truncated to " << len;
-    }
-    // Every single-bit flip, header fields included.
-    for (std::size_t i = 0; i < f.good.size(); ++i) {
-      for (int bit = 0; bit < 8; ++bit) {
-        Bytes bad = f.good;
-        bad[i] ^= static_cast<std::uint8_t>(1U << bit);
-        EXPECT_TRUE(f.rejects(bad))
-            << f.name << ": bit " << bit << " of byte " << i << " flipped";
-      }
-    }
-    // One byte past the last field, with the header's length and checksum
-    // fixed up to cover it: what an encoder with a longer layout writes.
-    // Padding by zero bytes must reproduce the intact bytes, which shows
-    // the fix-up rewrites exactly the fields the decoder checks.
-    ASSERT_EQ(f.pad(f.good, 0), f.good) << f.name;
-    EXPECT_TRUE(f.rejects(f.pad(f.good, 1)))
+    // A spill record cut to nothing leaves no damage to count, so the
+    // spill sweep starts at one byte.
+    expectEveryCutAndFlipRejected(f, f.name == "spill record" ? 1 : 0);
+    EXPECT_TRUE(f.rejects(reseal(f.good, 1, versionOf(f.good))))
         << f.name << ": a trailing payload byte was accepted";
   }
 }

@@ -23,7 +23,8 @@ Python by those rules and fails loudly when the C++ merge disagrees:
     equal its definition:
       - jobs_per_second = finished jobs / elapsed_seconds;
       - <name>_mean_seconds = <name>_histogram sum / count;
-      - <name>_pNN_seconds = <name>_histogram pNN;
+      - <name>_pNN_seconds = <name>_histogram pNN, and
+        <name>_max_seconds = <name>_histogram max;
     and inside every histogram, count = the sum of the bucket counts and
     each pNN = the quantile interpolated from the buckets.
 
@@ -188,7 +189,7 @@ def derived_value(stats, key):
     if m:
         hist = stats[f"{m.group(1)}_histogram"]
         return hist["sum"] / hist["count"] if hist["count"] > 0 else 0.0
-    m = re.fullmatch(r"(.+)_(p50|p95|p99)_seconds", key)
+    m = re.fullmatch(r"(.+)_(p50|p95|p99|max)_seconds", key)
     if m:
         return stats[f"{m.group(1)}_histogram"][m.group(2)]
     raise Mismatch(f"derived field {key!r} has no known definition")
