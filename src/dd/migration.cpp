@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "dd/package.hpp"
-#include "wire/wire.hpp"
 
 namespace ddsim::dd {
 
@@ -120,62 +119,7 @@ void validateFlat(const FlatDD<Arity>& flat, std::size_t dstQubits) {
   checkEdge(flat.root, /*parentLevel=*/0, /*i=*/0, /*isRoot=*/true);
 }
 
-// ------------------------------------------------- byte-level wire format
-
-constexpr std::uint32_t kMagic = 0x4464444dU;  // "MDdD"
-constexpr std::uint16_t kVersion = 2;
-
-template <std::size_t Arity>
-std::vector<std::uint8_t> serializeImpl(const FlatDD<Arity>& flat) {
-  wire::WireWriter w;
-  flatFields(w, flat);
-  return wire::seal(kMagic, kVersion, Arity, w.out);
-}
-
-template <std::size_t Arity>
-FlatDD<Arity> deserializeImpl(const std::uint8_t* data, std::size_t size) {
-  try {
-    const wire::Opened blob = wire::open({data, size}, kMagic, kVersion);
-    if (blob.kind != Arity) {
-      throw wire::WireError("arity " + std::to_string(blob.kind) +
-                            " does not match the requested " +
-                            (Arity == 2 ? "vector" : "matrix") + " DD");
-    }
-    FlatDD<Arity> flat;
-    wire::WireReader r(blob.payload);
-    flatFields(r, flat);
-    r.expectEnd();
-    return flat;
-  } catch (const wire::WireError& e) {
-    throw MigrationError(std::string("deserializeDD: ") + e.what());
-  }
-}
-
 }  // namespace
-
-std::vector<std::uint8_t> serializeDD(const FlatVectorDD& flat) {
-  return serializeImpl<2>(flat);
-}
-
-std::vector<std::uint8_t> serializeDD(const FlatMatrixDD& flat) {
-  return serializeImpl<4>(flat);
-}
-
-FlatVectorDD deserializeVectorDD(const std::uint8_t* data, std::size_t size) {
-  return deserializeImpl<2>(data, size);
-}
-
-FlatMatrixDD deserializeMatrixDD(const std::uint8_t* data, std::size_t size) {
-  return deserializeImpl<4>(data, size);
-}
-
-FlatVectorDD deserializeVectorDD(const std::vector<std::uint8_t>& bytes) {
-  return deserializeImpl<2>(bytes.data(), bytes.size());
-}
-
-FlatMatrixDD deserializeMatrixDD(const std::vector<std::uint8_t>& bytes) {
-  return deserializeImpl<4>(bytes.data(), bytes.size());
-}
 
 FlatVectorDD exportDD(const Package& src, const VEdge& root) {
   return exportImpl<2>(src, root);

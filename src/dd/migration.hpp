@@ -1,5 +1,5 @@
 /// \file migration.hpp
-/// \brief Cross-package DD migration: serialize a vector/matrix DD into a
+/// \brief Cross-package DD migration: export a vector/matrix DD into a
 ///        portable flat edge-list form and rebuild it inside another
 ///        dd::Package.
 ///
@@ -17,9 +17,7 @@
 /// The consumer in this codebase is the simulation checkpoint
 /// (sim/checkpoint.hpp): it carries the state and the pending accumulator
 /// out of one package and resumes them in another — in another simulator,
-/// even another process. Its bytes hold the flat form through flatFields,
-/// the same field list a standalone migration blob (serializeDD) seals in
-/// the one wire envelope (wire/wire.hpp).
+/// even another process. Its bytes hold the flat form through flatFields.
 
 #pragma once
 
@@ -39,8 +37,7 @@ namespace ddsim::dd {
 
 class Package;
 
-/// Structured failure of DD migration: malformed flat structure, or a byte
-/// stream that is truncated, version-incompatible or fails its checksum.
+/// Structured failure of DD migration: a malformed flat structure.
 /// Derives from std::invalid_argument so pre-existing callers that treat a
 /// bad flat DD as an argument error keep working unchanged.
 class MigrationError : public std::invalid_argument {
@@ -112,11 +109,10 @@ using FlatMatrixDD = FlatDD<4>;
 
 /// The field list of a FlatDD: numQubits and the node count (u64 each),
 /// the root edge, then each node's level (i32) and its Arity edges, an
-/// edge being its child index (i32) and its weight (two f64). It is the
-/// migration blob's payload, and the checkpoint embeds its state and
-/// accumulator through it. \p io is a wire::WireWriter (with a const
-/// \p flat) or a wire::WireReader; the reader bounds the node count by the
-/// bytes left before it allocates.
+/// edge being its child index (i32) and its weight (two f64). The
+/// checkpoint embeds its state and accumulator through it. \p io is a
+/// wire::WireWriter (with a const \p flat) or a wire::WireReader; the
+/// reader bounds the node count by the bytes left before it allocates.
 template <class IO, class Flat>
 void flatFields(IO& io, Flat& flat) {
   constexpr std::size_t kEdgeBytes = 4 + 8 + 8;
@@ -145,26 +141,5 @@ void flatFields(IO& io, Flat& flat) {
     }
   }
 }
-
-/// The migration blob: one wire envelope (wire/wire.hpp) whose kind is
-/// the arity (2 or 4) and whose payload is flatFields. Numbers are
-/// little-endian and weights travel as their IEEE-754 bit pattern, so a
-/// blob re-imports bit-identically on any supported host.
-[[nodiscard]] std::vector<std::uint8_t> serializeDD(const FlatVectorDD& flat);
-[[nodiscard]] std::vector<std::uint8_t> serializeDD(const FlatMatrixDD& flat);
-
-/// Decode a serialized flat DD. Throws MigrationError on anything
-/// wire::open rejects (truncation, bad magic, unsupported version,
-/// checksum failure), an arity mismatch or a payload that does not hold
-/// exactly one flat DD. importDD re-validates the structure itself, so
-/// even a forged checksum cannot cause undefined reconstruction.
-[[nodiscard]] FlatVectorDD deserializeVectorDD(const std::uint8_t* data,
-                                               std::size_t size);
-[[nodiscard]] FlatMatrixDD deserializeMatrixDD(const std::uint8_t* data,
-                                               std::size_t size);
-[[nodiscard]] FlatVectorDD deserializeVectorDD(
-    const std::vector<std::uint8_t>& bytes);
-[[nodiscard]] FlatMatrixDD deserializeMatrixDD(
-    const std::vector<std::uint8_t>& bytes);
 
 }  // namespace ddsim::dd

@@ -1,7 +1,6 @@
 /// \file build_dd.hpp
-/// \brief Shared lowering of IR operations to matrix DDs, used by the vector
-///        simulator, the density-matrix simulator and the equivalence
-///        checker.
+/// \brief Shared lowering of IR operations to matrix DDs, used by the
+///        simulator and the equivalence checker.
 
 #pragma once
 

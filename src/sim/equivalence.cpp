@@ -24,8 +24,12 @@ MEdge buildOps(dd::Package& pkg,
         continue;
       case ir::OpKind::Compound: {
         const auto& comp = static_cast<const ir::CompoundOperation&>(*op);
-        MEdge block = buildOps(pkg, comp.body(), pkg.makeIdent());
-        pkg.incRef(block);
+        // buildOps releases its accumulator after the first product, so the
+        // fresh identity is rooted first: unrooted, it would drop the
+        // package's own pin on its cached identity.
+        const MEdge ident = pkg.makeIdent();
+        pkg.incRef(ident);
+        const MEdge block = buildOps(pkg, comp.body(), ident);
         for (std::size_t rep = 0; rep < comp.repetitions(); ++rep) {
           MEdge next = pkg.multiply(block, acc);
           pkg.incRef(next);

@@ -1,7 +1,7 @@
 /// \file wire.hpp
 /// \brief The one byte codec and the one checksummed envelope behind every
-///        ddsim binary format: the DD migration blob, the checkpoint blob,
-///        the spill-journal record and the net frame.
+///        ddsim binary format: the checkpoint blob, the spill-journal
+///        record and the net frame.
 ///
 /// Numbers are explicit little-endian; doubles travel as their IEEE-754
 /// bit pattern; classical bits are a u64 count followed by the bits packed

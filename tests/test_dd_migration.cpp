@@ -1,20 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "algo/grover.hpp"
 #include "algo/qft.hpp"
 #include "dd/migration.hpp"
 #include "dd/package.hpp"
-#include "sim/build_dd.hpp"
+#include "sim/equivalence.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
-#include "wire/wire.hpp"
 
 namespace ddsim::dd {
 namespace {
@@ -29,22 +25,6 @@ struct SimulatedState {
   sim::CircuitSimulator sim;
   VEdge state{};
 };
-
-/// Combined matrix DD of a purely unitary circuit, built in \p pkg.
-MEdge buildCircuitMatrix(Package& pkg, const ir::Circuit& circuit) {
-  const ir::Circuit flat = circuit.flattened();
-  MEdge acc = pkg.makeIdent();
-  pkg.incRef(acc);
-  for (const auto& op : flat.ops()) {
-    const MEdge g = sim::buildOperationDD(pkg, *op);
-    const MEdge combined = pkg.multiply(g, acc);
-    pkg.incRef(combined);
-    pkg.decRef(acc);
-    acc = combined;
-  }
-  pkg.decRef(acc);
-  return acc;
-}
 
 TEST(DDMigration, VectorRoundTripRandomCircuits) {
   for (const std::uint64_t seed : {7ULL, 21ULL, 99ULL}) {
@@ -89,7 +69,7 @@ TEST(DDMigration, MatrixRoundTripGroverAndQFT) {
   const auto qft = algo::makeQFTCircuit(5);
   for (const ir::Circuit* circuit : {&grover, &qft}) {
     Package a(5);
-    const MEdge m = buildCircuitMatrix(a, *circuit);
+    const MEdge m = sim::buildCircuitMatrix(a, *circuit);
     a.incRef(m);
     const FlatMatrixDD flat = exportDD(a, m);
     EXPECT_EQ(flat.nodeCount(), a.size(m));
@@ -238,128 +218,6 @@ TEST(DDMigration, ValidationRejectsMalformedInput) {
                                    FlatEdge{kFlatTerminal, {0.0, 0.0}}}});
   fatTerminal.root = {0, {1.0, 0.0}};
   EXPECT_THROW((void)importDD(dst, fatTerminal), std::invalid_argument);
-}
-
-TEST(DDMigration, SerializedBytesRoundTrip) {
-  const auto circuit = test::randomCircuit(5, 60, 13);
-  SimulatedState src(circuit);
-  const FlatVectorDD flat = exportDD(src.sim.package(), src.state);
-
-  const std::vector<std::uint8_t> bytes = serializeDD(flat);
-  EXPECT_EQ(deserializeVectorDD(bytes), flat);
-
-  // Matrix arity through the same wire format.
-  Package a(4);
-  const MEdge m = buildCircuitMatrix(a, algo::makeQFTCircuit(4));
-  a.incRef(m);
-  const FlatMatrixDD mflat = exportDD(a, m);
-  EXPECT_EQ(deserializeMatrixDD(serializeDD(mflat)), mflat);
-
-  // Arity confusion is rejected: a vector blob is not a matrix blob.
-  EXPECT_THROW((void)deserializeMatrixDD(bytes), MigrationError);
-}
-
-TEST(DDMigration, GoldenBlobPinsTheWireFormat) {
-  // Byte-level golden blob: the serialized form of a small hand-built DD,
-  // hardcoded so ANY change to the on-disk layout — field order, widths,
-  // endianness, checksum chaining — fails this test instead of silently
-  // breaking persisted spill files and cross-process migration. The format
-  // is explicit little-endian; these bytes must decode identically on
-  // every platform.
-  //
-  // Layout (offsets in bytes):
-  //    0  u32  magic "MDdD" (0x4464444D)
-  //    4  u16  version (2)
-  //    6  u8   kind = arity (2 = vector)
-  //    7  u8   reserved (0)
-  //    8  u64  payload length (80: numQubits, node count, one 20-byte root
-  //            edge and one 44-byte node)
-  //   16  u64  FNV-1a over bytes 0..15, then the payload
-  //   24  u64  numQubits (1)
-  //   32  u64  node count (1, excluding the terminal)
-  //   40  ...  root edge (i32 node index, f64 re, f64 im), then nodes
-  //        (i32 level, then `arity` edges), children-before-parents.
-  FlatVectorDD flat;
-  flat.numQubits = 1;
-  FlatNode<2> node;
-  node.v = 0;
-  node.children[0] = FlatEdge{kFlatTerminal, ComplexValue{1.0, 0.0}};
-  node.children[1] = FlatEdge{kFlatTerminal, ComplexValue{0.5, -0.25}};
-  flat.nodes.push_back(node);
-  flat.root = FlatEdge{0, ComplexValue{0.75, 0.0}};
-
-  const std::vector<std::uint8_t> kGoldenBlob = {
-      0x4D, 0x44, 0x64, 0x44, 0x02, 0x00, 0x02, 0x00, 0x50, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x14, 0xC7, 0xA3, 0x4C, 0x67, 0xA3, 0x35, 0x80,
-      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0xE8, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0xF0, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0xBF,
-  };
-  // Encode: byte-for-byte identical to the pinned blob.
-  EXPECT_EQ(serializeDD(flat), kGoldenBlob);
-  // Decode: the pinned bytes reproduce the DD exactly.
-  EXPECT_EQ(deserializeVectorDD(kGoldenBlob), flat);
-  // And the blob is semantically live, not just parseable: it imports into
-  // a real package.
-  Package pkg(1);
-  const VEdge imported = importDD(pkg, deserializeVectorDD(kGoldenBlob));
-  pkg.incRef(imported);
-  EXPECT_EQ(pkg.size(imported), flat.nodeCount());
-}
-
-TEST(DDMigration, DeserializeRejectsBadMagicAndVersion) {
-  const auto circuit = test::randomCircuit(3, 20, 37);
-  SimulatedState src(circuit);
-  const std::vector<std::uint8_t> bytes =
-      serializeDD(exportDD(src.sim.package(), src.state));
-
-  std::vector<std::uint8_t> badMagic = bytes;
-  badMagic[0] ^= 0xFFU;
-  EXPECT_THROW((void)deserializeVectorDD(badMagic), MigrationError);
-
-  // Version field sits right after the 4-byte magic; a future version must
-  // be rejected up front rather than misparsed.
-  std::vector<std::uint8_t> badVersion = bytes;
-  badVersion[4] += 1;
-  EXPECT_THROW((void)deserializeVectorDD(badVersion), MigrationError);
-
-  // A checksum-valid blob claiming the version-1 layout (44-byte header)
-  // is refused, not decoded with shifted fields.
-  const std::uint32_t magic = wire::peekU32(bytes.data());
-  ASSERT_EQ(wire::peekU16(bytes.data() + 4), 2U);
-  const wire::Opened opened = wire::open(bytes, magic, 2);
-  const std::vector<std::uint8_t> v1 =
-      wire::seal(magic, 1, opened.kind, opened.payload);
-  try {
-    (void)deserializeVectorDD(v1);
-    FAIL() << "version-1 migration blob was accepted";
-  } catch (const MigrationError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
-              std::string::npos)
-        << e.what();
-  }
-
-  EXPECT_THROW((void)deserializeVectorDD(nullptr, 0), MigrationError);
-}
-
-TEST(DDMigration, SerializedBlobSurvivesReimportAcrossPackages) {
-  // End-to-end: bytes produced from one package rebuild an amplitude-
-  // identical state in a fresh package — the property checkpoint/resume
-  // and the cache spill rely on.
-  const auto circuit = test::randomCircuit(5, 60, 41);
-  SimulatedState src(circuit);
-  Package& a = src.sim.package();
-  const std::vector<std::uint8_t> bytes = serializeDD(exportDD(a, src.state));
-
-  Package b(5);
-  const VEdge imported = importDD(b, deserializeVectorDD(bytes));
-  b.incRef(imported);
-  test::expectAmplitudesNear(b.getVector(imported), a.getVector(src.state),
-                             1e-12);
 }
 
 TEST(DDMigration, SourcePackageUntouchedByExport) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "baseline/dense_matrix.hpp"
 #include "dd/package.hpp"
@@ -350,6 +353,64 @@ TEST(DDOps, UnitaryPreservesNorm) {
     v = p.multiply(g, v);
   }
   EXPECT_NEAR(p.norm2(v), 1.0, 1e-8);
+}
+
+// -------------------------------------------------------------------- trace
+
+Cx denseTrace(const DenseMatrix& m) {
+  Cx sum{};
+  for (std::size_t i = 0; i < m.dim(); ++i) {
+    sum += m.at(i, i);
+  }
+  return sum;
+}
+
+TEST(DDOps, TraceMatchesDenseOnRandomCircuits) {
+  // Random gate products over 4 qubits, built gate by gate as a DD and as a
+  // dense matrix; about half the gates carry a control.
+  const std::vector<ir::GateType> kinds{ir::GateType::H, ir::GateType::T,
+                                        ir::GateType::SX, ir::GateType::Y,
+                                        ir::GateType::S};
+  for (const std::uint64_t seed : {112ULL, 113ULL, 114ULL}) {
+    Package p(4);
+    std::mt19937_64 rng(seed);
+    MEdge u = p.makeIdent();
+    DenseMatrix expected = DenseMatrix::identity(16);
+    for (int i = 0; i < 12; ++i) {
+      const GateMatrix g = ir::gateMatrix(kinds[rng() % kinds.size()]);
+      const auto t = static_cast<Qubit>(rng() % 4);
+      Controls controls;
+      if (rng() % 2 == 0) {
+        controls.push_back(Control{static_cast<Qubit>((t + 1 + rng() % 3) % 4)});
+      }
+      u = p.multiply(p.makeGateDD(g, t, controls), u);
+      expected = baseline::expandGate(g, 4, t, controls) * expected;
+    }
+    const ComplexValue got = p.trace(u);
+    const Cx want = denseTrace(expected);
+    EXPECT_NEAR(got.r, want.real(), 1e-9) << "seed " << seed;
+    EXPECT_NEAR(got.i, want.imag(), 1e-9) << "seed " << seed;
+  }
+}
+
+TEST(DDOps, TraceOfIdentityChainsAndZero) {
+  Package p(5);
+  // makeIdent(k - 1) is the identity on the k lowest qubits: Tr = 2^k.
+  for (Qubit k = 1; k <= 5; ++k) {
+    const ComplexValue tr = p.trace(p.makeIdent(k - 1));
+    EXPECT_EQ(tr.r, std::ldexp(1.0, k));
+    EXPECT_EQ(tr.i, 0.0);
+  }
+  // A gate on the top qubit reaches the identity chain below it:
+  // Tr(T (x) I_16) = 16 (1 + e^{i pi/4}).
+  const GateMatrix t = ir::gateMatrix(ir::GateType::T);
+  const Cx want = denseTrace(baseline::expandGate(t, 5, 4));
+  const ComplexValue got = p.trace(p.makeGateDD(t, 4));
+  EXPECT_NEAR(got.r, want.real(), 1e-12);
+  EXPECT_NEAR(got.i, want.imag(), 1e-12);
+  const ComplexValue zero = p.trace(p.mZero());
+  EXPECT_EQ(zero.r, 0.0);
+  EXPECT_EQ(zero.i, 0.0);
 }
 
 }  // namespace

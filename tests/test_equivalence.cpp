@@ -162,5 +162,30 @@ TEST(BuildCircuitMatrix, MatchesDenseProduct) {
   }
 }
 
+TEST(BuildCircuitMatrix, RepeatedBlocksKeepThePackageReferences) {
+  // Two repeated-block circuits built in one package: each block build must
+  // leave the package's pinned identity as it found it and release every
+  // node it rooted itself.
+  const auto withBlock = [](double angle) {
+    ir::Circuit block(2);
+    block.rz(angle, 0);
+    block.cx(0, 1);
+    ir::Circuit circuit(2);
+    circuit.h(1);
+    circuit.appendRepeated(std::move(block), 3, "b");
+    return circuit;
+  };
+  dd::Package pkg(2);
+  const std::uint32_t pinned = pkg.makeIdent().p->ref;
+  pkg.garbageCollect();
+  const std::size_t live = pkg.liveNodes();
+  for (const double angle : {0.3, 1.1}) {
+    (void)buildCircuitMatrix(pkg, withBlock(angle));
+    EXPECT_EQ(pkg.makeIdent().p->ref, pinned);
+  }
+  pkg.garbageCollect();
+  EXPECT_EQ(pkg.liveNodes(), live);
+}
+
 }  // namespace
 }  // namespace ddsim::sim

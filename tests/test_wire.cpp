@@ -1,6 +1,6 @@
 /// Tests for the shared byte codec and envelope (wire/wire.hpp) and the
-/// four binary formats sealed in it — the DD migration blob, the checkpoint
-/// blob, the spill-journal record and the net frame:
+/// three binary formats sealed in it — the checkpoint blob, the
+/// spill-journal record and the net frame:
 ///  * the little-endian primitives and their bounds-checked reader;
 ///  * golden bytes and digests that pin each format, so a refactor of the
 ///    codec cannot change a byte that existing checkpoints, `--cache-dir`
@@ -24,7 +24,6 @@
 #include "serve/persistence.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/simulator.hpp"
-#include "test_util.hpp"
 #include "wire/wire.hpp"
 
 namespace ddsim {
@@ -446,14 +445,6 @@ std::function<bool(const Bytes&)> throwsOwnError(Decode decode) {
   };
 }
 
-/// Serialized final state of a random 4-qubit circuit.
-Bytes migrationBlob(std::uint64_t seed) {
-  const ir::Circuit circuit = test::randomCircuit(4, 40, seed);
-  sim::CircuitSimulator simulator(circuit);
-  const dd::VEdge state = simulator.run().finalState;
-  return dd::serializeDD(dd::exportDD(simulator.package(), state));
-}
-
 struct Format {
   std::string name;
   Bytes good;
@@ -479,7 +470,7 @@ void expectEveryCutAndFlipRejected(const Format& f, std::size_t shortest) {
   }
 }
 
-TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
+TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllThreeFormats) {
   // The envelope itself, once: every cut and flip fails wire::open.
   const Bytes payload = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07};
   const std::uint32_t magic = 0x12345678U;
@@ -497,14 +488,6 @@ TEST(WireCorruption, EveryCutAndBitFlipIsRejectedInAllFourFormats) {
   // format's own error, and so does one payload byte past the last field,
   // resealed to match — what an encoder with a longer layout writes.
   std::vector<Format> formats;
-  // The two random-state blobs the migration format was sampled on.
-  for (const std::uint64_t seed : {29, 31}) {
-    formats.push_back(
-        {"migration blob (seed " + std::to_string(seed) + ")",
-         migrationBlob(seed),
-         throwsOwnError<dd::MigrationError>(
-             [](const Bytes& b) { return dd::deserializeVectorDD(b); })});
-  }
   formats.push_back({"checkpoint blob", goldenCheckpoint().serialize(),
                      throwsOwnError<sim::CheckpointError>([](const Bytes& b) {
                        return sim::Checkpoint::deserialize(b);
