@@ -5,10 +5,13 @@
 ///
 /// Usage: equivalence_check <a.qasm|benchmark-name> <b.qasm|benchmark-name>
 ///
-/// Exit code 0 when equivalent (possibly up to global phase), 1 otherwise.
+/// Exit code 0 when equivalent (possibly up to global phase), 1 otherwise,
+/// and 2 when an input cannot be loaded or is not purely unitary (e.g. it
+/// measures).
 
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "algo/benchmarks.hpp"
@@ -57,7 +60,13 @@ int main(int argc, char** argv) {
               b->flatGateCount(), ir::circuitDepth(*b));
 
   const sim::Timer timer;
-  const sim::Equivalence verdict = sim::checkEquivalence(*a, *b);
+  sim::Equivalence verdict{};
+  try {
+    verdict = sim::checkEquivalence(*a, *b);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   const double seconds = timer.seconds();
 
   switch (verdict) {

@@ -22,16 +22,24 @@ enum : std::uint64_t {
   kTagOracle = 0x4f52,    // "OR"
 };
 
-std::uint64_t hashControls(std::uint64_t h, Controls controls) {
-  // StandardOperation sorts on construction; re-sort so hand-built
-  // operations hash canonically too.
-  std::sort(controls.begin(), controls.end());
+std::uint64_t hashSortedControls(std::uint64_t h, const Controls& controls) {
   h = hashCombine(h, controls.size());
   for (const auto& c : controls) {
     h = hashCombine(h, static_cast<std::uint64_t>(c.qubit) << 1 |
                            (c.positive ? 1U : 0U));
   }
   return h;
+}
+
+std::uint64_t hashControls(std::uint64_t h, const Controls& controls) {
+  // StandardOperation sorts on construction, so only hand-built control
+  // lists pay for a sorted copy.
+  if (std::is_sorted(controls.begin(), controls.end())) {
+    return hashSortedControls(h, controls);
+  }
+  Controls sorted = controls;
+  std::sort(sorted.begin(), sorted.end());
+  return hashSortedControls(h, sorted);
 }
 
 std::uint64_t hashStandard(std::uint64_t h, const StandardOperation& op) {
@@ -77,6 +85,19 @@ std::uint64_t hashOracle(std::uint64_t h, const OracleOperation& op) {
 }
 
 }  // namespace
+
+bool sameGate(const StandardOperation& a,
+              const StandardOperation& b) noexcept {
+  const auto& pa = a.params();
+  const auto& pb = b.params();
+  return a.type() == b.type() && a.targets() == b.targets() &&
+         a.controls() == b.controls() &&
+         std::equal(pa.begin(), pa.end(), pb.begin(), pb.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
 
 std::uint64_t hashDouble(std::uint64_t h, double v) noexcept {
   if (v == 0.0) {

@@ -13,7 +13,7 @@
 ///    form hash identically — the fold only changes scheduling, not the
 ///    computation;
 ///  * controls are hashed in sorted order (ir::StandardOperation already
-///    canonicalizes them, the hash re-sorts defensively);
+///    canonicalizes them; the hash sorts a copy only of an unsorted list);
 ///  * the circuit name and other presentation-only attributes are ignored;
 ///  * floating-point parameters are hashed by bit pattern with -0.0
 ///    normalized to 0.0.
@@ -59,5 +59,12 @@ inline constexpr std::uint64_t kHashSeed = 0xcbf29ce484222325ULL;
 /// Content hash of a single operation (compound blocks flattened), using
 /// \p h as the incoming state. Exposed for incremental/streaming use.
 [[nodiscard]] std::uint64_t contentHash(std::uint64_t h, const Operation& op);
+
+/// True when \p a and \p b are the same gate: type, targets, controls with
+/// their polarity, and bit-identical parameters. Equal gates have equal
+/// contentHash, so the pair keys a hash table by gate content (a hash match
+/// alone is not proof: distinct gates may collide).
+[[nodiscard]] bool sameGate(const StandardOperation& a,
+                            const StandardOperation& b) noexcept;
 
 }  // namespace ddsim::ir

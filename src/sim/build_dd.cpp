@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ir/hash.hpp"
+
 namespace ddsim::sim {
 
 using dd::MEdge;
@@ -33,6 +35,38 @@ MEdge buildOperationDD(dd::Package& pkg, const ir::Operation& op) {
     return pkg.multiply(cxAB, pkg.multiply(cxBA, cxAB));
   }
   return pkg.makeGateDD(s.matrix(), s.targets()[0], s.controls());
+}
+
+MEdge GateDDCache::get(const ir::Operation& op) {
+  const ir::StandardOperation* gate = nullptr;
+  std::uint64_t h = 0;
+  switch (op.kind()) {
+    case ir::OpKind::Standard:
+      gate = &static_cast<const ir::StandardOperation&>(op);
+      h = ir::contentHash(ir::kHashSeed, op);
+      break;
+    case ir::OpKind::Oracle:
+      h = ir::hashCombine(ir::kHashSeed, reinterpret_cast<std::uintptr_t>(&op));
+      break;
+    default:
+      return buildOperationDD(pkg_, op);  // throws: not a unitary
+  }
+  const auto [first, last] = entries_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    const Entry& e = it->second;
+    if (gate != nullptr ? e.gate && ir::sameGate(*e.gate, *gate)
+                        : e.oracle == &op) {
+      return e.edge;
+    }
+  }
+  const MEdge m = buildOperationDD(pkg_, op);
+  pkg_.incRef(m);
+  if (gate != nullptr) {
+    entries_.emplace(h, Entry{*gate, nullptr, m});
+  } else {
+    entries_.emplace(h, Entry{std::nullopt, &op, m});
+  }
+  return m;
 }
 
 }  // namespace ddsim::sim

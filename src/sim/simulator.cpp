@@ -11,7 +11,6 @@
 #include "dd/migration.hpp"
 #include "ir/hash.hpp"
 #include "obs/trace.hpp"
-#include "sim/build_dd.hpp"
 
 namespace ddsim::sim {
 
@@ -25,6 +24,7 @@ CircuitSimulator::CircuitSimulator(const ir::Circuit& circuit,
       config_(config),
       pkg_(std::make_unique<dd::Package>(circuit.numQubits())),
       rng_(seed),
+      gateCache_(*pkg_),
       clbits_(std::max<std::size_t>(1, circuit.numClbits()), false),
       seed_(seed) {
   config_.validate();
@@ -169,7 +169,7 @@ void CircuitSimulator::processOp(const ir::Operation& op) {
 }
 
 void CircuitSimulator::handleUnitary(const ir::Operation& op) {
-  enqueue(buildOpDD(op), op.flatGateCount());
+  enqueue(gateCache_.get(op), op.flatGateCount());
 }
 
 void CircuitSimulator::handleCompound(const ir::CompoundOperation& comp) {
@@ -225,7 +225,7 @@ MEdge CircuitSimulator::buildBlockDD(
       switch (op->kind()) {
         case OpKind::Standard:
         case OpKind::Oracle:
-          g = buildOpDD(*op);
+          g = gateCache_.get(*op);
           break;
         case OpKind::Compound: {
           const auto& inner = static_cast<const ir::CompoundOperation&>(*op);
@@ -264,17 +264,6 @@ MEdge CircuitSimulator::buildBlockDD(
   }
   pkg_->decRef(block);  // caller re-roots
   return block;
-}
-
-MEdge CircuitSimulator::buildOpDD(const ir::Operation& op) {
-  const auto it = gateCache_.find(&op);
-  if (it != gateCache_.end()) {
-    return it->second;
-  }
-  const MEdge m = buildOperationDD(*pkg_, op);
-  pkg_->incRef(m);
-  gateCache_.emplace(&op, m);
-  return m;
 }
 
 void CircuitSimulator::enqueue(const MEdge& gateDD, std::size_t gateCount) {

@@ -16,11 +16,11 @@
 #include <memory>
 #include <optional>
 #include <random>
-#include <unordered_map>
 #include <vector>
 
 #include "dd/package.hpp"
 #include "ir/circuit.hpp"
+#include "sim/build_dd.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/stats.hpp"
 
@@ -104,7 +104,6 @@ class CircuitSimulator {
   void processOp(const ir::Operation& op);
   void handleUnitary(const ir::Operation& op);
   void handleCompound(const ir::CompoundOperation& comp);
-  dd::MEdge buildOpDD(const ir::Operation& op);
   dd::MEdge buildBlockDD(const std::vector<std::unique_ptr<ir::Operation>>& body);
   void enqueue(const dd::MEdge& gateDD, std::size_t gateCount);
   void applyToState(const dd::MEdge& m);
@@ -151,13 +150,12 @@ class CircuitSimulator {
   std::function<bool()> cancelCheck_;
   Timer runTimer_;
 
-  /// Gate-DD memoization: circuits apply the same ir::Operation objects
-  /// over and over (every Grover iteration re-walks the same compound
-  /// body), so the lowered matrix DD is cached per operation identity. The
-  /// cached edges are rooted in the package, which also keeps the
-  /// corresponding multiply compute-table entries revalidatable across
-  /// garbage collections.
-  std::unordered_map<const ir::Operation*, dd::MEdge> gateCache_;
+  /// Gate-DD memoization: each distinct gate is lowered once per run.
+  /// Standard gates are keyed by content, since circuit builders emit a
+  /// fresh object per gate (Beauregard Shor: ~37k ops, ~700 distinct
+  /// gates); oracles by identity, since their function is an opaque
+  /// callable (see GateDDCache).
+  GateDDCache gateCache_;
 
   std::vector<bool> clbits_;
   SimulationStats stats_;

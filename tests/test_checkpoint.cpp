@@ -1,7 +1,7 @@
 /// Checkpoint/resume durability tests. The core guarantee (documented on
 /// sim/checkpoint.hpp): an interrupted-then-resumed run produces
 /// measurement outcomes bit-identical to the uninterrupted run, across
-/// combination schedules and kernel thread counts.
+/// combination schedules.
 
 #include <gtest/gtest.h>
 

@@ -134,6 +134,36 @@ TEST(CircuitHash, OracleFunctionalityIsKeyed) {
   EXPECT_EQ(ir::contentHash(a), ir::contentHash(c));
 }
 
+// The hash keys the on-disk result cache, so its values must not drift: a
+// change here silently orphans every cached result. Negative controls,
+// controls given out of order, a classically controlled gate and an oracle
+// cover the paths the Shor pins below do not.
+TEST(CircuitHash, GoldenValuesArePinned) {
+  ir::Circuit negative(4, 1);
+  negative.h(3);
+  negative.gate(ir::GateType::X, 0, {ir::Control{3, false}, ir::Control{1}});
+  negative.gate(ir::GateType::Phase, 2,
+                {ir::Control{1, false}, ir::Control{0, false}}, {0.375});
+  negative.measure(3, 0);
+  negative.classicControlled(ir::GateType::RZ, 1, {ir::Control{2, false}},
+                             {-0.0}, 0, false);
+
+  ir::Circuit oracle(5);
+  oracle.h(0);
+  oracle.oracle("mul3mod7", 3,
+                [](std::uint64_t x) { return x < 7 ? (3 * x) % 7 : x; },
+                {ir::Control{4}, ir::Control{3, false}});
+
+  const auto grover = algo::makeBenchmark("grover_5");
+  const auto shor = algo::makeBenchmark("shor_15_7");
+  ASSERT_TRUE(grover.has_value());
+  ASSERT_TRUE(shor.has_value());
+  EXPECT_EQ(ir::contentHash(*grover), 0xa27145d0e6818366ULL);
+  EXPECT_EQ(ir::contentHash(*shor), 0x4c9b62956b1d14f1ULL);
+  EXPECT_EQ(ir::contentHash(negative), 0x8e8b470f36a5918bULL);
+  EXPECT_EQ(ir::contentHash(oracle), 0x84eaafee596497e0ULL);
+}
+
 // ------------------------------------------------- strategy-config hashing
 
 // The Shor builders move their arithmetic blocks into the circuit instead

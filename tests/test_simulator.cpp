@@ -1,17 +1,25 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cctype>
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <limits>
 #include <numbers>
 #include <random>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "algo/grover.hpp"
 #include "algo/supremacy.hpp"
 #include "baseline/statevector.hpp"
+#include "ir/hash.hpp"
+#include "ir/transforms.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 
@@ -255,6 +263,195 @@ TEST(Simulator, OracleMatchesGateDecomposition) {
   for (std::size_t i = 0; i < va.size(); ++i) {
     EXPECT_NEAR(va[i].r, vb[i].r, 1e-10);
     EXPECT_NEAR(va[i].i, vb[i].i, 1e-10);
+  }
+}
+
+// --------------------------------------------------------- gate-DD cache
+
+void expectSameCounters(const SimulationStats& a, const SimulationStats& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.mxvCount, b.mxvCount) << label;
+  EXPECT_EQ(a.mxmCount, b.mxmCount) << label;
+  EXPECT_EQ(a.peakStateNodes, b.peakStateNodes) << label;
+  EXPECT_EQ(a.peakMatrixNodes, b.peakMatrixNodes) << label;
+  const dd::PackageStats& p = a.dd;
+  const dd::PackageStats& q = b.dd;
+  EXPECT_EQ(p.matrixVectorMultiplications, q.matrixVectorMultiplications) << label;
+  EXPECT_EQ(p.matrixMatrixMultiplications, q.matrixMatrixMultiplications) << label;
+  EXPECT_EQ(p.recursiveMulVCalls, q.recursiveMulVCalls) << label;
+  EXPECT_EQ(p.recursiveMulMCalls, q.recursiveMulMCalls) << label;
+  EXPECT_EQ(p.recursiveAddCalls, q.recursiveAddCalls) << label;
+  EXPECT_EQ(p.identitySkipsMV, q.identitySkipsMV) << label;
+  EXPECT_EQ(p.identitySkipsMM, q.identitySkipsMM) << label;
+  EXPECT_EQ(p.diagonalFastPathsMM, q.diagonalFastPathsMM) << label;
+  EXPECT_EQ(p.garbageCollections, q.garbageCollections) << label;
+  EXPECT_EQ(p.nodesCollected, q.nodesCollected) << label;
+  EXPECT_EQ(p.peakLiveNodes, q.peakLiveNodes) << label;
+  const dd::CacheStats& c = a.cache;
+  const dd::CacheStats& d = b.cache;
+  EXPECT_EQ(c.mulMVHits, d.mulMVHits) << label;
+  EXPECT_EQ(c.mulMVMisses, d.mulMVMisses) << label;
+  EXPECT_EQ(c.mulMMHits, d.mulMMHits) << label;
+  EXPECT_EQ(c.mulMMMisses, d.mulMMMisses) << label;
+  EXPECT_EQ(c.addHits, d.addHits) << label;
+  EXPECT_EQ(c.addMisses, d.addMisses) << label;
+  EXPECT_EQ(c.uniqueTableHits, d.uniqueTableHits) << label;
+  EXPECT_EQ(c.uniqueTableMisses, d.uniqueTableMisses) << label;
+  EXPECT_EQ(c.complexTableHits, d.complexTableHits) << label;
+  EXPECT_EQ(c.complexTableMisses, d.complexTableMisses) << label;
+  EXPECT_EQ(c.cacheRetained, d.cacheRetained) << label;
+  EXPECT_EQ(c.cacheStaleDropped, d.cacheStaleDropped) << label;
+}
+
+struct Recorded {
+  SimulationStats stats;
+  std::vector<dd::ComplexValue> amplitudes;
+};
+
+/// Simulate \p circuit in a forked child, so that every run starts from the
+/// same heap. Compute-table slots follow node addresses (see the ROADMAP
+/// item on address-independent DDs), so two runs that allocate from
+/// different heaps may evict different entries and drift apart in their
+/// counters even when they do the same work.
+Recorded runFromSameHeap(const ir::Circuit& circuit, StrategyConfig config) {
+  static_assert(std::is_trivially_copyable_v<SimulationStats>);
+  Recorded rec;
+  rec.amplitudes.resize(std::size_t{1} << circuit.numQubits());
+  const std::size_t ampBytes = rec.amplitudes.size() * sizeof(dd::ComplexValue);
+  int fds[2];
+  if (pipe(fds) != 0) {
+    ADD_FAILURE() << "pipe failed";
+    return rec;
+  }
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    CircuitSimulator sim(circuit, config);
+    const auto result = sim.run();
+    const auto amps = sim.package().getVector(result.finalState);
+    const bool ok =
+        write(fds[1], &result.stats, sizeof result.stats) ==
+            static_cast<ssize_t>(sizeof result.stats) &&
+        write(fds[1], amps.data(), ampBytes) == static_cast<ssize_t>(ampBytes);
+    _exit(ok ? 0 : 1);
+  }
+  close(fds[1]);
+  // Both records fit the pipe buffer, so the child never blocks on us.
+  int status = -1;
+  EXPECT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(read(fds[0], &rec.stats, sizeof rec.stats),
+            static_cast<ssize_t>(sizeof rec.stats));
+  EXPECT_EQ(read(fds[0], rec.amplitudes.data(), ampBytes),
+            static_cast<ssize_t>(ampBytes));
+  close(fds[0]);
+  return rec;
+}
+
+TEST(GateCache, FlatAndFoldedCircuitsDoTheSameWork) {
+  // Every repetition of the flat circuit is a separately built set of gate
+  // objects, while the folded twin re-walks one body. A cache keyed by gate
+  // content lowers each distinct gate once in both, so every package
+  // counter agrees; one keyed by object identity lowers the flat circuit's
+  // gates again in each repetition.
+  ir::Circuit flat(5);
+  for (int rep = 0; rep < 8; ++rep) {
+    flat.appendCircuit(test::randomCircuit(5, 12, 21));
+  }
+  const ir::Circuit folded = ir::detectRepetitions(flat);
+  ASSERT_LT(folded.numOps(), flat.numOps());
+
+  for (const StrategyConfig& config :
+       {StrategyConfig::sequential(), StrategyConfig::kOperations(4),
+        StrategyConfig::maxSizeStrategy(64)}) {
+    const Recorded a = runFromSameHeap(flat, config);
+    const Recorded b = runFromSameHeap(folded, config);
+    expectSameCounters(a.stats, b.stats, config.toString());
+    ASSERT_EQ(a.amplitudes.size(), b.amplitudes.size());
+    for (std::size_t i = 0; i < a.amplitudes.size(); ++i) {
+      EXPECT_EQ(a.amplitudes[i].r, b.amplitudes[i].r)
+          << config.toString() << " amp " << i;
+      EXPECT_EQ(a.amplitudes[i].i, b.amplitudes[i].i)
+          << config.toString() << " amp " << i;
+    }
+  }
+}
+
+TEST(GateCache, NearTwinGatesAreLoweredSeparately) {
+  const double theta = 0.7;
+  const double nextTheta = std::nextafter(theta, 4.0);
+  const std::vector<std::pair<ir::StandardOperation, ir::StandardOperation>>
+      twins = {
+          // One control's polarity flipped.
+          {ir::StandardOperation(ir::GateType::X, {2},
+                                 {ir::Control{0}, ir::Control{4}}),
+           ir::StandardOperation(ir::GateType::X, {2},
+                                 {ir::Control{0}, ir::Control{4, false}})},
+          // Control and target swapped.
+          {ir::StandardOperation(ir::GateType::X, {1}, {ir::Control{3}}),
+           ir::StandardOperation(ir::GateType::X, {3}, {ir::Control{1}})},
+          // Swap targets given in the other order (same unitary).
+          {ir::StandardOperation(ir::GateType::Swap, {0, 3}),
+           ir::StandardOperation(ir::GateType::Swap, {3, 0})},
+          // p(theta) vs rz(theta): equal up to a global phase.
+          {ir::StandardOperation(ir::GateType::Phase, {4}, {ir::Control{1}},
+                                 {theta}),
+           ir::StandardOperation(ir::GateType::RZ, {4}, {ir::Control{1}},
+                                 {theta})},
+          // theta vs theta plus one ulp.
+          {ir::StandardOperation(ir::GateType::RY, {0}, {}, {theta}),
+           ir::StandardOperation(ir::GateType::RY, {0}, {}, {nextTheta})},
+      };
+
+  dd::Package pkg(5);
+  GateDDCache cache(pkg);
+  for (const auto& [a, b] : twins) {
+    const std::size_t before = cache.size();
+    const dd::MEdge da = cache.get(a);
+    const dd::MEdge db = cache.get(b);
+    EXPECT_EQ(cache.size(), before + 2) << a.toString() << " / " << b.toString();
+    // A freshly built equal gate is a hit on the first entry. The full-key
+    // comparison is checked on its own: a hash match alone would not get
+    // here for distinct gates unless their hashes collide.
+    const ir::StandardOperation copyOfA = a;
+    EXPECT_TRUE(ir::sameGate(a, copyOfA)) << a.toString();
+    EXPECT_FALSE(ir::sameGate(a, b)) << a.toString() << " / " << b.toString();
+    EXPECT_EQ(cache.get(copyOfA), da) << a.toString();
+    EXPECT_EQ(cache.get(b), db) << b.toString();
+    EXPECT_EQ(cache.size(), before + 2) << a.toString();
+  }
+  EXPECT_NE(cache.get(twins[0].first), cache.get(twins[0].second));
+  EXPECT_NE(cache.get(twins[1].first), cache.get(twins[1].second));
+  EXPECT_NE(cache.get(twins[3].first), cache.get(twins[3].second));
+
+  // Oracles are keyed by identity: an equal oracle object is a new entry.
+  const ir::OracleOperation inc("inc", 3,
+                                [](std::uint64_t x) { return (x + 1) % 8; });
+  const ir::OracleOperation sameInc = inc;
+  const std::size_t before = cache.size();
+  (void)cache.get(inc);
+  (void)cache.get(inc);
+  EXPECT_EQ(cache.size(), before + 1);
+  (void)cache.get(sameInc);
+  EXPECT_EQ(cache.size(), before + 2);
+
+  // Within one circuit, with each twin built twice, every schedule still
+  // matches the dense reference.
+  ir::Circuit circuit(5);
+  for (ir::Qubit q = 0; q < 5; ++q) {
+    circuit.h(q);
+  }
+  circuit.t(2);
+  for (int rep = 0; rep < 2; ++rep) {
+    for (const auto& [a, b] : twins) {
+      circuit.append(std::make_unique<ir::StandardOperation>(a));
+      circuit.append(std::make_unique<ir::StandardOperation>(b));
+    }
+  }
+  for (const StrategyConfig& config :
+       {StrategyConfig::sequential(), StrategyConfig::kOperations(4),
+        StrategyConfig::maxSizeStrategy(64)}) {
+    expectMatchesDense(circuit, config);
   }
 }
 
