@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -10,7 +11,9 @@ namespace ddsim::dd {
 
 namespace {
 
-using EdgeRef = std::pair<const VNode*, std::size_t>;
+/// An edge as (Node::id, successor index). Ties in mass break by it, so
+/// which of several equal-mass edges gets cut does not follow addresses.
+using EdgeRef = std::pair<std::uint64_t, std::size_t>;
 
 /// Probability mass flowing through every edge of the DD (the state is
 /// assumed normalized). Nodes are processed top-down in level order; the
@@ -54,7 +57,7 @@ std::map<EdgeRef, double> edgeMasses(Package& pkg, const VEdge& root) {
       }
       const double childNorm = pkg.norm2(VEdge{e.p, pkg.cone()});
       const double edgeMass = mass * e.w->mag2() * childNorm / nodeNorm;
-      masses[{n, i}] += edgeMass;
+      masses[{n->id, i}] += edgeMass;
       nodeMass[e.p] += edgeMass;
     }
   }
@@ -62,7 +65,7 @@ std::map<EdgeRef, double> edgeMasses(Package& pkg, const VEdge& root) {
 }
 
 VEdge rebuildWithoutEdges(Package& pkg, const VNode* node,
-                          const std::map<EdgeRef, double>& cuts,
+                          const std::set<EdgeRef>& cuts,
                           std::unordered_map<const VNode*, VEdge>& memo) {
   if (node->isTerminal()) {
     return pkg.vOneTerminal();
@@ -73,7 +76,7 @@ VEdge rebuildWithoutEdges(Package& pkg, const VNode* node,
   std::array<VEdge, 2> children;
   for (std::size_t i = 0; i < 2; ++i) {
     const VEdge& e = node->e[i];
-    if (e.w->exactlyZero() || cuts.count({node, i}) != 0) {
+    if (e.w->exactlyZero() || cuts.count({node->id, i}) != 0) {
       children[i] = pkg.vZero();
       continue;
     }
@@ -113,18 +116,17 @@ ApproximationResult approximate(Package& pkg, const VEdge& root,
   for (const auto& [ref, mass] : masses) {
     candidates.emplace_back(mass, ref);
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(candidates.begin(), candidates.end());  // by mass, then edge
 
   const double budget = 1.0 - targetFidelity;
   double spent = 0.0;
-  std::map<EdgeRef, double> cuts;
+  std::set<EdgeRef> cuts;
   for (const auto& [mass, ref] : candidates) {
     if (spent + mass > budget || spent + mass >= 1.0) {
       break;
     }
     spent += mass;
-    cuts.emplace(ref, mass);
+    cuts.insert(ref);
   }
   if (cuts.empty()) {
     return result;

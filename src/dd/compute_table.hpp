@@ -15,20 +15,25 @@
 ///    instead `newGeneration()` bumps a 64-bit generation counter in O(1),
 ///    which logically invalidates every entry at once. A *stale* entry
 ///    (older generation) whose key still matches is not discarded outright:
-///    the caller-supplied revalidator checks — via the incarnation counters
-///    on nodes (Node::id) and canonical weights (ComplexTable::incarnation)
-///    — whether all operands and the result survived the collection. If so,
-///    the entry is re-tagged with the current generation and the memoized
-///    result is reused ("GC retention"); otherwise the entry dies. This is
-///    sound even when the memory manager recycles a freed node into a new
-///    one at the same address, because recycling changes the incarnation.
+///    the caller-supplied revalidator checks — via node serials (Node::id)
+///    and weight incarnations (ComplexTable::incarnation) — whether all
+///    operands and the result survived the collection. If so, the entry is
+///    re-tagged with the current generation and the memoized result is
+///    reused ("GC retention"); otherwise the entry dies. This is sound even
+///    when the memory manager recycles a freed node into a new one at the
+///    same address, because a recycled node gets a new serial.
+///
+///  * **No address in a hash.** Set indices mix node serials and weight
+///    values, so which entries collide and get evicted is a function of the
+///    operation sequence, not of where the allocator put the nodes.
 ///
 ///  * **Demand sizing.** A table starts at kInitialEntries (2^10) and grows
 ///    x4, up to its MaxEntries cap, once the inserts since the last resize
 ///    reach the current capacity. A small job therefore neither allocates
 ///    nor zeroes the multi-megabyte worst case. Growth re-inserts every
 ///    entry with its `gen` and `stamp`, so retention is unaffected; each
-///    old set spreads over four new sets, so nothing is evicted. Growth
+///    old set spreads over four new sets, so nothing is evicted. (A stale
+///    entry whose hash moved has a recycled operand and is dropped.) Growth
 ///    runs inline in insert(): a table that could only grow between
 ///    top-level operations would thrash through one large multiplication.
 ///    The trigger counts inserts only, so the table size is a pure function
@@ -44,13 +49,12 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <vector>
 
-#include "dd/complex_value.hpp"
+#include "dd/node.hpp"
 
 namespace ddsim::dd {
 
@@ -66,20 +70,6 @@ struct ComputeTableCounters {
 };
 
 namespace detail {
-inline void hashMix(std::uint64_t& h, std::uint64_t x) noexcept {
-  h ^= x;
-  h *= 0x100000001b3ULL;
-  h ^= h >> 32;
-}
-inline void hashMix(std::uint64_t& h, const void* p) noexcept {
-  hashMix(h, static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p)));
-}
-/// Weights held by value hash by their exact bits.
-inline void hashMix(std::uint64_t& h, const ComplexValue& v) noexcept {
-  hashMix(h, std::bit_cast<std::uint64_t>(v.r));
-  hashMix(h, std::bit_cast<std::uint64_t>(v.i));
-}
-
 /// Entry of a binary-operation cache. Keys are two edges: node pointer plus
 /// a canonical weight pointer, or a weight value compared exactly.
 template <typename LEdge, typename REdge, typename Result>
@@ -200,13 +190,18 @@ class SetAssociativeCache {
       return;  // keep the smaller table; retry after another fill
     }
     const std::size_t mask = entries / kWays - 1;
-    for (const Entry& e : table_) {
+    for (std::size_t i = 0; i < table_.size(); ++i) {
+      const Entry& e = table_[i];
       if (e.gen == 0) {
         continue;
       }
+      const auto h = static_cast<std::size_t>(e.hash());
+      if ((h & setMask_) != i / kWays) {
+        continue;  // stale, with an operand recycled since (see above)
+      }
       // The entries of one old set spread over the new sets congruent to
       // it, so a free way always exists.
-      Entry* set = &bigger[(static_cast<std::size_t>(e.hash()) & mask) * kWays];
+      Entry* set = &bigger[(h & mask) * kWays];
       for (std::size_t w = 0; w < kWays; ++w) {
         if (set[w].gen == 0) {
           set[w] = e;

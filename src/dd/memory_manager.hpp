@@ -41,19 +41,20 @@ class MemoryManager {
   MemoryManager(const MemoryManager&) = delete;
   MemoryManager& operator=(const MemoryManager&) = delete;
 
-  /// Obtain a fresh (default-initialized) node. The incarnation counter
-  /// NodeT::id is preserved across recycling: together with the bump in
-  /// free() it counts how often this address has been reclaimed, which is
-  /// what lets stale compute-table entries detect pointer reuse.
+  /// Obtain a fresh (default-initialized) node carrying the next serial
+  /// NodeT::id. Serials are never reused, whether the node comes off the
+  /// free list, from a fresh carve or from a chunk at a released address, so
+  /// an id names one node for the package's lifetime: stale compute-table
+  /// entries detect recycling by it, and hashes built on it do not depend
+  /// on where the allocator puts nodes.
   /// Throws ResourceExhausted when chunk growth hits std::bad_alloc.
   NodeT* get() {
     if (free_ != nullptr) {
       NodeT* n = free_;
       free_ = n->next;
       --freeCount_;
-      const auto incarnation = n->id;
       *n = NodeT{};
-      n->id = incarnation;
+      n->id = ++lastId_;
       return n;
     }
     if (used_ == chunkCapacity_) {
@@ -75,19 +76,16 @@ class MemoryManager {
     }
     ++allocated_;
     NodeT* n = &chunks_.back()[used_++];
-    // Fresh carves start at the release epoch: every id in use stays above
-    // any id that ever lived in a released chunk, so a new chunk landing on
-    // a recycled address can never revalidate a stale compute-table entry.
-    n->id = idEpoch_;
+    n->id = ++lastId_;
     return n;
   }
 
   /// Return a node to the free list. The caller must guarantee that no live
-  /// DD references it anymore. Bumping the incarnation here (not on reuse)
+  /// DD references it anymore. Clearing the id here (not on reuse)
   /// immediately invalidates any cached reference to the old node, even
   /// while the node still sits on the free list.
   void free(NodeT* n) noexcept {
-    ++n->id;
+    n->id = 0;
     n->next = free_;
     free_ = n;
     ++freeCount_;
@@ -125,25 +123,14 @@ class MemoryManager {
       ++freeIn[chunkOf(n)];
     }
 
-    std::vector<bool> release(chunks_.size(), false);
-    std::uint64_t maxReleasedId = 0;
-    bool any = false;
+    std::vector<bool> release(chunks_.size());
     for (std::size_t i = 0; i < chunks_.size(); ++i) {
-      const std::size_t carved =
-          i + 1 == chunks_.size() ? used_ : chunkSize_;
-      if (carved == 0 || freeIn[i] != carved) {
-        continue;
-      }
-      release[i] = true;
-      any = true;
-      for (std::size_t k = 0; k < carved; ++k) {
-        maxReleasedId = std::max(maxReleasedId, chunks_[i][k].id);
-      }
+      const std::size_t carved = i + 1 == chunks_.size() ? used_ : chunkSize_;
+      release[i] = carved != 0 && freeIn[i] == carved;
     }
-    if (!any) {
+    if (std::find(release.begin(), release.end(), true) == release.end()) {
       return 0;
     }
-    idEpoch_ = std::max(idEpoch_, maxReleasedId + 1);
 
     // Rebuild the free list without nodes from released chunks.
     NodeT* newFree = nullptr;
@@ -206,9 +193,9 @@ class MemoryManager {
   std::size_t allocated_ = 0;
   std::size_t freeCount_ = 0;
   std::size_t chunkBytes_ = 0;
-  /// One past the largest incarnation id that ever lived in a released
-  /// chunk; fresh carves start here (see get()).
-  std::uint64_t idEpoch_ = 0;
+  /// Last serial handed out by get(). Serials start at 1, so id 0 marks a
+  /// free-listed node.
+  std::uint64_t lastId_ = 0;
 };
 
 }  // namespace ddsim::dd

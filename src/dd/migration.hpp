@@ -5,14 +5,14 @@
 ///
 /// A Package's node pointers and canonical weight pointers are only
 /// meaningful inside that package — its unique table, complex table and
-/// incarnation counters are private state. The FlatDD form removes every
+/// node serials are private state. The FlatDD form removes every
 /// pointer: nodes become indices in children-before-parents order, weights
 /// become plain ComplexValue copies. Importing rebuilds the DD bottom-up
 /// through the destination's makeVNode/makeMNode and complex-table lookup,
 /// so the result is canonical *in the destination* — normalized weights,
 /// unique-table-deduplicated nodes, structure flags recomputed — and is
-/// bit-for-bit independent of the source package's history (GC epochs,
-/// incarnation stamps, chunk layout).
+/// bit-for-bit independent of the source package's history (GC generations,
+/// node serials, chunk layout).
 ///
 /// The consumer in this codebase is the simulation checkpoint
 /// (sim/checkpoint.hpp): it carries the state and the pending accumulator

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -61,10 +62,10 @@ template <std::size_t Arity>
 struct Node {
   std::array<Edge<Arity>, Arity> e{};
   Node* next = nullptr;   ///< unique-table chain / free-list link
-  /// Incarnation counter for this node *address*: bumped every time the node
-  /// is returned to the memory manager. Compute-table entries that outlive a
-  /// garbage collection use it to detect whether a pointer still refers to
-  /// the same node or to a recycled one (see ComputeTable).
+  /// Serial that is never reused: MemoryManager::get() assigns the next one,
+  /// free() clears it to 0 (terminals keep 0). Hashes read it instead of the
+  /// address, and compute-table entries that outlive a GC tell their node
+  /// from a recycled one at the same address by it (see ComputeTable).
   std::uint64_t id = 0;
   std::uint32_t ref = 0;  ///< root reference count (saturating)
   Qubit v = kTerminalVar;
@@ -88,19 +89,33 @@ using MNode = Node<4>;
 using VEdge = Edge<2>;
 using MEdge = Edge<4>;
 
-/// FNV-1a-style hash over the successor edges of a node candidate.
-/// Weights are canonical pointers, so hashing the pointer values is exact.
+namespace detail {
+/// One FNV-1a-style step, shared by the unique and compute tables.
+inline void hashMix(std::uint64_t& h, std::uint64_t x) noexcept {
+  h ^= x;
+  h *= 0x100000001b3ULL;
+  h ^= h >> 32;
+}
+/// Weights hash by their exact value bits, canonical ones too: within one
+/// ComplexTable a pointer and its value determine each other.
+inline void hashMix(std::uint64_t& h, const ComplexValue& v) noexcept {
+  hashMix(h, std::bit_cast<std::uint64_t>(v.r));
+  hashMix(h, std::bit_cast<std::uint64_t>(v.i));
+}
+inline void hashMix(std::uint64_t& h, CWeight w) noexcept { hashMix(h, *w); }
+template <std::size_t Arity>
+void hashMix(std::uint64_t& h, const Node<Arity>* p) noexcept {
+  hashMix(h, p->id);
+}
+}  // namespace detail
+
+/// Hash over the successor edges of a node candidate.
 template <std::size_t Arity>
 [[nodiscard]] std::size_t hashNode(const Node<Arity>& n) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mixIn = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 0x100000001b3ULL;
-    h ^= h >> 32;
-  };
   for (const auto& edge : n.e) {
-    mixIn(reinterpret_cast<std::uintptr_t>(edge.p));
-    mixIn(reinterpret_cast<std::uintptr_t>(edge.w));
+    detail::hashMix(h, edge.p);
+    detail::hashMix(h, edge.w);
   }
   return static_cast<std::size_t>(h);
 }

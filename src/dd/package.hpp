@@ -436,11 +436,11 @@ class Package {
   MNode mTerminal_;
 
   // ------------------------------------------ incarnation stamps (GC survival)
-  // An entry's stamp mixes the incarnation counters of every pointer it
-  // references. After a GC, a stale entry is reusable iff its recorded
-  // stamp still matches the recomputed one: any operand or result that was
-  // collected (and possibly recycled at the same address) changes its
-  // incarnation and therefore the stamp.
+  // An entry's stamp mixes the node serials and weight incarnations of
+  // everything it references. After a GC, a stale entry is reusable iff its
+  // recorded stamp still matches the recomputed one: any operand or result
+  // that was collected (and possibly recycled at the same address) changes
+  // its id or incarnation and therefore the stamp.
   static std::uint64_t mixStamp(std::uint64_t h, std::uint64_t x) noexcept {
     h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     return h;

@@ -2,6 +2,8 @@
 
 #include <numbers>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "dd/approximation.hpp"
 #include "dd/package.hpp"
@@ -75,6 +77,33 @@ TEST(Approximation, DominantBasisStateSurvives) {
   const VEdge v = p.makeStateFromVector(amps);
   const auto result = approximate(p, v, 0.95);
   EXPECT_GT(p.getAmplitude(result.state, 0b10101).mag2(), 0.9);
+}
+
+TEST(Approximation, TiedEdgesAreCutTheSameWayAtAnyAddress) {
+  // In the uniform 4-qubit state every edge carries probability mass 1/2,
+  // so the cut rests on the tie-break alone. The second package builds the
+  // state from a free list that a garbage collection has scrambled, so its
+  // nodes sit at other addresses in another order; the cut must not care.
+  const std::vector<ComplexValue> uniform(16, ComplexValue{0.25, 0.0});
+  const auto approximateUniform = [&uniform](Package& p) {
+    const VEdge v = p.makeStateFromVector(uniform);
+    const auto result = approximate(p, v, 0.45);
+    return std::pair{result, p.getVector(result.state)};
+  };
+  Package fresh(4);
+  const auto [a, ampsA] = approximateUniform(fresh);
+
+  Package scrambled(4);
+  std::mt19937_64 rng(5);
+  (void)scrambled.makeStateFromVector(test::randomAmplitudes(4, rng));
+  ASSERT_GT(scrambled.garbageCollect(), 0U);
+  const auto [b, ampsB] = approximateUniform(scrambled);
+
+  EXPECT_EQ(a.removedEdges, 1U);
+  EXPECT_EQ(a.removedEdges, b.removedEdges);
+  EXPECT_EQ(a.nodesAfter, b.nodesAfter);
+  EXPECT_EQ(a.fidelity, b.fidelity);
+  EXPECT_TRUE(ampsA == ampsB) << "different edges were cut";
 }
 
 TEST(PauliStrings, SingleQubitExpectations) {

@@ -322,10 +322,15 @@ TEST(Package, ControlledPermutationDD) {
 
 // ------------------------------------------------- demand-sized tables
 
-/// Synthetic compute-table keys: distinct node addresses, one weight.
+/// Synthetic compute-table keys: distinct nodes, one weight. Set indices
+/// hash node ids, so each node gets its own, as MemoryManager::get() would.
 class TableKeys {
  public:
-  explicit TableKeys(std::size_t n) : nodes_(n) {}
+  explicit TableKeys(std::size_t n) : nodes_(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      nodes_[i].id = i + 1;
+    }
+  }
   [[nodiscard]] VEdge key(std::size_t i) { return {&nodes_[i], &w_}; }
 
  private:

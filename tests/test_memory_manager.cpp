@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_set>
@@ -130,22 +132,35 @@ TEST(MemoryManager, ReleaseFreeChunksHandlesCarveChunk) {
   EXPECT_EQ(mm.inUse(), 1U);
 }
 
-TEST(MemoryManager, IdEpochAdvancesAcrossChunkRelease) {
+TEST(MemoryManager, IdsAreSerialsThatAreNeverReused) {
+  // Every get() hands out an id above all earlier ones, whether the node
+  // comes from a fresh carve, off the free list or from a chunk carved after
+  // a release; free() clears it. So no id ever names two nodes, and a stale
+  // compute-table entry can never revalidate against a recycled address.
   MemoryManager<VNode> mm(4);
+  std::uint64_t last = 0;
+  const auto take = [&mm, &last] {
+    VNode* n = mm.get();
+    EXPECT_GT(n->id, last);
+    last = n->id;
+    return n;
+  };
   std::vector<VNode*> nodes;
   for (int i = 0; i < 4; ++i) {
-    nodes.push_back(mm.get());
+    nodes.push_back(take());
   }
-  // Bump incarnations, then release the chunk.
+  VNode* const recycled = nodes[1];
+  mm.free(recycled);
+  EXPECT_EQ(recycled->id, 0U);
+  nodes[1] = take();
+  ASSERT_EQ(nodes[1], recycled);  // same address, new id
+
   for (VNode* n : nodes) {
-    mm.free(n);  // id becomes 1
+    mm.free(n);
+    EXPECT_EQ(n->id, 0U);
   }
   ASSERT_GT(mm.releaseFreeChunks(), 0U);
-  // A fresh carve (possibly at the same address) must start above every id
-  // that lived in the released chunk, or stale compute-table entries could
-  // falsely revalidate.
-  VNode* fresh = mm.get();
-  EXPECT_GE(fresh->id, 2U);
+  take();  // a fresh carve, possibly at a released address
 }
 
 TEST(MemoryManager, ChunkGrowthBadAllocBecomesResourceExhausted) {
@@ -220,17 +235,17 @@ TEST(UniqueTableDirect, GarbageCollectRemovesUnreferenced) {
   UniqueTable<VNode> table(mm);
   table.resize(1);
   const ComplexValue w{0.5, 0.0};
+  std::array<ComplexValue, 10> distinct{};
   VNode terminal;
   terminal.v = kTerminalVar;
 
   std::vector<VNode*> nodes;
-  for (int i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < distinct.size(); ++i) {
     VNode* c = mm.get();
     c->v = 0;
-    // Distinct weights pointers (stack array) make distinct nodes.
-    c->e = {VEdge{&terminal, &w}, VEdge{&terminal, nullptr}};
-    c->e[1].w = reinterpret_cast<const ComplexValue*>(
-        reinterpret_cast<const char*>(&w) + i);  // synthetic distinct keys
+    // Distinct weight pointers make distinct nodes.
+    distinct[i] = {0.1 * static_cast<double>(i), 0.0};
+    c->e = {VEdge{&terminal, &w}, VEdge{&terminal, &distinct[i]}};
     nodes.push_back(table.lookup(c));
   }
   nodes[0]->ref = 1;

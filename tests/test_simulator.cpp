@@ -1,6 +1,4 @@
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cctype>
 #include <cmath>
@@ -11,7 +9,6 @@
 #include <random>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -274,6 +271,7 @@ void expectSameCounters(const SimulationStats& a, const SimulationStats& b,
   EXPECT_EQ(a.mxmCount, b.mxmCount) << label;
   EXPECT_EQ(a.peakStateNodes, b.peakStateNodes) << label;
   EXPECT_EQ(a.peakMatrixNodes, b.peakMatrixNodes) << label;
+  EXPECT_EQ(a.finalStateNodes, b.finalStateNodes) << label;
   const dd::PackageStats& p = a.dd;
   const dd::PackageStats& q = b.dd;
   EXPECT_EQ(p.matrixVectorMultiplications, q.matrixVectorMultiplications) << label;
@@ -287,6 +285,8 @@ void expectSameCounters(const SimulationStats& a, const SimulationStats& b,
   EXPECT_EQ(p.garbageCollections, q.garbageCollections) << label;
   EXPECT_EQ(p.nodesCollected, q.nodesCollected) << label;
   EXPECT_EQ(p.peakLiveNodes, q.peakLiveNodes) << label;
+  EXPECT_EQ(p.emergencyCollections, q.emergencyCollections) << label;
+  EXPECT_EQ(p.bytesReleased, q.bytesReleased) << label;
   const dd::CacheStats& c = a.cache;
   const dd::CacheStats& d = b.cache;
   EXPECT_EQ(c.mulMVHits, d.mulMVHits) << label;
@@ -299,53 +299,11 @@ void expectSameCounters(const SimulationStats& a, const SimulationStats& b,
   EXPECT_EQ(c.uniqueTableMisses, d.uniqueTableMisses) << label;
   EXPECT_EQ(c.complexTableHits, d.complexTableHits) << label;
   EXPECT_EQ(c.complexTableMisses, d.complexTableMisses) << label;
+  EXPECT_EQ(c.mulMVRetained, d.mulMVRetained) << label;
+  EXPECT_EQ(c.mulMMRetained, d.mulMMRetained) << label;
+  EXPECT_EQ(c.addRetained, d.addRetained) << label;
   EXPECT_EQ(c.cacheRetained, d.cacheRetained) << label;
   EXPECT_EQ(c.cacheStaleDropped, d.cacheStaleDropped) << label;
-}
-
-struct Recorded {
-  SimulationStats stats;
-  std::vector<dd::ComplexValue> amplitudes;
-};
-
-/// Simulate \p circuit in a forked child, so that every run starts from the
-/// same heap. Compute-table slots follow node addresses (see the ROADMAP
-/// item on address-independent DDs), so two runs that allocate from
-/// different heaps may evict different entries and drift apart in their
-/// counters even when they do the same work.
-Recorded runFromSameHeap(const ir::Circuit& circuit, StrategyConfig config) {
-  static_assert(std::is_trivially_copyable_v<SimulationStats>);
-  Recorded rec;
-  rec.amplitudes.resize(std::size_t{1} << circuit.numQubits());
-  const std::size_t ampBytes = rec.amplitudes.size() * sizeof(dd::ComplexValue);
-  int fds[2];
-  if (pipe(fds) != 0) {
-    ADD_FAILURE() << "pipe failed";
-    return rec;
-  }
-  const pid_t pid = fork();
-  if (pid == 0) {
-    close(fds[0]);
-    CircuitSimulator sim(circuit, config);
-    const auto result = sim.run();
-    const auto amps = sim.package().getVector(result.finalState);
-    const bool ok =
-        write(fds[1], &result.stats, sizeof result.stats) ==
-            static_cast<ssize_t>(sizeof result.stats) &&
-        write(fds[1], amps.data(), ampBytes) == static_cast<ssize_t>(ampBytes);
-    _exit(ok ? 0 : 1);
-  }
-  close(fds[1]);
-  // Both records fit the pipe buffer, so the child never blocks on us.
-  int status = -1;
-  EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  EXPECT_EQ(read(fds[0], &rec.stats, sizeof rec.stats),
-            static_cast<ssize_t>(sizeof rec.stats));
-  EXPECT_EQ(read(fds[0], rec.amplitudes.data(), ampBytes),
-            static_cast<ssize_t>(ampBytes));
-  close(fds[0]);
-  return rec;
 }
 
 TEST(GateCache, FlatAndFoldedCircuitsDoTheSameWork) {
@@ -364,17 +322,47 @@ TEST(GateCache, FlatAndFoldedCircuitsDoTheSameWork) {
   for (const StrategyConfig& config :
        {StrategyConfig::sequential(), StrategyConfig::kOperations(4),
         StrategyConfig::maxSizeStrategy(64)}) {
-    const Recorded a = runFromSameHeap(flat, config);
-    const Recorded b = runFromSameHeap(folded, config);
+    // Both packages stay alive in one process, so their nodes sit at
+    // different addresses; the counters must agree regardless.
+    CircuitSimulator flatSim(flat, config);
+    CircuitSimulator foldedSim(folded, config);
+    const SimulationResult a = flatSim.run();
+    const SimulationResult b = foldedSim.run();
     expectSameCounters(a.stats, b.stats, config.toString());
-    ASSERT_EQ(a.amplitudes.size(), b.amplitudes.size());
-    for (std::size_t i = 0; i < a.amplitudes.size(); ++i) {
-      EXPECT_EQ(a.amplitudes[i].r, b.amplitudes[i].r)
-          << config.toString() << " amp " << i;
-      EXPECT_EQ(a.amplitudes[i].i, b.amplitudes[i].i)
-          << config.toString() << " amp " << i;
+    const auto ampsA = flatSim.package().getVector(a.finalState);
+    const auto ampsB = foldedSim.package().getVector(b.finalState);
+    ASSERT_EQ(ampsA.size(), ampsB.size());
+    for (std::size_t i = 0; i < ampsA.size(); ++i) {
+      EXPECT_EQ(ampsA[i].r, ampsB[i].r) << config.toString() << " amp " << i;
+      EXPECT_EQ(ampsA[i].i, ampsB[i].i) << config.toString() << " amp " << i;
     }
   }
+}
+
+TEST(Determinism, RunDoesNotDependOnNodeAddresses) {
+  // If a hash read node addresses, evictions would follow the allocator
+  // and this cell's counters would differ between two runs in one process
+  // (at 16 qubits its peak would range from ~2k to ~50k nodes). The second
+  // run allocates next to a live warm-up package, so its nodes land
+  // elsewhere; everything it reports must be the same.
+  const ir::Circuit circuit = algo::makeGroverCircuit(12, 2989);
+  const StrategyConfig config = StrategyConfig::maxSizeStrategy(256);
+  const auto runOnce = [&] {
+    CircuitSimulator sim(circuit, config, /*seed=*/7);
+    const SimulationResult result = sim.run();
+    return std::pair{result.stats, sim.package().getVector(result.finalState)};
+  };
+  const auto [first, firstAmps] = runOnce();
+
+  dd::Package warmUp(10);
+  std::mt19937_64 rng(3);
+  const dd::VEdge held =
+      warmUp.makeStateFromVector(test::randomAmplitudes(10, rng));
+  warmUp.incRef(held);
+  const auto [second, secondAmps] = runOnce();
+
+  expectSameCounters(first, second, config.toString());
+  EXPECT_TRUE(firstAmps == secondAmps) << "final states differ";
 }
 
 TEST(GateCache, NearTwinGatesAreLoweredSeparately) {
