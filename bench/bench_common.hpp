@@ -100,8 +100,6 @@ struct BenchRecord {
   /// Memoization / structure-aware kernel rates (0 when unavailable).
   double mulCacheHitRate = 0.0;
   double identitySkipRate = 0.0;
-  double gcRetentionRate = 0.0;
-  std::uint64_t cacheRetained = 0;  ///< entries reused across a GC
   bool timedOut = false;
   /// Degradation-ladder engagements under a resource budget (0 without one).
   std::uint64_t degradationEvents = 0;
@@ -124,8 +122,6 @@ inline BenchRecord makeRecord(std::string name, double seconds,
   r.peakNodes = stats.peakStateNodes + stats.peakMatrixNodes;
   r.mulCacheHitRate = stats.cache.mulHitRate();
   r.identitySkipRate = stats.dd.identitySkipRate();
-  r.gcRetentionRate = stats.cache.gcRetentionRate();
-  r.cacheRetained = stats.cache.cacheRetained;
   r.degradationEvents = stats.degradationEvents;
   return r;
 }
@@ -147,13 +143,10 @@ inline void writeBenchJson(const std::string& benchName,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"wall_ms\": %.3f, "
                  "\"peak_nodes\": %zu, \"mul_cache_hit_rate\": %.4f, "
-                 "\"identity_skip_rate\": %.4f, \"gc_retention_rate\": %.4f, "
-                 "\"cache_retained\": %llu, \"timed_out\": %s, "
+                 "\"identity_skip_rate\": %.4f, \"timed_out\": %s, "
                  "\"degradation_events\": %llu, \"partial_result\": %s}%s\n",
                  r.name.c_str(), r.wallMs, r.peakNodes, r.mulCacheHitRate,
-                 r.identitySkipRate, r.gcRetentionRate,
-                 static_cast<unsigned long long>(r.cacheRetained),
-                 r.timedOut ? "true" : "false",
+                 r.identitySkipRate, r.timedOut ? "true" : "false",
                  static_cast<unsigned long long>(r.degradationEvents),
                  r.partialResult ? "true" : "false",
                  i + 1 < records.size() ? "," : "");

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   // 2. Simulate — sequentially (Eq. 1 of the paper) and with operation
   //    combination (k-operations, Section IV-A). Both give the same state.
-  for (const auto config : {sim::StrategyConfig::sequential(),
+  for (const auto& config : {sim::StrategyConfig::sequential(),
                             sim::StrategyConfig::kOperations(4)}) {
     sim::CircuitSimulator simulator(circuit, config);
     const auto result = simulator.run();

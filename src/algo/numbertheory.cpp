@@ -2,6 +2,13 @@
 
 namespace ddsim::algo {
 
+namespace {
+// 128-bit integers are a GCC/Clang extension; __extension__ marks their
+// use as deliberate under -Wpedantic.
+__extension__ using Int128 = __int128;
+__extension__ using UInt128 = unsigned __int128;
+}  // namespace
+
 std::uint64_t gcd(std::uint64_t a, std::uint64_t b) noexcept {
   while (b != 0) {
     const std::uint64_t t = a % b;
@@ -13,7 +20,7 @@ std::uint64_t gcd(std::uint64_t a, std::uint64_t b) noexcept {
 
 std::uint64_t mulMod(std::uint64_t a, std::uint64_t b, std::uint64_t m) noexcept {
   return static_cast<std::uint64_t>(
-      static_cast<unsigned __int128>(a) * b % m);
+      static_cast<UInt128>(a) * b % m);
 }
 
 std::uint64_t powMod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) noexcept {
@@ -31,16 +38,16 @@ std::uint64_t powMod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) noe
 
 std::optional<std::uint64_t> invMod(std::uint64_t a, std::uint64_t m) {
   // Extended Euclid on signed 128-bit to dodge negative-wraparound issues.
-  __int128 t = 0;
-  __int128 newT = 1;
-  __int128 r = m;
-  __int128 newR = a % m;
+  Int128 t = 0;
+  Int128 newT = 1;
+  Int128 r = m;
+  Int128 newR = a % m;
   while (newR != 0) {
-    const __int128 q = r / newR;
-    const __int128 tmpT = t - q * newT;
+    const Int128 q = r / newR;
+    const Int128 tmpT = t - q * newT;
     t = newT;
     newT = tmpT;
-    const __int128 tmpR = r - q * newR;
+    const Int128 tmpR = r - q * newR;
     r = newR;
     newR = tmpR;
   }

@@ -115,7 +115,7 @@ CWeight ComplexTable::lookup(ComplexValue v) {
     entry = &entries_.emplace_back();
     bytes_ += sizeof(Entry);
   }
-  *entry = Entry{v, home, nullptr, 0, entry->id};  // keeps the incarnation
+  *entry = Entry{v, home, nullptr, 0};
   *tail = entry;
   ++live_;
   if (wantsGrowth()) {
@@ -150,9 +150,6 @@ std::size_t ComplexTable::garbageCollect(const std::unordered_set<CWeight>& live
       if (live.count(&e->v) != 0 || e->rootRef > 0) {
         link = &e->next;
       } else {
-        // Bump the incarnation at free time so any compute-table entry
-        // still referencing this weight fails revalidation immediately.
-        ++e->id;
         *link = std::exchange(e->next, free_);
         free_ = e;
         ++collected;

@@ -17,7 +17,7 @@
 /// the probed cell. Inserts append at the chain tail, so a cell stays in age
 /// order. The array starts at kInitialBuckets and grows x4 once the average
 /// chain exceeds kMaxAverageChain. Growth and GC relink without reordering
-/// a cell and entries never move, so CWeights and incarnations stay valid.
+/// a cell and entries never move, so CWeights stay valid.
 /// GC runs with the node tables: entries referenced by a live node,
 /// root-pinned (incRef/decRef) or constant survive; the rest are recycled.
 ///
@@ -83,13 +83,6 @@ class ComplexTable {
 
   [[nodiscard]] double tolerance() const noexcept { return tol_; }
 
-  /// Incarnation of the entry behind \p w, bumped whenever garbageCollect()
-  /// recycles it (0 for the constants). Compute-table entries surviving a
-  /// GC use it to detect weight-pointer reuse, as Node::id for nodes.
-  [[nodiscard]] std::uint64_t incarnation(CWeight w) const noexcept {
-    return w == &zero_ || w == &one_ ? 0 : asEntry(w)->id;
-  }
-
   /// Number of live canonical entries (the two constants included).
   [[nodiscard]] std::size_t size() const noexcept { return live_ + 2; }
 
@@ -110,7 +103,6 @@ class ComplexTable {
     std::uint64_t key = 0;  ///< cell key (see cellKey)
     Entry* next = nullptr;  ///< bucket chain, or free list once collected
     std::uint32_t rootRef = 0;
-    std::uint64_t id = 0;  ///< see incarnation()
   };
 
   /// Every non-constant CWeight points at the first member of an Entry.

@@ -5,23 +5,22 @@
 /// memoization is what makes the recursive DD operations of Figs. 3 and 4
 /// of the paper polynomial in the *DD size* rather than the vector size.
 ///
-/// Three properties matter for the constant factor:
+/// Four properties matter for soundness and the constant factor:
 ///
 ///  * **Associativity.** A direct-mapped table drops a still-hot entry on
 ///    every index collision. Each table here is 4-way set-associative with
 ///    round-robin replacement, which keeps conflicting hot entries alive.
 ///
-///  * **GC survival.** Garbage collection does not iterate the table;
-///    instead `newGeneration()` bumps a 64-bit generation counter in O(1),
-///    which logically invalidates every entry at once. A *stale* entry
-///    (older generation) whose key still matches is not discarded outright:
-///    the caller-supplied revalidator checks — via node serials (Node::id)
-///    and weight incarnations (ComplexTable::incarnation) — whether all
-///    operands and the result survived the collection. If so, the entry is
-///    re-tagged with the current generation and the memoized result is
-///    reused ("GC retention"); otherwise the entry dies. This is sound even
-///    when the memory manager recycles a freed node into a new one at the
-///    same address, because a recycled node gets a new serial.
+///  * **Invalidation by generation.** A garbage collection calls
+///    `newGeneration(keep)`, which bumps a 64-bit generation counter and,
+///    in the same pass, carries over the entries naming no collected node:
+///    while the freed nodes still sit unrecycled on the free list, their
+///    cleared ids tell them apart. An entry of an older generation is
+///    *stale*: it is always a miss, and no lookup, insert or resize reads
+///    through its pointers, whose nodes and weights may since have been
+///    collected, recycled at the same address or returned to the OS.
+///    Within one generation nothing is freed, so every pointer of a
+///    current entry is valid.
 ///
 ///  * **No address in a hash.** Set indices mix node serials and weight
 ///    values, so which entries collide and get evicted is a function of the
@@ -30,21 +29,20 @@
 ///  * **Demand sizing.** A table starts at kInitialEntries (2^10) and grows
 ///    x4, up to its MaxEntries cap, once the inserts since the last resize
 ///    reach the current capacity. A small job therefore neither allocates
-///    nor zeroes the multi-megabyte worst case. Growth re-inserts every
-///    entry with its `gen` and `stamp`, so retention is unaffected; each
-///    old set spreads over four new sets, so nothing is evicted. (A stale
-///    entry whose hash moved has a recycled operand and is dropped.) Growth
-///    runs inline in insert(): a table that could only grow between
-///    top-level operations would thrash through one large multiplication.
-///    The trigger counts inserts only, so the table size is a pure function
-///    of the operation sequence. A std::bad_alloc while growing keeps the
+///    nor zeroes the multi-megabyte worst case. Growth re-inserts the
+///    current generation's entries and drops the stale ones; each old set
+///    spreads over four new sets, so no live entry is evicted. Growth runs
+///    inline in insert(): a table that could only grow between top-level
+///    operations would thrash through one large multiplication. The
+///    trigger counts inserts only, so the table size is a pure function of
+///    the operation sequence. A std::bad_alloc while growing keeps the
 ///    smaller table (only the hit rate suffers).
 ///
 /// Counter semantics (see also CacheStats): `hits()` counts lookups served
-/// from the table (including revalidated stale entries), `misses()` counts
-/// every unsuccessful lookup — including lookups that are never followed by
-/// an insert() because the surrounding operation aborted; an entry is not
-/// required to materialize for the miss to have happened.
+/// from the table, `misses()` counts every unsuccessful lookup — including
+/// lookups that are never followed by an insert() because the surrounding
+/// operation aborted; an entry is not required to materialize for the miss
+/// to have happened.
 
 #pragma once
 
@@ -58,17 +56,6 @@
 
 namespace ddsim::dd {
 
-/// Aggregate hit/miss/retention counters of one table, exposed to
-/// Package::cacheStats(). 64-bit so week-long runs cannot wrap them.
-struct ComputeTableCounters {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  /// Stale entries revalidated across a GC (subset of hits).
-  std::uint64_t retained = 0;
-  /// Stale entries whose operands/result died in a GC.
-  std::uint64_t staleDropped = 0;
-};
-
 namespace detail {
 /// Entry of a binary-operation cache. Keys are two edges: node pointer plus
 /// a canonical weight pointer, or a weight value compared exactly.
@@ -77,9 +64,6 @@ struct BinaryEntry {
   LEdge a{};
   REdge b{};
   Result result{};
-  /// Incarnation stamp over every pointer the entry references, computed
-  /// by the caller at insert time (Package::opStamp).
-  std::uint64_t stamp = 0;
   /// Generation tag; 0 = empty. Valid iff equal to the table generation.
   std::uint64_t gen = 0;
 
@@ -101,7 +85,6 @@ template <typename ArgEdge, typename Result>
 struct UnaryEntry {
   ArgEdge a{};
   Result result{};
-  std::uint64_t stamp = 0;
   std::uint64_t gen = 0;
 
   [[nodiscard]] std::uint64_t hash() const noexcept {
@@ -133,95 +116,32 @@ class SetAssociativeCache {
   /// Entries the table currently holds room for.
   [[nodiscard]] std::size_t capacity() const noexcept { return table_.size(); }
 
-  /// O(1) whole-table invalidation: entries become stale and individually
-  /// eligible for revalidation on their next lookup.
-  void newGeneration() noexcept { ++gen_; }
-
-  /// Hard reset (tests / explicit cache flush): discards every entry with
-  /// no chance of revalidation.
-  void clear() noexcept {
-    for (auto& entry : table_) {
-      entry.gen = 0;
+  /// End the generation: every entry becomes stale, and a stale entry never
+  /// hits again, except the current entries for which \p keep holds, which
+  /// are carried into the new generation. One pass over the table; a
+  /// garbage collection runs it before any freed node is recycled or
+  /// released, so \p keep may still read the pointers of current entries.
+  template <typename Keep>
+  void newGeneration(const Keep& keep) noexcept {
+    const std::uint64_t ended = gen_++;
+    for (Entry& e : table_) {
+      if (e.gen == ended && keep(e)) {
+        e.gen = gen_;
+      }
     }
-    gen_ = 1;
   }
 
-  [[nodiscard]] std::uint64_t hits() const noexcept { return counters_.hits; }
-  [[nodiscard]] std::uint64_t misses() const noexcept {
-    return counters_.misses;
-  }
-  [[nodiscard]] const ComputeTableCounters& counters() const noexcept {
-    return counters_;
-  }
+  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
  protected:
   void insertEntry(const Entry& fresh) noexcept {
-    insertIn(fresh.hash(), fresh);
-    if (++inserts_ >= table_.size() && table_.size() < MaxEntries) {
-      grow();
-    }
-  }
-
-  /// On a hit the cached result is copied into \p out and true is returned.
-  /// \p revalidate is only invoked for key-matching entries from an older
-  /// generation; it must return true iff the entry's stamp still matches
-  /// the current incarnations of everything it references.
-  template <typename Revalidate>
-  bool findEntry(const Entry& key, Result& out,
-                 Revalidate& revalidate) noexcept {
-    return lookupIn(key.hash(), key, out, revalidate);
-  }
-
- private:
-  Entry* setOf(std::uint64_t h) noexcept {
-    return &table_[(static_cast<std::size_t>(h) & setMask_) * kWays];
-  }
-
-  /// Re-insert every entry (live or stale) into a table kGrowthFactor times
-  /// larger.
-  void grow() noexcept {
-    inserts_ = 0;
-    const std::size_t entries =
-        std::min(table_.size() * kGrowthFactor, MaxEntries);
-    std::vector<Entry> bigger;
-    try {
-      bigger.resize(entries);
-    } catch (const std::bad_alloc&) {
-      return;  // keep the smaller table; retry after another fill
-    }
-    const std::size_t mask = entries / kWays - 1;
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-      const Entry& e = table_[i];
-      if (e.gen == 0) {
-        continue;
-      }
-      const auto h = static_cast<std::size_t>(e.hash());
-      if ((h & setMask_) != i / kWays) {
-        continue;  // stale, with an operand recycled since (see above)
-      }
-      // The entries of one old set spread over the new sets congruent to
-      // it, so a free way always exists.
-      Entry* set = &bigger[(h & mask) * kWays];
-      for (std::size_t w = 0; w < kWays; ++w) {
-        if (set[w].gen == 0) {
-          set[w] = e;
-          break;
-        }
-      }
-    }
-    table_.swap(bigger);
-    setMask_ = mask;
-  }
-
-  void insertIn(std::uint64_t h, const Entry& fresh) noexcept {
-    Entry* set = setOf(h);
+    Entry* set = setOf(fresh.hash());
     Entry* victim = nullptr;
     for (std::size_t w = 0; w < kWays; ++w) {
       Entry& e = set[w];
       if (e.gen != gen_) {
-        // Empty or stale way: preferred victim (stale entries that still
-        // mattered would have been revalidated by a lookup before the
-        // recomputation that leads to this insert).
+        // Empty or stale way: the preferred victim.
         if (victim == nullptr) {
           victim = &e;
         }
@@ -237,35 +157,62 @@ class SetAssociativeCache {
     }
     *victim = fresh;
     victim->gen = gen_;
+    if (++inserts_ >= table_.size() && table_.size() < MaxEntries) {
+      grow();
+    }
   }
 
-  template <typename Revalidate>
-  bool lookupIn(std::uint64_t h, const Entry& key, Result& out,
-                Revalidate& revalidate) noexcept {
-    Entry* set = setOf(h);
+  /// On a hit the cached result is copied into \p out and true is returned.
+  bool findEntry(const Entry& key, Result& out) noexcept {
+    const Entry* set = setOf(key.hash());
     for (std::size_t w = 0; w < kWays; ++w) {
-      Entry& e = set[w];
-      if (e.sameKey(key) && e.gen != 0) [[likely]] {
-        if (e.gen == gen_) [[likely]] {
-          ++counters_.hits;
-          out = e.result;
-          return true;
-        }
-        if (revalidate(e)) {
-          e.gen = gen_;
-          ++counters_.retained;
-          ++counters_.hits;
-          out = e.result;
-          return true;
-        }
-        e.gen = 0;
-        ++counters_.staleDropped;
-        ++counters_.misses;
-        return false;
+      const Entry& e = set[w];
+      if (e.gen == gen_ && e.sameKey(key)) {
+        ++hits_;
+        out = e.result;
+        return true;
       }
     }
-    ++counters_.misses;
+    ++misses_;
     return false;
+  }
+
+ private:
+  Entry* setOf(std::uint64_t h) noexcept {
+    return &table_[(static_cast<std::size_t>(h) & setMask_) * kWays];
+  }
+
+  /// Re-insert the current generation's entries into a table
+  /// kGrowthFactor times larger; stale entries are dropped unread.
+  void grow() noexcept {
+    inserts_ = 0;
+    const std::size_t entries =
+        std::min(table_.size() * kGrowthFactor, MaxEntries);
+    std::vector<Entry> bigger;
+    try {
+      bigger.resize(entries);
+    } catch (const std::bad_alloc&) {
+      return;  // keep the smaller table; retry after another fill
+    }
+    const std::size_t mask = entries / kWays - 1;
+    for (std::size_t i = 0; i < table_.size(); ++i) {
+      const Entry& e = table_[i];
+      if (e.gen != gen_) {
+        continue;
+      }
+      const auto h = static_cast<std::size_t>(e.hash());
+      // The entries of one old set spread over the new sets congruent to
+      // it, so a free way always exists.
+      Entry* set = &bigger[(h & mask) * kWays];
+      for (std::size_t w = 0; w < kWays; ++w) {
+        if (set[w].gen == 0) {
+          set[w] = e;
+          break;
+        }
+      }
+    }
+    table_.swap(bigger);
+    setMask_ = mask;
   }
 
   // Heap storage: a Package aggregates several of these tables, and stack
@@ -276,14 +223,15 @@ class SetAssociativeCache {
   /// Inserts since the last resize (the growth trigger).
   std::size_t inserts_ = 0;
   std::uint32_t roundRobin_ = 0;
-  ComputeTableCounters counters_;
+  /// 64-bit so week-long runs cannot wrap them.
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 }  // namespace detail
 
 /// Cache for binary DD operations. The value is caller-defined — typically
 /// a node pointer plus the result's top weight *by value* (see
-/// Package::CachedVEdge), so that a retained entry does not depend on the
-/// liveness of a canonical weight pointer.
+/// Package::CachedVEdge), so that a hit needs no complex-table lookup.
 template <typename LEdge, typename REdge, typename Result,
           std::size_t MaxEntries = (1U << 17)>
 class ComputeTable
@@ -292,17 +240,13 @@ class ComputeTable
  public:
   using Entry = detail::BinaryEntry<LEdge, REdge, Result>;
 
-  void insert(const LEdge& a, const REdge& b, const Result& r,
-              std::uint64_t stamp) noexcept {
-    this->insertEntry(Entry{a, b, r, stamp});
+  void insert(const LEdge& a, const REdge& b, const Result& r) noexcept {
+    this->insertEntry(Entry{a, b, r});
   }
 
-  /// See SetAssociativeCache::findEntry for the hit and revalidation
-  /// protocol.
-  template <typename Revalidate>
-  bool lookup(const LEdge& a, const REdge& b, Result& out,
-              Revalidate&& revalidate) noexcept {
-    return this->findEntry(Entry{a, b}, out, revalidate);
+  /// On a hit the cached result is copied into \p out and true is returned.
+  bool lookup(const LEdge& a, const REdge& b, Result& out) noexcept {
+    return this->findEntry(Entry{a, b}, out);
   }
 };
 
@@ -317,13 +261,12 @@ class UnaryComputeTable
  public:
   using Entry = detail::UnaryEntry<ArgEdge, Result>;
 
-  void insert(const ArgEdge& a, const Result& r, std::uint64_t stamp) noexcept {
-    this->insertEntry(Entry{a, r, stamp});
+  void insert(const ArgEdge& a, const Result& r) noexcept {
+    this->insertEntry(Entry{a, r});
   }
 
-  template <typename Revalidate>
-  bool lookup(const ArgEdge& a, Result& out, Revalidate&& revalidate) noexcept {
-    return this->findEntry(Entry{a}, out, revalidate);
+  bool lookup(const ArgEdge& a, Result& out) noexcept {
+    return this->findEntry(Entry{a}, out);
   }
 };
 

@@ -44,9 +44,8 @@ class MemoryManager {
   /// Obtain a fresh (default-initialized) node carrying the next serial
   /// NodeT::id. Serials are never reused, whether the node comes off the
   /// free list, from a fresh carve or from a chunk at a released address, so
-  /// an id names one node for the package's lifetime: stale compute-table
-  /// entries detect recycling by it, and hashes built on it do not depend
-  /// on where the allocator puts nodes.
+  /// an id names one node for the package's lifetime, and hashes built on
+  /// it do not depend on where the allocator puts nodes.
   /// Throws ResourceExhausted when chunk growth hits std::bad_alloc.
   NodeT* get() {
     if (free_ != nullptr) {
@@ -81,9 +80,9 @@ class MemoryManager {
   }
 
   /// Return a node to the free list. The caller must guarantee that no live
-  /// DD references it anymore. Clearing the id here (not on reuse)
-  /// immediately invalidates any cached reference to the old node, even
-  /// while the node still sits on the free list.
+  /// DD references it anymore. The id is cleared to 0, the mark of a
+  /// free-listed node: a garbage collection drops the compute-table entries
+  /// that name such a node before anything recycles it.
   void free(NodeT* n) noexcept {
     n->id = 0;
     n->next = free_;
@@ -91,10 +90,10 @@ class MemoryManager {
     ++freeCount_;
   }
 
-  /// Return chunks whose nodes are all on the free list to the OS. The
-  /// caller must first drop every raw pointer into freed nodes (stale
-  /// compute-table entries!) — Package::emergencyCollect clears the compute
-  /// tables before calling this. Returns the number of bytes released.
+  /// Return chunks whose nodes are all on the free list to the OS. No raw
+  /// pointer into a freed node may be read afterwards; the compute tables
+  /// keep such pointers only in stale entries, which they never read
+  /// through. Returns the number of bytes released.
   std::size_t releaseFreeChunks() {
     if (chunks_.empty() || freeCount_ == 0) {
       return 0;

@@ -64,8 +64,10 @@ struct Node {
   Node* next = nullptr;   ///< unique-table chain / free-list link
   /// Serial that is never reused: MemoryManager::get() assigns the next one,
   /// free() clears it to 0 (terminals keep 0). Hashes read it instead of the
-  /// address, and compute-table entries that outlive a GC tell their node
-  /// from a recycled one at the same address by it (see ComputeTable).
+  /// address, so table layouts do not depend on where the allocator puts
+  /// nodes, and dd::approximate keys its per-edge masses by it. A
+  /// collection keeps the compute-table entries whose nodes still carry one
+  /// (see Package::garbageCollect).
   std::uint64_t id = 0;
   std::uint32_t ref = 0;  ///< root reference count (saturating)
   Qubit v = kTerminalVar;

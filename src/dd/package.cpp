@@ -60,23 +60,6 @@ CacheStats Package::cacheStats() const noexcept {
   cs.uniqueTableMisses = vUnique_.misses() + mUnique_.misses();
   cs.complexTableHits = ctab_.hits();
   cs.complexTableMisses = ctab_.misses();
-  cs.mulMVRetained = mulMVTable_.counters().retained;
-  cs.mulMMRetained = mulMMTable_.counters().retained;
-  cs.addRetained = addVTable_.counters().retained + addMTable_.counters().retained;
-  const auto accumulate = [&cs](const ComputeTableCounters& c) {
-    cs.cacheRetained += c.retained;
-    cs.cacheStaleDropped += c.staleDropped;
-  };
-  accumulate(addVTable_.counters());
-  accumulate(addMTable_.counters());
-  accumulate(mulMVTable_.counters());
-  accumulate(mulMMTable_.counters());
-  accumulate(kronMTable_.counters());
-  accumulate(kronVTable_.counters());
-  accumulate(transposeTable_.counters());
-  accumulate(innerTable_.counters());
-  accumulate(normTable_.counters());
-  accumulate(traceTable_.counters());
   return cs;
 }
 
@@ -133,20 +116,25 @@ std::size_t Package::garbageCollect() {
     }
   });
   ctab_.garbageCollect(liveWeights);
-  // O(1) logical invalidation of every compute table: entries become stale
-  // and are either revalidated (operands + result survived, checked via the
-  // incarnation stamps) or dropped on their next lookup, instead of being
-  // eagerly wiped here.
-  addVTable_.newGeneration();
-  addMTable_.newGeneration();
-  mulMVTable_.newGeneration();
-  mulMMTable_.newGeneration();
-  kronMTable_.newGeneration();
-  kronVTable_.newGeneration();
-  transposeTable_.newGeneration();
-  innerTable_.newGeneration();
-  normTable_.newGeneration();
-  traceTable_.newGeneration();
+  // Carry the compute-table entries that name no collected node into the
+  // next generation; the rest become stale and are never read again. The
+  // freed nodes are not yet recycled or released, so their ids read 0.
+  const auto keepBinary = [this](const auto& e) {
+    return survives(e.a) && survives(e.b) && survives(e.result);
+  };
+  const auto keepUnary = [this](const auto& e) {
+    return survives(e.a) && survives(e.result);
+  };
+  addVTable_.newGeneration(keepBinary);
+  addMTable_.newGeneration(keepBinary);
+  mulMVTable_.newGeneration(keepBinary);
+  mulMMTable_.newGeneration(keepBinary);
+  kronMTable_.newGeneration(keepBinary);
+  kronVTable_.newGeneration(keepBinary);
+  transposeTable_.newGeneration(keepUnary);
+  innerTable_.newGeneration(keepBinary);
+  normTable_.newGeneration(keepUnary);
+  traceTable_.newGeneration(keepUnary);
   ++stats_.garbageCollections;
   stats_.nodesCollected += collected;
   return collected;
@@ -183,21 +171,9 @@ bool Package::maybeGarbageCollect() {
 
 std::size_t Package::emergencyCollect() {
   const obs::ScopedSpan span("dd.emergency-collect", obs::cat::kDd);
+  // Only stale compute-table entries may point into the released chunks,
+  // and they are never read through (see compute_table.hpp).
   garbageCollect();
-  // Chunk release invalidates raw pointers held by stale compute-table
-  // entries (their nodes sit on the free list inside the released chunks),
-  // so the tables are hard-cleared — no revalidation possible — before any
-  // memory is returned to the OS.
-  addVTable_.clear();
-  addMTable_.clear();
-  mulMVTable_.clear();
-  mulMMTable_.clear();
-  kronMTable_.clear();
-  kronVTable_.clear();
-  transposeTable_.clear();
-  innerTable_.clear();
-  normTable_.clear();
-  traceTable_.clear();
   const std::size_t released =
       vMem_.releaseFreeChunks() + mMem_.releaseFreeChunks();
   ++stats_.emergencyCollections;
@@ -622,7 +598,7 @@ Package::CachedEdge<Arity> Package::addRec(const CachedEdge<Arity>& a,
   const CachedEdge<Arity> ky{y.p, *ratio};
   auto& table = addTable<Arity>();
   CachedEdge<Arity> sum;
-  if (!table.lookup(kx, ky, sum, revalidator())) {
+  if (!table.lookup(kx, ky, sum)) {
     assert(!x.p->isTerminal() && x.p->v == y.p->v);
     std::array<CachedEdge<Arity>, Arity> r;
     // x's children carry their node weights (x.w = 1), y's the ratio.
@@ -634,7 +610,7 @@ Package::CachedEdge<Arity> Package::addRec(const CachedEdge<Arity>& a,
                  : addRec(valueOf(xe), CachedEdge<Arity>{ye.p, *ratio * *ye.w});
     }
     sum = makeNode(x.p->v, r);
-    table.insert(kx, ky, sum, opStamp(kx, ky, sum));
+    table.insert(kx, ky, sum);
   }
   return {sum.p, sum.w * x.w};
 }
@@ -679,7 +655,7 @@ Package::CachedVEdge Package::mulNodesMV(MNode* a, VNode* b) {
   ++stats_.recursiveMulVCalls;
   const MEdge ka{a, cone()};
   const VEdge kb{b, cone()};
-  if (CachedVEdge cached; mulMVTable_.lookup(ka, kb, cached, revalidator())) {
+  if (CachedVEdge cached; mulMVTable_.lookup(ka, kb, cached)) {
     return cached;
   }
 
@@ -707,7 +683,7 @@ Package::CachedVEdge Package::mulNodesMV(MNode* a, VNode* b) {
     r[i] = sum;
   }
   const CachedVEdge result = makeNode(var, r);
-  mulMVTable_.insert(ka, kb, result, opStamp(ka, kb, result));
+  mulMVTable_.insert(ka, kb, result);
   return result;
 }
 
@@ -748,7 +724,7 @@ Package::CachedMEdge Package::mulNodesMM(MNode* a, MNode* b) {
   ++stats_.recursiveMulMCalls;  // past the identity check, as in MxV
   const MEdge ka{a, cone()};
   const MEdge kb{b, cone()};
-  if (CachedMEdge cached; mulMMTable_.lookup(ka, kb, cached, revalidator())) {
+  if (CachedMEdge cached; mulMMTable_.lookup(ka, kb, cached)) {
     return cached;
   }
 
@@ -800,7 +776,7 @@ Package::CachedMEdge Package::mulNodesMM(MNode* a, MNode* b) {
     }
   }
   const CachedMEdge result = makeNode(var, r);
-  mulMMTable_.insert(ka, kb, result, opStamp(ka, kb, result));
+  mulMMTable_.insert(ka, kb, result);
   return result;
 }
 
@@ -827,7 +803,7 @@ Package::CachedEdge<Arity> Package::kronRec(const Edge<Arity>& a,
     return {b.p, *a.w * *b.w};
   }
   auto& table = kronTable<Arity>();
-  if (CachedEdge<Arity> cached; table.lookup(a, b, cached, revalidator())) {
+  if (CachedEdge<Arity> cached; table.lookup(a, b, cached)) {
     return cached;
   }
   const Qubit shift = b.p->isTerminal() ? 0 : b.p->v + 1;
@@ -839,7 +815,7 @@ Package::CachedEdge<Arity> Package::kronRec(const Edge<Arity>& a,
   }
   CachedEdge<Arity> result = makeNode(a.p->v + shift, children);
   result.w = result.w * *a.w;
-  table.insert(a, b, result, opStamp(a, b, result));
+  table.insert(a, b, result);
   return result;
 }
 
@@ -859,7 +835,7 @@ Package::CachedMEdge Package::transposeRec(MNode* p) {
     return {p, {1.0, 0.0}};
   }
   const MEdge key{p, cone()};
-  if (CachedMEdge cached; transposeTable_.lookup(key, cached, unaryRevalidator())) {
+  if (CachedMEdge cached; transposeTable_.lookup(key, cached)) {
     return cached;
   }
   std::array<CachedMEdge, 4> children;
@@ -875,7 +851,7 @@ Package::CachedMEdge Package::transposeRec(MNode* p) {
     }
   }
   const CachedMEdge result = makeNode(p->v, children);
-  transposeTable_.insert(key, result, opStamp(key, result));
+  transposeTable_.insert(key, result);
   return result;
 }
 
@@ -897,8 +873,8 @@ ComplexValue Package::innerProductRec(VNode* a, VNode* b) {
   }
   const VEdge ka{a, cone()};
   const VEdge kb{b, cone()};
-  if (CVal cached; innerTable_.lookup(ka, kb, cached, revalidator())) {
-    return cached.v;
+  if (ComplexValue cached; innerTable_.lookup(ka, kb, cached)) {
+    return cached;
   }
   ComplexValue sum{0.0, 0.0};
   for (std::size_t i = 0; i < 2; ++i) {
@@ -909,8 +885,7 @@ ComplexValue Package::innerProductRec(VNode* a, VNode* b) {
     }
     sum += ea.w->conj() * *eb.w * innerProductRec(ea.p, eb.p);
   }
-  const CVal cached{sum};
-  innerTable_.insert(ka, kb, cached, opStamp(ka, kb, cached));
+  innerTable_.insert(ka, kb, sum);
   return sum;
 }
 
@@ -940,8 +915,8 @@ ComplexValue Package::traceNode(MNode* p) {
     return {std::ldexp(1.0, p->v + 1), 0.0};
   }
   const MEdge key{p, cone()};
-  if (CVal cached; traceTable_.lookup(key, cached, unaryRevalidator())) {
-    return cached.v;
+  if (ComplexValue cached; traceTable_.lookup(key, cached)) {
+    return cached;
   }
   ComplexValue sum{0.0, 0.0};
   for (const std::size_t i : {0UL, 3UL}) {  // diagonal quadrants
@@ -950,8 +925,7 @@ ComplexValue Package::traceNode(MNode* p) {
       sum += *e.w * traceNode(e.p);
     }
   }
-  const CVal cached{sum};
-  traceTable_.insert(key, cached, opStamp(key, cached));
+  traceTable_.insert(key, sum);
   return sum;
 }
 
@@ -969,8 +943,8 @@ double Package::normNode(VNode* p) {
     return 1.0;
   }
   const VEdge key{p, cone()};
-  if (DVal cached; normTable_.lookup(key, cached, unaryRevalidator())) {
-    return cached.d;
+  if (double cached; normTable_.lookup(key, cached)) {
+    return cached;
   }
   double sum = 0.0;
   for (const auto& e : p->e) {
@@ -978,8 +952,7 @@ double Package::normNode(VNode* p) {
       sum += e.w->mag2() * normNode(e.p);
     }
   }
-  const DVal cached{sum};
-  normTable_.insert(key, cached, opStamp(key, cached));
+  normTable_.insert(key, sum);
   return sum;
 }
 

@@ -116,15 +116,6 @@ struct CacheStats {
   std::uint64_t uniqueTableMisses = 0;
   std::uint64_t complexTableHits = 0;
   std::uint64_t complexTableMisses = 0;
-  /// GC-survival counters of the generation-tagged compute tables: a
-  /// *retained* entry is a stale (pre-GC) entry whose operands and result
-  /// all survived the collection and was revalidated on lookup; a *dropped*
-  /// entry is a stale key match whose pointers died or were recycled.
-  std::uint64_t mulMVRetained = 0;
-  std::uint64_t mulMMRetained = 0;
-  std::uint64_t addRetained = 0;
-  std::uint64_t cacheRetained = 0;      ///< total across all op caches
-  std::uint64_t cacheStaleDropped = 0;  ///< total across all op caches
 
   [[nodiscard]] static double rate(std::uint64_t hits, std::uint64_t misses) noexcept {
     const std::uint64_t total = hits + misses;
@@ -134,11 +125,6 @@ struct CacheStats {
   /// Combined multiply-cache hit rate (MxV and MxM).
   [[nodiscard]] double mulHitRate() const noexcept {
     return rate(mulMVHits + mulMMHits, mulMVMisses + mulMMMisses);
-  }
-  /// Fraction of stale (pre-GC) cache entries that were successfully
-  /// revalidated instead of recomputed (0 when no entry aged across a GC).
-  [[nodiscard]] double gcRetentionRate() const noexcept {
-    return rate(cacheRetained, cacheStaleDropped);
   }
 };
 
@@ -280,18 +266,18 @@ class Package {
     ctab_.decRef(e.w);
   }
 
-  /// Collect all unreferenced nodes and flush the compute tables. Must only
-  /// be called at a quiescent point (no unrooted intermediate results held
-  /// by the caller). Returns the number of nodes collected.
+  /// Collect all unreferenced nodes and invalidate every compute-table
+  /// entry that names one of them. Must only be called at a quiescent point
+  /// (no unrooted intermediate results held by the caller). Returns the
+  /// number of nodes collected.
   std::size_t garbageCollect();
   /// Collect if the number of live nodes exceeds the adaptive threshold, a
   /// configured resource budget is under pressure, or an installed fault
   /// injector forces a collection.
   bool maybeGarbageCollect();
-  /// Pressure response: garbage-collect, drop every compute-table entry
-  /// (stale entries hold raw pointers into chunks about to be released),
-  /// and return fully-free allocator chunks to the OS. Quiescent-point
-  /// contract as garbageCollect(). Returns the number of bytes released.
+  /// Pressure response: garbage-collect and return fully-free allocator
+  /// chunks to the OS. Quiescent-point contract as garbageCollect().
+  /// Returns the number of bytes released.
   std::size_t emergencyCollect();
 
   /// Live node counts (diagnostics / max-size strategy instrumentation).
@@ -435,62 +421,12 @@ class Package {
   VNode vTerminal_;
   MNode mTerminal_;
 
-  // ------------------------------------------ incarnation stamps (GC survival)
-  // An entry's stamp mixes the node serials and weight incarnations of
-  // everything it references. After a GC, a stale entry is reusable iff its
-  // recorded stamp still matches the recomputed one: any operand or result
-  // that was collected (and possibly recycled at the same address) changes
-  // its id or incarnation and therefore the stamp.
-  static std::uint64_t mixStamp(std::uint64_t h, std::uint64_t x) noexcept {
-    h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return h;
-  }
-  template <std::size_t Arity>
-  [[nodiscard]] std::uint64_t stampOf(const Edge<Arity>& e) const noexcept {
-    return mixStamp(e.p->id, ctab_.incarnation(e.w));
-  }
-  // A cached result's weight is a value, so only its node can die.
-  template <std::size_t Arity>
-  [[nodiscard]] static std::uint64_t stampOf(const CachedEdge<Arity>& r) noexcept {
-    return r.p->id;
-  }
-  struct CVal {
-    ComplexValue v;
-  };
-  struct DVal {
-    double d;
-  };
-  [[nodiscard]] static std::uint64_t stampOf(const CVal&) noexcept { return 0; }
-  [[nodiscard]] static std::uint64_t stampOf(const DVal&) noexcept { return 0; }
-
-  template <typename A, typename B, typename R>
-  [[nodiscard]] std::uint64_t opStamp(const A& a, const B& b,
-                                      const R& r) const noexcept {
-    return mixStamp(mixStamp(stampOf(a), stampOf(b)), stampOf(r));
-  }
-  template <typename A, typename R>
-  [[nodiscard]] std::uint64_t opStamp(const A& a, const R& r) const noexcept {
-    return mixStamp(stampOf(a), stampOf(r));
-  }
-  /// Revalidator passed to ComputeTable::lookup for stale entries.
-  [[nodiscard]] auto revalidator() const noexcept {
-    return [this](const auto& entry) noexcept {
-      return entry.stamp == opStamp(entry.a, entry.b, entry.result);
-    };
-  }
-  [[nodiscard]] auto unaryRevalidator() const noexcept {
-    return [this](const auto& entry) noexcept {
-      return entry.stamp == opStamp(entry.a, entry.result);
-    };
-  }
-
-  // Operation caches: 4-way set-associative, generation-tagged (survive GC
-  // via incarnation revalidation; see compute_table.hpp). Results hold
-  // their weight by value, so a hit needs no lookup. The add tables are
-  // keyed scale-free, (x.p, 1) + (y.p, y.w / x.w), and hold the sum for
-  // x.w = 1. The canonical ratio is keyed by value: no node holds it, and
-  // a key that died with its weight entry in a GC could not be retained.
-  // The inner product, norm and trace caches store plain values.
+  // Operation caches: 4-way set-associative, generation-tagged (a GC
+  // keeps only the entries that pass survives(); see compute_table.hpp).
+  // Results hold their weight by value, so a hit needs no lookup. The add
+  // tables are keyed scale-free, (x.p, 1) + (y.p, y.w / x.w), and hold the
+  // sum for x.w = 1. The canonical ratio is keyed by value. The inner
+  // product, norm and trace caches store plain values.
   ComputeTable<VEdge, CachedVEdge, CachedVEdge> addVTable_;
   ComputeTable<MEdge, CachedMEdge, CachedMEdge> addMTable_;
   ComputeTable<MEdge, VEdge, CachedVEdge> mulMVTable_;
@@ -498,9 +434,9 @@ class Package {
   ComputeTable<MEdge, MEdge, CachedMEdge> kronMTable_;
   ComputeTable<VEdge, VEdge, CachedVEdge> kronVTable_;
   UnaryComputeTable<MEdge, CachedMEdge> transposeTable_;
-  ComputeTable<VEdge, VEdge, CVal> innerTable_;
-  UnaryComputeTable<VEdge, DVal> normTable_;
-  UnaryComputeTable<MEdge, CVal> traceTable_;
+  ComputeTable<VEdge, VEdge, ComplexValue> innerTable_;
+  UnaryComputeTable<VEdge, double> normTable_;
+  UnaryComputeTable<MEdge, ComplexValue> traceTable_;
 
   template <std::size_t Arity>
   auto& addTable() noexcept {
@@ -518,6 +454,27 @@ class Package {
       return kronMTable_;
     }
   }
+
+  // Whether a compute-table entry may outlive a collection, part by part:
+  // each node it names is live (a collected node reads id 0; terminals keep
+  // id 0 but are never collected), and each canonical key weight is the
+  // constant one. Every kernel but kronRec keys on (node, 1), so only
+  // kronecker entries are dropped for their weights: a collected weight's
+  // slot may be recycled for another value.
+  template <std::size_t Arity>
+  static bool live(const Node<Arity>* p) noexcept {
+    return p->id != 0 || p->isTerminal();
+  }
+  template <std::size_t Arity>
+  bool survives(const Edge<Arity>& e) const noexcept {
+    return e.w == cone() && live(e.p);
+  }
+  template <std::size_t Arity>
+  static bool survives(const CachedEdge<Arity>& e) noexcept {
+    return live(e.p);
+  }
+  static bool survives(const ComplexValue&) noexcept { return true; }
+  static bool survives(double) noexcept { return true; }
 
   std::vector<MEdge> identities_;  ///< makeIdent(v) cache, pinned
 

@@ -22,8 +22,8 @@ dd::MEdge buildOperationDD(dd::Package& pkg, const ir::Operation& op);
 
 /// Gate-DD memoization for one package: each distinct gate is lowered once
 /// and its matrix DD stays rooted for the package's lifetime, which also
-/// keeps the multiply compute-table entries that involve it revalidatable
-/// across garbage collections.
+/// lets a garbage collection carry over the multiply compute-table entries
+/// that involve it (and a live state).
 ///
 /// Circuit builders emit a separate object for every gate (Beauregard's
 /// Shor circuit repeats a few hundred distinct gates tens of thousands of

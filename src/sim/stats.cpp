@@ -103,8 +103,7 @@ std::string SimulationStats::toString() const {
      << " peakMatrixNodes=" << peakMatrixNodes
      << " finalStateNodes=" << finalStateNodes
      << " identitySkipRate=" << dd.identitySkipRate()
-     << " mulCacheHitRate=" << cache.mulHitRate()
-     << " gcRetentionRate=" << cache.gcRetentionRate();
+     << " mulCacheHitRate=" << cache.mulHitRate();
   if (migratedNodes > 0) {
     ss << " migratedNodes=" << migratedNodes;
   }

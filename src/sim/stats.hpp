@@ -189,7 +189,7 @@ struct SimulationStats {
   /// Snapshot of the DD package counters at the end of the run.
   dd::PackageStats dd;
   /// Snapshot of the memoization-layer counters at the end of the run
-  /// (multiply-cache hit rate, GC retention, ...).
+  /// (multiply-cache hit rate, unique-table hits, ...).
   dd::CacheStats cache;
 
   [[nodiscard]] std::string toString() const;

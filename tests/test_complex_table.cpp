@@ -259,13 +259,15 @@ TEST(ComplexTable, GarbageCollectAcrossGrowth) {
       kept.push_back(w);
     }
   }
-  const std::uint64_t keptId = tab.incarnation(kept[1]);
+  const ComplexValue keptValue = *kept[1];
   EXPECT_EQ(tab.garbageCollect(live), kValues - kept.size());
-  EXPECT_EQ(tab.incarnation(kept[1]), keptId);
+  // A survivor keeps its address and its value.
+  EXPECT_EQ(*kept[1], keptValue);
+  EXPECT_EQ(tab.lookup(keptValue), kept[1]);
   EXPECT_EQ(tab.size(), kept.size() + 4);
   // Grow again past the size before the collection; survivors stay put.
   for (int k = 0; k < 2 * kValues; ++k) {
-    tab.lookup(0.4 + k * 1e-4, -0.1);
+    live.insert(tab.lookup(0.4 + k * 1e-4, -0.1));
   }
   for (std::size_t j = 0; j < kept.size(); ++j) {
     const auto k = static_cast<double>(3 * j);
@@ -274,11 +276,14 @@ TEST(ComplexTable, GarbageCollectAcrossGrowth) {
   // The collection kept the cell's order: the older entry still wins, and
   // once it is collected the newer one takes over.
   EXPECT_EQ(tab.lookup(2000.0 * tol, 0.7), older);
-  const std::uint64_t olderId = tab.incarnation(older);
   live.erase(older);
-  tab.garbageCollect(live);
-  EXPECT_GT(tab.incarnation(older), olderId);
+  EXPECT_EQ(tab.garbageCollect(live), 1U);
   EXPECT_EQ(tab.lookup(2000.0 * tol, 0.7), newer);
+  // The collected entry is recycled first: a new value lands at its address.
+  const CWeight recycled = tab.lookup(-0.9, 0.3);
+  EXPECT_EQ(recycled, older);
+  EXPECT_EQ(recycled->r, -0.9);
+  EXPECT_EQ(recycled->i, 0.3);
 }
 
 }  // namespace

@@ -150,7 +150,8 @@ TEST(DDMigration, ImportSurvivesEmergencyCollect) {
   const FlatVectorDD flat = exportDD(a, src.state);
 
   // Import into a package whose allocator already went through an
-  // emergency collection (released chunks, bumped incarnation stamps).
+  // emergency collection (released chunks, stale compute-table entries
+  // that point into them).
   Package b(5);
   const VEdge warmup = importDD(b, flat);
   b.incRef(warmup);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numbers>
 #include <random>
 
@@ -345,17 +347,16 @@ TEST(TableGrowth, ComputeTableKeepsHittingAcrossAResize) {
   const std::size_t initial = table.capacity();
   ASSERT_EQ(initial, SyntheticTable::kInitialEntries);
   TableKeys keys(initial);
-  const auto never = [](const auto&) noexcept { return false; };
 
   // One insert short of the trigger: the table still has its first size.
   for (std::size_t i = 0; i + 1 < initial; ++i) {
-    table.insert(keys.key(i), keys.key(i), i, 0);
+    table.insert(keys.key(i), keys.key(i), i);
   }
   ASSERT_EQ(table.capacity(), initial);
   std::vector<std::size_t> present;
   for (std::size_t i = 0; i + 1 < initial; ++i) {
     std::uint64_t out = 0;
-    if (table.lookup(keys.key(i), keys.key(i), out, never)) {
+    if (table.lookup(keys.key(i), keys.key(i), out)) {
       ASSERT_EQ(out, i);
       present.push_back(i);
     }
@@ -364,70 +365,86 @@ TEST(TableGrowth, ComputeTableKeepsHittingAcrossAResize) {
 
   // The trigger refreshes a present key, so it evicts nothing itself.
   const std::size_t again = present.front();
-  table.insert(keys.key(again), keys.key(again), again, 0);
+  table.insert(keys.key(again), keys.key(again), again);
   EXPECT_EQ(table.capacity(), initial * SyntheticTable::kGrowthFactor);
   // Every entry that was live before the resize still hits, with its value;
   // the new set count only spreads the old sets, it never evicts.
   for (const std::size_t i : present) {
     std::uint64_t out = 0;
-    ASSERT_TRUE(table.lookup(keys.key(i), keys.key(i), out, never)) << i;
+    ASSERT_TRUE(table.lookup(keys.key(i), keys.key(i), out)) << i;
     EXPECT_EQ(out, i);
   }
 }
 
-TEST(TableGrowth, StaleEntriesRevalidateOrDropAfterAResize) {
+TEST(TableGrowth, StaleEntriesNeverHitAndAreNotReadByAResize) {
+  SyntheticTable table;
+  const std::size_t initial = table.capacity();
+  auto doomed = std::make_unique<TableKeys>(initial);
+  for (std::size_t i = 0; i + 1 < initial; ++i) {
+    table.insert(doomed->key(i), doomed->key(i), i);
+  }
+  // A collection that keeps nothing ends every entry: the same keys, still
+  // alive, miss.
+  table.newGeneration([](const auto&) noexcept { return false; });
+  for (std::size_t i = 0; i + 1 < initial; ++i) {
+    std::uint64_t out = 0;
+    EXPECT_FALSE(table.lookup(doomed->key(i), doomed->key(i), out)) << i;
+  }
+  const std::uint64_t misses = table.misses();
+  EXPECT_EQ(table.hits(), 0U);
+  EXPECT_EQ(misses, initial - 1);
+
+  // Free what the stale entries point at. The next insert triggers a
+  // resize, which must drop them without hashing them (under
+  // AddressSanitizer a read is a heap-use-after-free).
+  doomed.reset();
+  TableKeys keys(initial);
+  for (std::size_t i = 0; i < initial; ++i) {
+    table.insert(keys.key(i), keys.key(i), i);
+  }
+  ASSERT_EQ(table.capacity(), initial * SyntheticTable::kGrowthFactor);
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < initial; ++i) {
+    std::uint64_t out = 0;
+    if (table.lookup(keys.key(i), keys.key(i), out)) {
+      EXPECT_EQ(out, i);
+      ++hits;
+    }
+  }
+  EXPECT_GT(hits, initial / 2);
+}
+
+TEST(TableGrowth, CarriedEntriesHitAndDroppedOnesMissAcrossAResize) {
   SyntheticTable table;
   const std::size_t initial = table.capacity();
   TableKeys keys(initial);
   for (std::size_t i = 0; i + 1 < initial; ++i) {
-    table.insert(keys.key(i), keys.key(i), i, /*stamp=*/i);
+    table.insert(keys.key(i), keys.key(i), i);
   }
-  // A collection makes every entry stale, then the resize happens while
-  // they are stale: it must carry their generation and stamp over.
-  table.newGeneration();
-  table.insert(keys.key(initial - 1), keys.key(initial - 1), initial - 1, 0);
-  ASSERT_EQ(table.capacity(), initial * SyntheticTable::kGrowthFactor);
-
-  std::size_t revalidated = 0;
-  std::size_t checked = 0;
+  std::vector<std::size_t> present;
   for (std::size_t i = 0; i + 1 < initial; ++i) {
-    bool asked = false;
-    // "Operands survived" for even keys only; the stamp is carried over.
-    const auto survivesIfEven = [&asked, i](const auto& e) noexcept {
-      asked = true;
-      EXPECT_EQ(e.stamp, i);
-      return i % 2 == 0;
-    };
     std::uint64_t out = 0;
-    const bool hit =
-        table.lookup(keys.key(i), keys.key(i), out, survivesIfEven);
-    if (!asked) {
-      EXPECT_FALSE(hit) << "a stale entry must never hit unrevalidated";
-      continue;  // evicted before the collection, or by the trigger insert
+    if (table.lookup(keys.key(i), keys.key(i), out)) {
+      present.push_back(i);
     }
-    ++checked;
+  }
+  ASSERT_GT(present.size(), initial / 2);
+  // A collection that keeps the entries with an even result.
+  table.newGeneration([](const auto& e) noexcept { return e.result % 2 == 0; });
+  // The trigger refreshes a carried key, so it evicts nothing itself; the
+  // carried entries move with the resize.
+  const std::size_t again = *std::find_if(
+      present.begin(), present.end(), [](std::size_t i) { return i % 2 == 0; });
+  table.insert(keys.key(again), keys.key(again), again);
+  ASSERT_EQ(table.capacity(), initial * SyntheticTable::kGrowthFactor);
+  for (const std::size_t i : present) {
+    std::uint64_t out = 0;
+    const bool hit = table.lookup(keys.key(i), keys.key(i), out);
     EXPECT_EQ(hit, i % 2 == 0) << i;
     if (hit) {
       EXPECT_EQ(out, i);
-      ++revalidated;
-      // Re-tagged: the next lookup is a plain hit, no revalidation.
-      bool askedAgain = false;
-      const auto track = [&askedAgain](const auto&) noexcept {
-        askedAgain = true;
-        return false;
-      };
-      EXPECT_TRUE(table.lookup(keys.key(i), keys.key(i), out, track));
-      EXPECT_FALSE(askedAgain);
-    } else {
-      // Dropped: gone for good even if it would now revalidate.
-      const auto always = [](const auto&) noexcept { return true; };
-      EXPECT_FALSE(table.lookup(keys.key(i), keys.key(i), out, always));
     }
   }
-  ASSERT_GT(checked, initial / 2);
-  const ComputeTableCounters c = table.counters();
-  EXPECT_EQ(c.retained, revalidated);
-  EXPECT_EQ(c.staleDropped, checked - revalidated);
 }
 
 TEST(TableGrowth, UniqueTableRehashKeepsNodesCanonical) {

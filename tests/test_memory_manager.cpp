@@ -135,8 +135,8 @@ TEST(MemoryManager, ReleaseFreeChunksHandlesCarveChunk) {
 TEST(MemoryManager, IdsAreSerialsThatAreNeverReused) {
   // Every get() hands out an id above all earlier ones, whether the node
   // comes from a fresh carve, off the free list or from a chunk carved after
-  // a release; free() clears it. So no id ever names two nodes, and a stale
-  // compute-table entry can never revalidate against a recycled address.
+  // a release; free() clears it. So no id ever names two nodes, and hashes
+  // over ids do not follow the allocator's addresses.
   MemoryManager<VNode> mm(4);
   std::uint64_t last = 0;
   const auto take = [&mm, &last] {

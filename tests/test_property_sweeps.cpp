@@ -78,9 +78,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          sim::StrategyConfig::adaptive(0.1),
                                          sim::StrategyConfig::adaptive(2.0)),
                        ::testing::Range<std::uint64_t>(200, 204)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param).toString() + "_s" +
-                         std::to_string(std::get<1>(info.param));
+    [](const auto& paramInfo) {
+      std::string name = std::get<0>(paramInfo.param).toString() + "_s" +
+                         std::to_string(std::get<1>(paramInfo.param));
       for (char& c : name) {
         if (std::isalnum(static_cast<unsigned char>(c)) == 0) {
           c = '_';

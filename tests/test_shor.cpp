@@ -29,7 +29,9 @@ TEST(Shor, BenchmarkNames) {
 TEST(Shor, MeasuredValueAssembly) {
   const std::vector<bool> bits = {true, false, true, true};
   EXPECT_EQ(shorMeasuredValue(bits, 4), 0b1101U);
-  EXPECT_THROW(shorMeasuredValue(bits, 6), std::invalid_argument);
+  // Six bits requested from four: must throw, never return a value.
+  EXPECT_THROW(ADD_FAILURE() << "returned " << shorMeasuredValue(bits, 6),
+               std::invalid_argument);
 }
 
 TEST(Shor, FactorsFromOrder) {

@@ -100,8 +100,8 @@ INSTANTIATE_TEST_SUITE_P(
                       StrategyConfig::adaptive(0.05),
                       StrategyConfig::adaptive(0.5),
                       StrategyConfig::adaptive(10.0)),
-    [](const auto& info) {
-      std::string name = info.param.toString();
+    [](const auto& paramInfo) {
+      std::string name = paramInfo.param.toString();
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) {
           c = '_';
@@ -299,11 +299,6 @@ void expectSameCounters(const SimulationStats& a, const SimulationStats& b,
   EXPECT_EQ(c.uniqueTableMisses, d.uniqueTableMisses) << label;
   EXPECT_EQ(c.complexTableHits, d.complexTableHits) << label;
   EXPECT_EQ(c.complexTableMisses, d.complexTableMisses) << label;
-  EXPECT_EQ(c.mulMVRetained, d.mulMVRetained) << label;
-  EXPECT_EQ(c.mulMMRetained, d.mulMMRetained) << label;
-  EXPECT_EQ(c.addRetained, d.addRetained) << label;
-  EXPECT_EQ(c.cacheRetained, d.cacheRetained) << label;
-  EXPECT_EQ(c.cacheStaleDropped, d.cacheStaleDropped) << label;
 }
 
 TEST(GateCache, FlatAndFoldedCircuitsDoTheSameWork) {

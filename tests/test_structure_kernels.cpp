@@ -1,12 +1,13 @@
 /// \file test_structure_kernels.cpp
 /// \brief Tests of the structure-aware multiply kernels (cached
-///        identity/diagonal node flags, fast-path counters) and of the
-///        GC-surviving generation-tagged compute tables.
+///        identity/diagonal node flags, fast-path counters) and of which
+///        compute-table entries a garbage collection ends.
 
 #include <gtest/gtest.h>
 
 #include <numbers>
 #include <random>
+#include <set>
 
 #include "baseline/statevector.hpp"
 #include "dd/package.hpp"
@@ -188,69 +189,56 @@ INSTANTIATE_TEST_SUITE_P(Sweep, StructureKernelSweep,
                          ::testing::Range<std::uint64_t>(7100, 7110));
 
 // ---------------------------------------------------------------------------
-// GC retention: entries whose operands/result survive a collection are
-// revalidated instead of recomputed.
+// Retention and invalidation: a garbage collection carries over the
+// compute-table entries whose nodes all survived and ends the rest; an
+// ended entry is never served or read through.
 // ---------------------------------------------------------------------------
+
+/// Every non-terminal node reachable from \p e.
+std::set<const dd::VNode*> vectorNodes(const dd::VEdge& e) {
+  std::set<const dd::VNode*> seen;
+  std::vector<const dd::VNode*> stack{e.p};
+  while (!stack.empty()) {
+    const dd::VNode* n = stack.back();
+    stack.pop_back();
+    if (n->isTerminal() || !seen.insert(n).second) {
+      continue;
+    }
+    for (const auto& child : n->e) {
+      stack.push_back(child.p);
+    }
+  }
+  return seen;
+}
 
 TEST(CacheRetention, RootedMultiplyResultSurvivesGarbageCollection) {
   dd::Package pkg(6);
   std::mt19937_64 rng(23);
-  const auto amps = test::randomAmplitudes(6, rng);
-  dd::VEdge v = pkg.makeStateFromVector(amps);
+  dd::VEdge v = pkg.makeStateFromVector(test::randomAmplitudes(6, rng));
   pkg.incRef(v);
   const dd::MEdge h = pkg.makeGateDD(kHadamard, 3);
   pkg.incRef(h);
 
-  dd::VEdge w = pkg.multiply(h, v);
+  const dd::VEdge w = pkg.multiply(h, v);
   pkg.incRef(w);
-
-  // Everything referenced by the cached sub-products is rooted, so the
-  // collection must not free any of it...
+  // Everything the cached sub-products name is rooted, so the collection
+  // frees none of it and carries their entries over...
   pkg.garbageCollect();
 
-  // ...and the repeated multiply must be served from retained entries:
-  // hits (and the retained counter) go up, misses stay put.
-  const auto before = pkg.cacheStats();
+  // ...and the repeat is served from them: no miss, no recursion below the
+  // top-level entry, the same edge.
+  const dd::CacheStats before = pkg.cacheStats();
+  const dd::PackageStats s0 = pkg.stats();
   const dd::VEdge w2 = pkg.multiply(h, v);
-  const auto after = pkg.cacheStats();
+  const dd::CacheStats after = pkg.cacheStats();
   EXPECT_EQ(w2.p, w.p);
   EXPECT_EQ(w2.w, w.w);
   EXPECT_GT(after.mulMVHits, before.mulMVHits);
   EXPECT_EQ(after.mulMVMisses, before.mulMVMisses);
-  EXPECT_GT(after.mulMVRetained, before.mulMVRetained);
-  EXPECT_GT(after.gcRetentionRate(), 0.0);
-}
-
-TEST(CacheRetention, CollectedOperandsInvalidateStaleEntries) {
-  dd::Package pkg(6);
-  std::mt19937_64 rng(29);
-  const auto amps = test::randomAmplitudes(6, rng);
-  dd::VEdge v = pkg.makeStateFromVector(amps);
-  pkg.incRef(v);
-  const dd::MEdge h = pkg.makeGateDD(kHadamard, 2);
-  pkg.incRef(h);
-
-  const dd::VEdge w = pkg.multiply(h, v);
-  // Deliberately do NOT root w: the product's nodes die in the collection,
-  // so every cache entry referencing them must fail revalidation.
-  (void)w;
-  pkg.garbageCollect();
-
-  const auto before = pkg.cacheStats();
-  dd::VEdge w2 = pkg.multiply(h, v);
-  pkg.incRef(w2);
-  const auto after = pkg.cacheStats();
-  // The recomputation is exact even though the stale entries died.
-  dd::Package ref(6);
-  const dd::VEdge rv = ref.makeStateFromVector(amps);
-  const dd::VEdge rw = ref.multiply(ref.makeGateDD(kHadamard, 2), rv);
-  test::expectAmplitudesNear(pkg.getVector(w2), ref.getVector(rw));
-  EXPECT_GE(after.cacheStaleDropped, before.cacheStaleDropped);
+  EXPECT_EQ(pkg.stats().recursiveMulVCalls - s0.recursiveMulVCalls, 1U);
 }
 
 TEST(CacheRetention, GenerationBumpIsNotAClear) {
-  // After GC, previously cached additions on rooted operands are retained
-  // too (the add table uses the same generation-tag protocol).
   dd::Package pkg(5);
   std::mt19937_64 rng(31);
   dd::VEdge a = pkg.makeStateFromVector(test::randomAmplitudes(5, rng));
@@ -261,13 +249,117 @@ TEST(CacheRetention, GenerationBumpIsNotAClear) {
   pkg.incRef(s);
 
   pkg.garbageCollect();
-
-  const auto before = pkg.cacheStats();
+  const dd::CacheStats before = pkg.cacheStats();
   const dd::VEdge s2 = pkg.add(a, b);
-  const auto after = pkg.cacheStats();
+  const dd::CacheStats after = pkg.cacheStats();
+
   EXPECT_EQ(s2.p, s.p);
-  EXPECT_GT(after.addRetained, before.addRetained);
+  EXPECT_EQ(s2.w, s.w);
+  EXPECT_GT(after.addHits, before.addHits);
   EXPECT_EQ(after.addMisses, before.addMisses);
+}
+
+TEST(CacheRetention, CollectedOperandsInvalidateStaleEntries) {
+  dd::Package pkg(6);
+  std::mt19937_64 rng(29);
+  const auto amps = test::randomAmplitudes(6, rng);
+  dd::VEdge v = pkg.makeStateFromVector(amps);
+  pkg.incRef(v);
+  const dd::MEdge h = pkg.makeGateDD(kHadamard, 2);
+  pkg.incRef(h);
+  // The operands stay rooted but the product does not, so the collection
+  // frees the result node of the top-level entry.
+  pkg.multiply(h, v);
+  ASSERT_GT(pkg.garbageCollect(), 0U);
+
+  const dd::CacheStats before = pkg.cacheStats();
+  const dd::VEdge w = pkg.multiply(h, v);
+  const dd::CacheStats after = pkg.cacheStats();
+  EXPECT_GT(after.mulMVMisses, before.mulMVMisses);
+  dd::Package ref(6);
+  const dd::VEdge rw = ref.multiply(ref.makeGateDD(kHadamard, 2),
+                                    ref.makeStateFromVector(amps));
+  test::expectAmplitudesNear(pkg.getVector(w), ref.getVector(rw));
+}
+
+TEST(CacheInvalidation, OperandRecycledAtTheSameAddressNeverHits) {
+  constexpr std::size_t kQubits = 6;
+  dd::Package pkg(kQubits);
+  std::mt19937_64 rng(29);
+  const dd::MEdge h = pkg.makeGateDD(kHadamard, 2);
+  pkg.incRef(h);
+  // Multiply an unrooted state: the collection frees its nodes and the
+  // product's, while cache entries keyed on them stay in the tables.
+  const dd::VEdge dead =
+      pkg.makeStateFromVector(test::randomAmplitudes(kQubits, rng));
+  const std::set<const dd::VNode*> deadNodes = vectorNodes(dead);
+  pkg.multiply(h, dead);
+  pkg.garbageCollect();
+
+  // The allocator's free list hands the collected nodes out again, so the
+  // next state sits (partly) at the addresses of the dead one.
+  const auto amps = test::randomAmplitudes(kQubits, rng);
+  dd::VEdge v = pkg.makeStateFromVector(amps);
+  pkg.incRef(v);
+  std::size_t reused = 0;
+  for (const dd::VNode* n : vectorNodes(v)) {
+    reused += deadNodes.count(n);
+  }
+  ASSERT_GT(reused, 0U);
+
+  const dd::CacheStats before = pkg.cacheStats();
+  dd::VEdge w = pkg.multiply(h, v);
+  pkg.incRef(w);
+  const dd::CacheStats after = pkg.cacheStats();
+
+  // A fresh package does the same work and gets the same state: no lookup
+  // was served by an entry of the collected state.
+  dd::Package ref(kQubits);
+  const dd::MEdge rh = ref.makeGateDD(kHadamard, 2);
+  const dd::VEdge rv = ref.makeStateFromVector(amps);
+  const dd::CacheStats refBefore = ref.cacheStats();
+  const dd::VEdge rw = ref.multiply(rh, rv);
+  const dd::CacheStats refAfter = ref.cacheStats();
+  test::expectAmplitudesNear(pkg.getVector(w), ref.getVector(rw));
+  EXPECT_EQ(after.mulMVHits - before.mulMVHits,
+            refAfter.mulMVHits - refBefore.mulMVHits);
+  EXPECT_EQ(after.mulMVMisses - before.mulMVMisses,
+            refAfter.mulMVMisses - refBefore.mulMVMisses);
+  EXPECT_EQ(after.addHits - before.addHits,
+            refAfter.addHits - refBefore.addHits);
+}
+
+TEST(CacheInvalidation, TablesGrowCleanlyAfterAnEmergencyCollect) {
+  constexpr std::size_t kQubits = 12;
+  dd::Package pkg(kQubits);
+  std::mt19937_64 rng(37);
+  // Nothing is rooted: the emergency collection frees every node the
+  // product's cache entries point at and returns their chunks to the OS.
+  pkg.multiply(pkg.makeGateDD(kHadamard, 0),
+               pkg.makeStateFromVector(test::randomAmplitudes(kQubits, rng)));
+  const std::uint64_t insertsBefore = pkg.cacheStats().mulMVMisses;
+  ASSERT_GT(pkg.emergencyCollect(), 0U);
+
+  // Further multiplies grow the tables while their stale entries point into
+  // released memory. Growth must drop those entries unread
+  // (AddressSanitizer checks this), and every result must match a fresh
+  // package's.
+  for (int round = 0; round < 5; ++round) {
+    const auto amps = test::randomAmplitudes(kQubits, rng);
+    const dd::VEdge w =
+        pkg.multiply(pkg.makeGateDD(kHadamard, 0), pkg.makeStateFromVector(amps));
+    dd::Package ref(kQubits);
+    const dd::VEdge rw = ref.multiply(ref.makeGateDD(kHadamard, 0),
+                                      ref.makeStateFromVector(amps));
+    test::expectAmplitudesNear(pkg.getVector(w), ref.getVector(rw));
+  }
+  // Every multiply miss is one insert. A table that took N inserts holds at
+  // most 3N + 2^10 entries (it starts at 2^10 and grows x4 each time the
+  // inserts since the last resize reach its size), so at least that many
+  // inserts after the collection grew the multiply table once more.
+  const std::uint64_t insertsAfter =
+      pkg.cacheStats().mulMVMisses - insertsBefore;
+  EXPECT_GE(insertsAfter, 3 * insertsBefore + (1U << 10));
 }
 
 }  // namespace
