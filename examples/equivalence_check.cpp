@@ -16,7 +16,6 @@
 
 #include "algo/benchmarks.hpp"
 #include "ir/qasm.hpp"
-#include "ir/transforms.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/stats.hpp"
 
@@ -54,10 +53,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("A: %zu qubits, %zu gates (depth %zu)\n", a->numQubits(),
-              a->flatGateCount(), ir::circuitDepth(*a));
-  std::printf("B: %zu qubits, %zu gates (depth %zu)\n", b->numQubits(),
-              b->flatGateCount(), ir::circuitDepth(*b));
+  std::printf("A: %zu qubits, %zu gates\n", a->numQubits(), a->flatGateCount());
+  std::printf("B: %zu qubits, %zu gates\n", b->numQubits(), b->flatGateCount());
 
   const sim::Timer timer;
   sim::Equivalence verdict{};

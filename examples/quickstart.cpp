@@ -1,7 +1,7 @@
 /// \file quickstart.cpp
 /// \brief Minimal tour of the public API: build a circuit, simulate it with
-///        different operation-combination strategies, inspect amplitudes,
-///        sample measurements, and export the state DD as Graphviz.
+///        different operation-combination strategies, inspect amplitudes
+///        and sample measurements.
 ///
 /// Usage: quickstart [num_qubits]
 
@@ -10,7 +10,6 @@
 #include <iostream>
 #include <random>
 
-#include "dd/dot_export.hpp"
 #include "ir/circuit.hpp"
 #include "ir/qasm.hpp"
 #include "sim/simulator.hpp"
@@ -61,12 +60,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(pkg.measureAll(state, rng, false)));
     }
     std::printf("\n");
-
-    // 5. Export the final state DD as Graphviz dot (first strategy only).
-    if (config.schedule == sim::Schedule::Sequential) {
-      std::printf("\nGraphviz dot of the final state DD:\n%s\n",
-                  dd::toDot(result.finalState).c_str());
-    }
   }
   return 0;
 }

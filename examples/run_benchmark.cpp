@@ -6,7 +6,7 @@
 /// Usage:
 ///   run_benchmark <benchmark-name | file.qasm>
 ///                 [--strategy seq|k=<n>|maxsize=<n>|adaptive[=<ratio>]]
-///                 [--dd-repeating] [--detect-repetitions] [--optimize]
+///                 [--dd-repeating] [--detect-repetitions]
 ///                 [--shots <n>]
 ///                 [--trace <file.csv>] [--trace-out <trace.json>]
 ///                 [--seed <n>]
@@ -28,7 +28,6 @@
 
 #include "algo/benchmarks.hpp"
 #include "dd/approximation.hpp"
-#include "ir/optimize.hpp"
 #include "ir/qasm.hpp"
 #include "ir/transforms.hpp"
 #include "obs/chrome_trace.hpp"
@@ -43,7 +42,8 @@ void usage() {
       "usage: run_benchmark <name|file.qasm> [--strategy "
       "seq|k=<n>|maxsize=<n>|adaptive[=<r>]] [--dd-repeating] "
       "[--detect-repetitions] [--shots <n>] [--trace <csv>] "
-      "[--trace-out <json>] [--seed <n>]\n\n"
+      "[--trace-out <json>] [--seed <n>] [--approximate <fidelity>] "
+      "[--approx-sim <fidelity>]\n\n"
       "example benchmark names:\n");
   for (const auto& name : ddsim::algo::benchmarkExamples()) {
     std::printf("  %s\n", name.c_str());
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   std::string traceOutFile;
   std::uint64_t seed = 0;
   bool detectReps = false;
-  bool runOptimizer = false;
   double approximateTarget = 0.0;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
       config.reuseRepeatedBlocks = true;
     } else if (arg == "--detect-repetitions") {
       detectReps = true;
-    } else if (arg == "--optimize") {
-      runOptimizer = true;
     } else if (arg == "--shots" && i + 1 < argc) {
       shots = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--trace" && i + 1 < argc) {
@@ -127,16 +124,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (runOptimizer) {
-    const std::size_t before = circuit->flatGateCount();
-    ir::OptimizeStats ostats;
-    circuit = ir::optimize(*circuit, {}, &ostats);
-    std::printf(
-        "optimizer: %zu -> %zu gates (%zu identities, %zu cancelled pairs, "
-        "%zu fused)\n",
-        before, circuit->flatGateCount(), ostats.removedIdentities,
-        ostats.cancelledPairs, ostats.fusedGates);
-  }
   if (detectReps) {
     const std::size_t before = circuit->numOps();
     circuit = ir::detectRepetitions(*circuit);

@@ -4,9 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "dd/pauli.hpp"
-#include "sim/simulator.hpp"
-
 namespace ddsim::algo {
 
 using ir::Circuit;
@@ -72,38 +69,6 @@ Circuit makeQaoaMaxCutCircuit(const Graph& graph,
     circuit.appendCircuit(layer);
   }
   return circuit;
-}
-
-double qaoaExpectedCut(const Graph& graph, const std::vector<double>& gammas,
-                       const std::vector<double>& betas) {
-  const Circuit circuit = makeQaoaMaxCutCircuit(graph, gammas, betas);
-  sim::CircuitSimulator simulator(circuit);
-  const auto result = simulator.run();
-  auto& pkg = simulator.package();
-
-  double cut = 0.0;
-  for (const auto& [u, v] : graph.edges) {
-    std::string pauli(graph.numVertices, 'I');
-    // String is read right-to-left: last character acts on qubit 0.
-    pauli[graph.numVertices - 1 - u] = 'Z';
-    pauli[graph.numVertices - 1 - v] = 'Z';
-    const double zz = dd::pauliExpectation(pkg, pauli, result.finalState).r;
-    cut += (1.0 - zz) / 2.0;
-  }
-  return cut;
-}
-
-std::size_t maxCutBruteForce(const Graph& graph) {
-  std::size_t best = 0;
-  for (std::uint64_t assignment = 0; assignment < (1ULL << graph.numVertices);
-       ++assignment) {
-    std::size_t cut = 0;
-    for (const auto& [u, v] : graph.edges) {
-      cut += ((assignment >> u) & 1U) != ((assignment >> v) & 1U) ? 1U : 0U;
-    }
-    best = std::max(best, cut);
-  }
-  return best;
 }
 
 }  // namespace ddsim::algo

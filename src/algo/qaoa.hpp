@@ -1,11 +1,9 @@
 /// \file qaoa.hpp
-/// \brief QAOA for MaxCut: parameterized circuits whose quality is measured
-///        through Pauli-string expectation values on the DD state.
+/// \brief QAOA for MaxCut: parameterized cost/mixer circuits on a graph.
 ///
 /// A variational workload rounds out the benchmark families: its circuits
 /// are shallow but repeated (cost layer + mixer layer per round, a natural
-/// CompoundOperation), and evaluating the cost function exercises
-/// dd::pauliExpectation over many ZZ terms.
+/// CompoundOperation).
 
 #pragma once
 
@@ -34,14 +32,5 @@ struct Graph {
 [[nodiscard]] ir::Circuit makeQaoaMaxCutCircuit(const Graph& graph,
                                                 const std::vector<double>& gammas,
                                                 const std::vector<double>& betas);
-
-/// Expected cut value <C> = sum_(u,v) (1 - <Z_u Z_v>)/2 of the circuit's
-/// final state, evaluated with the DD simulator.
-[[nodiscard]] double qaoaExpectedCut(const Graph& graph,
-                                     const std::vector<double>& gammas,
-                                     const std::vector<double>& betas);
-
-/// Exact MaxCut value by brute force (for tests; exponential in n).
-[[nodiscard]] std::size_t maxCutBruteForce(const Graph& graph);
 
 }  // namespace ddsim::algo

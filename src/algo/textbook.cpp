@@ -69,35 +69,6 @@ Circuit makeBernsteinVaziraniCircuit(std::uint64_t hidden, std::size_t numBits) 
   return circuit;
 }
 
-Circuit makeDeutschJozsaCircuit(std::size_t numBits, bool balanced,
-                                std::uint64_t mask) {
-  if (numBits == 0 || numBits > 62) {
-    throw std::invalid_argument("dj: bit count must be in [1, 62]");
-  }
-  if (balanced && (mask == 0 || (numBits < 64 && (mask >> numBits) != 0))) {
-    throw std::invalid_argument("dj: balanced oracle needs a non-zero in-range mask");
-  }
-  const auto anc = static_cast<Qubit>(numBits);
-  Circuit circuit(numBits + 1, numBits, "dj_" + std::to_string(numBits));
-  circuit.x(anc);
-  circuit.h(anc);
-  for (std::size_t i = 0; i < numBits; ++i) {
-    circuit.h(static_cast<Qubit>(i));
-  }
-  if (balanced) {
-    for (std::size_t i = 0; i < numBits; ++i) {
-      if (((mask >> i) & 1U) != 0) {
-        circuit.cx(static_cast<Qubit>(i), anc);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < numBits; ++i) {
-    circuit.h(static_cast<Qubit>(i));
-    circuit.measure(static_cast<Qubit>(i), i);
-  }
-  return circuit;
-}
-
 Circuit makeGHZCircuit(std::size_t numQubits) {
   if (numQubits == 0 || numQubits > 62) {
     throw std::invalid_argument("ghz: qubit count must be in [1, 62]");

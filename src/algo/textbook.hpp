@@ -1,6 +1,6 @@
 /// \file textbook.hpp
 /// \brief Classic small quantum algorithms: quantum phase estimation,
-///        Bernstein-Vazirani, Deutsch-Jozsa and entangled-state preparation.
+///        Bernstein-Vazirani and entangled-state preparation.
 ///
 /// These complement the paper's three benchmark families: they are standard
 /// circuits a simulator release ships, they exercise the public API from a
@@ -31,14 +31,6 @@ namespace ddsim::algo {
 /// the classical register (one clbit per data qubit).
 [[nodiscard]] ir::Circuit makeBernsteinVaziraniCircuit(std::uint64_t hidden,
                                                        std::size_t numBits);
-
-/// Deutsch-Jozsa on n data qubits: decides whether the oracle is constant
-/// or balanced with one query. With `balanced == false` the identity-0
-/// oracle is used; otherwise the balanced oracle f(x) = x.mask (mod 2).
-/// All-zero measurement <=> constant.
-[[nodiscard]] ir::Circuit makeDeutschJozsaCircuit(std::size_t numBits,
-                                                  bool balanced,
-                                                  std::uint64_t mask = 1);
 
 /// GHZ state preparation (|0..0> + |1..1>)/sqrt(2).
 [[nodiscard]] ir::Circuit makeGHZCircuit(std::size_t numQubits);

@@ -60,7 +60,7 @@ struct ComplexValue {
     return {z.real(), z.imag()};
   }
 
-  /// Human-readable form such as "0.5-0.5i" (used in dot export and tests).
+  /// Human-readable form such as "0.5-0.5i" (used in examples and tests).
   [[nodiscard]] std::string toString(int precision = 6) const;
 
   constexpr bool operator==(const ComplexValue&) const noexcept = default;

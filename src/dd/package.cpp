@@ -56,6 +56,10 @@ CacheStats Package::cacheStats() const noexcept {
   cs.mulMMMisses = mulMMTable_.misses();
   cs.addHits = addVTable_.hits() + addMTable_.hits();
   cs.addMisses = addVTable_.misses() + addMTable_.misses();
+  cs.otherHits = transposeTable_.hits() + innerTable_.hits() +
+                 normTable_.hits() + traceTable_.hits();
+  cs.otherMisses = transposeTable_.misses() + innerTable_.misses() +
+                   normTable_.misses() + traceTable_.misses();
   cs.uniqueTableHits = vUnique_.hits() + mUnique_.hits();
   cs.uniqueTableMisses = vUnique_.misses() + mUnique_.misses();
   cs.complexTableHits = ctab_.hits();
@@ -129,8 +133,6 @@ std::size_t Package::garbageCollect() {
   addMTable_.newGeneration(keepBinary);
   mulMVTable_.newGeneration(keepBinary);
   mulMMTable_.newGeneration(keepBinary);
-  kronMTable_.newGeneration(keepBinary);
-  kronVTable_.newGeneration(keepBinary);
   transposeTable_.newGeneration(keepUnary);
   innerTable_.newGeneration(keepBinary);
   normTable_.newGeneration(keepUnary);
@@ -322,16 +324,6 @@ VEdge Package::makeStateFromVector(std::span<const ComplexValue> amplitudes) {
   }
   return buildDenseVector(static_cast<Qubit>(numQubits_) - 1, amplitudes, 0,
                           amplitudes.size());
-}
-
-VEdge Package::makeSmallStateFromVector(std::span<const ComplexValue> amplitudes) {
-  if (!isPowerOfTwo(amplitudes.size()) ||
-      amplitudes.size() > (1ULL << numQubits_)) {
-    throw std::invalid_argument(
-        "makeSmallStateFromVector: size must be a power of two within range");
-  }
-  const auto top = static_cast<Qubit>(log2OfPow2(amplitudes.size())) - 1;
-  return buildDenseVector(top, amplitudes, 0, amplitudes.size());
 }
 
 // ------------------------------------------------------- matrix construction
@@ -527,21 +519,6 @@ MEdge Package::makeMatrixFromDense(std::span<const ComplexValue> rowMajor,
   }
   MEdge e = buildDense(t - 1, rowMajor, 0, 0, dim);
   return extendToFullWidth(e, controls);
-}
-
-MEdge Package::makeSmallMatrixFromDense(std::span<const ComplexValue> rowMajor) {
-  std::uint64_t dim = 1;
-  while (dim * dim < rowMajor.size()) {
-    dim *= 2;
-  }
-  if (dim * dim != rowMajor.size()) {
-    throw std::invalid_argument("makeSmallMatrixFromDense: size must be 4^k");
-  }
-  const auto t = static_cast<Qubit>(log2OfPow2(dim));
-  if (static_cast<std::size_t>(t) > numQubits_) {
-    throw std::invalid_argument("makeSmallMatrixFromDense: too many qubits");
-  }
-  return buildDense(t - 1, rowMajor, 0, 0, dim);
 }
 
 // ---------------------------------------------------------------- addition
@@ -780,45 +757,6 @@ Package::CachedMEdge Package::mulNodesMM(MNode* a, MNode* b) {
   return result;
 }
 
-// -------------------------------------------------------- kronecker product
-
-MEdge Package::kronecker(const MEdge& top, const MEdge& bottom) {
-  const OpGuard guard(*this, "kronecker(matrix)");
-  return canonical(kronRec(top, bottom));
-}
-
-VEdge Package::kronecker(const VEdge& top, const VEdge& bottom) {
-  const OpGuard guard(*this, "kronecker(vector)");
-  return canonical(kronRec(top, bottom));
-}
-
-template <std::size_t Arity>
-Package::CachedEdge<Arity> Package::kronRec(const Edge<Arity>& a,
-                                            const Edge<Arity>& b) {
-  pollAbort();
-  if (a.w->exactlyZero() || b.w->exactlyZero()) {
-    return zeroValue<Arity>();
-  }
-  if (a.p->isTerminal()) {
-    return {b.p, *a.w * *b.w};
-  }
-  auto& table = kronTable<Arity>();
-  if (CachedEdge<Arity> cached; table.lookup(a, b, cached)) {
-    return cached;
-  }
-  const Qubit shift = b.p->isTerminal() ? 0 : b.p->v + 1;
-  // kronRec consumes full edges, so the children's weights are folded in by
-  // the recursion; only a's own top weight remains to be applied.
-  std::array<CachedEdge<Arity>, Arity> children;
-  for (std::size_t i = 0; i < Arity; ++i) {
-    children[i] = kronRec(a.p->e[i], b);
-  }
-  CachedEdge<Arity> result = makeNode(a.p->v + shift, children);
-  result.w = result.w * *a.w;
-  table.insert(a, b, result);
-  return result;
-}
-
 // ------------------------------------------------------ conjugate transpose
 
 MEdge Package::conjugateTranspose(const MEdge& m) {
@@ -891,10 +829,6 @@ ComplexValue Package::innerProductRec(VNode* a, VNode* b) {
 
 double Package::fidelity(const VEdge& a, const VEdge& b) {
   return innerProduct(a, b).mag2();
-}
-
-ComplexValue Package::expectationValue(const MEdge& observable, const VEdge& v) {
-  return innerProduct(v, multiply(observable, v));
 }
 
 ComplexValue Package::trace(const MEdge& m) {

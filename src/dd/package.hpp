@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -112,6 +113,9 @@ struct CacheStats {
   std::uint64_t mulMMMisses = 0;
   std::uint64_t addHits = 0;
   std::uint64_t addMisses = 0;
+  /// Conjugate-transpose, inner-product, norm and trace caches, summed.
+  std::uint64_t otherHits = 0;
+  std::uint64_t otherMisses = 0;
   std::uint64_t uniqueTableHits = 0;
   std::uint64_t uniqueTableMisses = 0;
   std::uint64_t complexTableHits = 0;
@@ -170,9 +174,6 @@ class Package {
   VEdge makeBasisState(std::uint64_t bits);
   /// Dense amplitude vector (size 2^n) to DD; used by tests and examples.
   VEdge makeStateFromVector(std::span<const ComplexValue> amplitudes);
-  /// Dense amplitude vector over only the low log2(size) qubits (a building
-  /// block for kronecker composition; not extended to full width).
-  VEdge makeSmallStateFromVector(std::span<const ComplexValue> amplitudes);
 
   // ---------------------------------------------------- matrix construction
   /// Identity over all qubits.
@@ -193,8 +194,6 @@ class Package {
   /// extended to full width; used by tests.
   MEdge makeMatrixFromDense(std::span<const ComplexValue> rowMajor,
                             const Controls& controls = {});
-  /// Dense matrix over only the low k qubits, without width extension.
-  MEdge makeSmallMatrixFromDense(std::span<const ComplexValue> rowMajor);
 
   // ----------------------------------------------------------- operations
   VEdge add(const VEdge& a, const VEdge& b);
@@ -203,10 +202,6 @@ class Package {
   VEdge multiply(const MEdge& m, const VEdge& v);
   /// Matrix-matrix multiplication (operation combination, paper Eq. 2).
   MEdge multiply(const MEdge& a, const MEdge& b);
-  /// Kronecker product: \p top acting on qubits above \p bottom. \p bottom
-  /// must span qubits [0 .. bottom.p->v] completely.
-  MEdge kronecker(const MEdge& top, const MEdge& bottom);
-  VEdge kronecker(const VEdge& top, const VEdge& bottom);
   MEdge conjugateTranspose(const MEdge& m);
   /// <a|b> with the conjugation applied to \p a.
   ComplexValue innerProduct(const VEdge& a, const VEdge& b);
@@ -214,8 +209,6 @@ class Package {
   double fidelity(const VEdge& a, const VEdge& b);
   /// <v|v>
   double norm2(const VEdge& v);
-  /// <v|M|v> — expectation value of an observable given as a matrix DD.
-  ComplexValue expectationValue(const MEdge& observable, const VEdge& v);
   /// Trace of a matrix DD (sum of the diagonal), computed recursively in
   /// O(DD size). Basis of the unitary-equivalence check: |Tr(A^dagger B)|
   /// equals 2^n iff A and B agree up to a global phase.
@@ -394,8 +387,6 @@ class Package {
                            const CachedEdge<Arity>& b);
   CachedVEdge mulNodesMV(MNode* a, VNode* b);
   CachedMEdge mulNodesMM(MNode* a, MNode* b);
-  template <std::size_t Arity>
-  CachedEdge<Arity> kronRec(const Edge<Arity>& a, const Edge<Arity>& b);
   /// Conjugate transpose of the node, entered with weight one.
   CachedMEdge transposeRec(MNode* p);
   ComplexValue innerProductRec(VNode* a, VNode* b);
@@ -431,8 +422,6 @@ class Package {
   ComputeTable<MEdge, CachedMEdge, CachedMEdge> addMTable_;
   ComputeTable<MEdge, VEdge, CachedVEdge> mulMVTable_;
   ComputeTable<MEdge, MEdge, CachedMEdge> mulMMTable_;
-  ComputeTable<MEdge, MEdge, CachedMEdge> kronMTable_;
-  ComputeTable<VEdge, VEdge, CachedVEdge> kronVTable_;
   UnaryComputeTable<MEdge, CachedMEdge> transposeTable_;
   ComputeTable<VEdge, VEdge, ComplexValue> innerTable_;
   UnaryComputeTable<VEdge, double> normTable_;
@@ -446,28 +435,19 @@ class Package {
       return addMTable_;
     }
   }
-  template <std::size_t Arity>
-  auto& kronTable() noexcept {
-    if constexpr (Arity == 2) {
-      return kronVTable_;
-    } else {
-      return kronMTable_;
-    }
-  }
 
   // Whether a compute-table entry may outlive a collection, part by part:
   // each node it names is live (a collected node reads id 0; terminals keep
-  // id 0 but are never collected), and each canonical key weight is the
-  // constant one. Every kernel but kronRec keys on (node, 1), so only
-  // kronecker entries are dropped for their weights: a collected weight's
-  // slot may be recycled for another value.
+  // id 0 but are never collected). Every kernel keys its edges at weight
+  // one, (node, 1), so no key names a weight the collection may recycle.
   template <std::size_t Arity>
   static bool live(const Node<Arity>* p) noexcept {
     return p->id != 0 || p->isTerminal();
   }
   template <std::size_t Arity>
   bool survives(const Edge<Arity>& e) const noexcept {
-    return e.w == cone() && live(e.p);
+    assert(e.w == cone());
+    return live(e.p);
   }
   template <std::size_t Arity>
   static bool survives(const CachedEdge<Arity>& e) noexcept {

@@ -97,47 +97,4 @@ Circuit detectRepetitions(const Circuit& circuit,
   return out;
 }
 
-std::size_t circuitDepth(const Circuit& circuit) {
-  const Circuit flat = circuit.flattened();
-  std::vector<std::size_t> level(circuit.numQubits(), 0);
-  for (const auto& op : flat.ops()) {
-    if (op->kind() == OpKind::Barrier) {
-      const std::size_t sync = *std::max_element(level.begin(), level.end());
-      std::fill(level.begin(), level.end(), sync);
-      continue;
-    }
-    // Collect the qubits this operation touches.
-    std::vector<Qubit> touched;
-    if (op->kind() == OpKind::Standard ||
-        op->kind() == OpKind::ClassicControlled) {
-      const auto& s =
-          op->kind() == OpKind::Standard
-              ? static_cast<const StandardOperation&>(*op)
-              : static_cast<const ClassicControlledOperation&>(*op).op();
-      touched = s.targets();
-      for (const auto& c : s.controls()) {
-        touched.push_back(c.qubit);
-      }
-    } else if (op->kind() == OpKind::Oracle) {
-      const auto& o = static_cast<const OracleOperation&>(*op);
-      for (std::size_t q = 0; q < o.numTargets(); ++q) {
-        touched.push_back(static_cast<Qubit>(q));
-      }
-      for (const auto& c : o.controls()) {
-        touched.push_back(c.qubit);
-      }
-    } else {  // measure / reset
-      touched.push_back(op->maxQubit());
-    }
-    std::size_t start = 0;
-    for (const Qubit q : touched) {
-      start = std::max(start, level[static_cast<std::size_t>(q)]);
-    }
-    for (const Qubit q : touched) {
-      level[static_cast<std::size_t>(q)] = start + 1;
-    }
-  }
-  return *std::max_element(level.begin(), level.end());
-}
-
 }  // namespace ddsim::ir

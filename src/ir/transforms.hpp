@@ -35,9 +35,4 @@ struct RepetitionOptions {
 [[nodiscard]] Circuit detectRepetitions(const Circuit& circuit,
                                         const RepetitionOptions& options = {});
 
-/// Parallel circuit depth: the length of the longest chain of operations
-/// that touch overlapping qubits (barriers synchronize all qubits;
-/// compound blocks are flattened).
-[[nodiscard]] std::size_t circuitDepth(const Circuit& circuit);
-
 }  // namespace ddsim::ir

@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <numbers>
 #include <random>
 #include <utility>
 #include <vector>
 
 #include "dd/approximation.hpp"
 #include "dd/package.hpp"
-#include "dd/pauli.hpp"
 #include "ir/gate.hpp"
 #include "test_util.hpp"
 
@@ -104,60 +102,6 @@ TEST(Approximation, TiedEdgesAreCutTheSameWayAtAnyAddress) {
   EXPECT_EQ(a.nodesAfter, b.nodesAfter);
   EXPECT_EQ(a.fidelity, b.fidelity);
   EXPECT_TRUE(ampsA == ampsB) << "different edges were cut";
-}
-
-TEST(PauliStrings, SingleQubitExpectations) {
-  Package p(1);
-  // |+> eigenstate of X.
-  const double s = std::numbers::sqrt2 / 2;
-  const VEdge plus = p.makeStateFromVector(
-      std::vector<ComplexValue>{{s, 0}, {s, 0}});
-  EXPECT_NEAR(pauliExpectation(p, "X", plus).r, 1.0, 1e-10);
-  EXPECT_NEAR(pauliExpectation(p, "Z", plus).r, 0.0, 1e-10);
-  EXPECT_NEAR(pauliExpectation(p, "Y", plus).r, 0.0, 1e-10);
-  EXPECT_NEAR(pauliExpectation(p, "I", plus).r, 1.0, 1e-10);
-}
-
-TEST(PauliStrings, BellCorrelations) {
-  Package p(2);
-  const double s = std::numbers::sqrt2 / 2;
-  const VEdge bell = p.makeStateFromVector(
-      std::vector<ComplexValue>{{s, 0}, {0, 0}, {0, 0}, {s, 0}});
-  // <ZZ> = <XX> = 1, <YY> = -1, single-qubit expectations vanish.
-  EXPECT_NEAR(pauliExpectation(p, "ZZ", bell).r, 1.0, 1e-10);
-  EXPECT_NEAR(pauliExpectation(p, "XX", bell).r, 1.0, 1e-10);
-  EXPECT_NEAR(pauliExpectation(p, "YY", bell).r, -1.0, 1e-10);
-  EXPECT_NEAR(pauliExpectation(p, "ZI", bell).r, 0.0, 1e-10);
-  EXPECT_NEAR(pauliExpectation(p, "IZ", bell).r, 0.0, 1e-10);
-}
-
-TEST(PauliStrings, StringOrientation) {
-  Package p(2);
-  // |01>: qubit 0 = 1, qubit 1 = 0. Last character acts on qubit 0.
-  const VEdge v = p.makeBasisState(0b01);
-  EXPECT_NEAR(pauliExpectation(p, "IZ", v).r, -1.0, 1e-12);  // Z on qubit 0
-  EXPECT_NEAR(pauliExpectation(p, "ZI", v).r, 1.0, 1e-12);   // Z on qubit 1
-}
-
-TEST(PauliStrings, PauliDDIsLinearSize) {
-  Package p(12);
-  const MEdge dd = makePauliStringDD(p, "XZXZYIYIXZXZ");
-  EXPECT_LE(p.size(dd), 13U);
-}
-
-TEST(PauliStrings, Validation) {
-  Package p(3);
-  EXPECT_THROW(makePauliStringDD(p, "XX"), std::invalid_argument);
-  EXPECT_THROW(makePauliStringDD(p, "XQZ"), std::invalid_argument);
-  EXPECT_NO_THROW(makePauliStringDD(p, "xyz"));  // case-insensitive
-}
-
-TEST(PauliStrings, SquareToIdentity) {
-  Package p(4);
-  const MEdge dd = makePauliStringDD(p, "XYZX");
-  const MEdge sq = p.multiply(dd, dd);
-  EXPECT_EQ(sq.p, p.makeIdent().p);
-  EXPECT_NEAR(sq.w->r, 1.0, 1e-10);
 }
 
 }  // namespace

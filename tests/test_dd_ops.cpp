@@ -251,51 +251,6 @@ TEST(DDOps, ZeroShortCircuits) {
   EXPECT_TRUE(p.multiply(p.mZero(), id).isZeroTerminal());
 }
 
-// -------------------------------------------------------------- kronecker
-
-TEST(DDOps, KroneckerMatrixMatchesDense) {
-  // H (x) T over 2 qubits: T on the low qubit, H shifted to the high one.
-  Package p(2);
-  const GateMatrix h = ir::gateMatrix(ir::GateType::H);
-  const GateMatrix t = ir::gateMatrix(ir::GateType::T);
-  const MEdge tLow = p.makeSmallMatrixFromDense(
-      std::vector<ComplexValue>{t[0], t[1], t[2], t[3]});
-  const MEdge hRaw = p.makeSmallMatrixFromDense(
-      std::vector<ComplexValue>{h[0], h[1], h[2], h[3]});
-  const MEdge kron = p.kronecker(hRaw, tLow);
-  ASSERT_FALSE(kron.isTerminal());
-  EXPECT_EQ(kron.p->v, 1);
-
-  const DenseMatrix expected =
-      DenseMatrix::fromGate(h).kron(DenseMatrix::fromGate(t));
-  const auto got = p.getMatrix(kron);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i].r, expected.at(i / 4, i % 4).real(), 1e-10);
-    EXPECT_NEAR(got[i].i, expected.at(i / 4, i % 4).imag(), 1e-10);
-  }
-}
-
-TEST(DDOps, KroneckerVectorBuildsProductState) {
-  Package p(4);
-  std::mt19937_64 rng(108);
-  // |phi> on the high 2 qubits, |psi> on the low 2 qubits.
-  const auto a = test::randomAmplitudes(2, rng);
-  const auto b = test::randomAmplitudes(2, rng);
-  const VEdge va = p.makeSmallStateFromVector(a);
-  const VEdge vb = p.makeSmallStateFromVector(b);
-  const VEdge prod = p.kronecker(vb, va);
-  const auto got = p.getVector(prod);
-  for (std::size_t hi = 0; hi < 4; ++hi) {
-    for (std::size_t lo = 0; lo < 4; ++lo) {
-      const ComplexValue expected = b[hi] * a[lo];
-      EXPECT_NEAR(got[hi * 4 + lo].r, expected.r, 1e-10);
-      EXPECT_NEAR(got[hi * 4 + lo].i, expected.i, 1e-10);
-    }
-  }
-}
-
-// ----------------------------------------------- transpose / inner products
-
 TEST(DDOps, ConjugateTransposeMatchesDense) {
   Package p(3);
   std::mt19937_64 rng(109);

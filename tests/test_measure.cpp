@@ -127,32 +127,6 @@ TEST(Measure, SampleCountsMatchesDistribution) {
   EXPECT_NEAR(static_cast<double>(histogram.at(3)) / 8000.0, 0.25, 0.03);
 }
 
-TEST(Measure, ExpectationValueOfPauliZ) {
-  Package p(2);
-  // |psi> = cos(t)|00> + sin(t)|01> (qubit 0 rotated): <Z_0> = cos(2t).
-  const double t = 0.6;
-  std::vector<ComplexValue> amps = {
-      {std::cos(t), 0}, {std::sin(t), 0}, {0, 0}, {0, 0}};
-  const VEdge v = p.makeStateFromVector(amps);
-  const MEdge z0 = p.makeGateDD(ir::gateMatrix(ir::GateType::Z), 0);
-  const ComplexValue expectation = p.expectationValue(z0, v);
-  EXPECT_NEAR(expectation.r, std::cos(2 * t), 1e-10);
-  EXPECT_NEAR(expectation.i, 0.0, 1e-10);
-}
-
-TEST(Measure, ExpectationValueOfProjector) {
-  Package p(3);
-  std::mt19937_64 rng(62);
-  const auto amps = test::randomAmplitudes(3, rng);
-  const VEdge v = p.makeStateFromVector(amps);
-  // Projector |1><1| on qubit 2 has expectation = P(qubit 2 reads 1).
-  static constexpr GateMatrix kP1{
-      ComplexValue{0, 0}, ComplexValue{0, 0}, ComplexValue{0, 0},
-      ComplexValue{1, 0}};
-  const MEdge proj = p.makeGateDD(kP1, 2);
-  EXPECT_NEAR(p.expectationValue(proj, v).r, p.probabilityOfOne(v, 2), 1e-10);
-}
-
 TEST(Measure, RepeatedCollapsesConverge) {
   Package p(4);
   std::mt19937_64 rng(60);

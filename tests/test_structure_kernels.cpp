@@ -259,6 +259,66 @@ TEST(CacheRetention, GenerationBumpIsNotAClear) {
   EXPECT_EQ(after.addMisses, before.addMisses);
 }
 
+TEST(CacheRetention, EveryTableKindHitsAgainAfterCollection) {
+  constexpr std::size_t kQubits = 5;
+  dd::Package pkg(kQubits);
+  std::mt19937_64 rng(41);
+  const auto rooted = [&pkg](auto e) {
+    pkg.incRef(e);
+    return e;
+  };
+  const dd::VEdge a =
+      rooted(pkg.makeStateFromVector(test::randomAmplitudes(kQubits, rng)));
+  const dd::VEdge b =
+      rooted(pkg.makeStateFromVector(test::randomAmplitudes(kQubits, rng)));
+  // Dense random blocks over the low three qubits (64 entries), padded with
+  // identities above.
+  const dd::MEdge x =
+      rooted(pkg.makeMatrixFromDense(test::randomAmplitudes(6, rng)));
+  const dd::MEdge y =
+      rooted(pkg.makeMatrixFromDense(test::randomAmplitudes(6, rng)));
+
+  // One entry per table kind, each naming only rooted nodes. Every kernel
+  // keys its edges at weight one, so the collection has no weight to check.
+  const dd::VEdge addV = rooted(pkg.add(a, b));
+  const dd::MEdge addM = rooted(pkg.add(x, y));
+  const dd::VEdge mxv = rooted(pkg.multiply(x, a));
+  const dd::MEdge mxm = rooted(pkg.multiply(x, y));
+  const dd::MEdge xt = rooted(pkg.conjugateTranspose(x));
+  const dd::ComplexValue inner = pkg.innerProduct(a, b);
+  const double norm = pkg.norm2(a);
+  const dd::ComplexValue trace = pkg.trace(x);
+  ASSERT_GT(pkg.garbageCollect(), 0U);
+
+  // Each repeat is served by its carried-over entry: a hit, no miss.
+  using S = dd::CacheStats;
+  const auto expectServed = [&pkg](std::uint64_t S::*hits,
+                                   std::uint64_t S::*misses,
+                                   const auto& repeat) {
+    const S before = pkg.cacheStats();
+    repeat();
+    const S after = pkg.cacheStats();
+    EXPECT_GT(after.*hits, before.*hits);
+    EXPECT_EQ(after.*misses, before.*misses);
+  };
+  expectServed(&S::addHits, &S::addMisses,
+               [&] { EXPECT_EQ(pkg.add(a, b), addV); });
+  expectServed(&S::addHits, &S::addMisses,
+               [&] { EXPECT_EQ(pkg.add(x, y), addM); });
+  expectServed(&S::mulMVHits, &S::mulMVMisses,
+               [&] { EXPECT_EQ(pkg.multiply(x, a), mxv); });
+  expectServed(&S::mulMMHits, &S::mulMMMisses,
+               [&] { EXPECT_EQ(pkg.multiply(x, y), mxm); });
+  expectServed(&S::otherHits, &S::otherMisses,
+               [&] { EXPECT_EQ(pkg.conjugateTranspose(x), xt); });
+  expectServed(&S::otherHits, &S::otherMisses,
+               [&] { EXPECT_EQ(pkg.innerProduct(a, b), inner); });
+  expectServed(&S::otherHits, &S::otherMisses,
+               [&] { EXPECT_EQ(pkg.norm2(a), norm); });
+  expectServed(&S::otherHits, &S::otherMisses,
+               [&] { EXPECT_EQ(pkg.trace(x), trace); });
+}
+
 TEST(CacheRetention, CollectedOperandsInvalidateStaleEntries) {
   dd::Package pkg(6);
   std::mt19937_64 rng(29);

@@ -85,28 +85,6 @@ TEST(BernsteinVazirani, Validation) {
 
 // ---------------------------------------------------------------------- DJ
 
-TEST(DeutschJozsa, ConstantGivesAllZero) {
-  const auto circuit = makeDeutschJozsaCircuit(7, /*balanced=*/false);
-  const auto result = sim::simulate(circuit);
-  EXPECT_EQ(measuredValue(result.classicalBits, 7), 0U);
-}
-
-TEST(DeutschJozsa, BalancedGivesNonZero) {
-  for (const std::uint64_t mask : {1ULL, 0b1011ULL, 0b1111111ULL}) {
-    const auto circuit = makeDeutschJozsaCircuit(7, true, mask);
-    const auto result = sim::simulate(circuit);
-    EXPECT_EQ(measuredValue(result.classicalBits, 7), mask);  // BV relation
-    EXPECT_NE(measuredValue(result.classicalBits, 7), 0U);
-  }
-}
-
-TEST(DeutschJozsa, Validation) {
-  EXPECT_THROW(makeDeutschJozsaCircuit(3, true, 0), std::invalid_argument);
-  EXPECT_THROW(makeDeutschJozsaCircuit(3, true, 16), std::invalid_argument);
-}
-
-// --------------------------------------------------------------- GHZ and W
-
 TEST(GHZ, AmplitudesAndCompactness) {
   const auto circuit = makeGHZCircuit(10);
   sim::CircuitSimulator simulator(circuit);

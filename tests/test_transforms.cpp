@@ -116,44 +116,5 @@ TEST(DetectRepetitions, DistinguishesParameters) {
   EXPECT_TRUE(sim::areEquivalent(circuit, folded));
 }
 
-TEST(CircuitDepth, SequentialVsParallel) {
-  Circuit seq(1);
-  seq.h(0);
-  seq.t(0);
-  seq.h(0);
-  EXPECT_EQ(circuitDepth(seq), 3U);
-
-  Circuit par(3);
-  par.h(0);
-  par.h(1);
-  par.h(2);
-  EXPECT_EQ(circuitDepth(par), 1U);
-}
-
-TEST(CircuitDepth, ControlsCreateDependencies) {
-  Circuit circuit(3);
-  circuit.h(0);
-  circuit.cx(0, 1);  // depends on h(0)
-  circuit.h(2);      // independent
-  EXPECT_EQ(circuitDepth(circuit), 2U);
-}
-
-TEST(CircuitDepth, BarrierSynchronizes) {
-  Circuit circuit(2);
-  circuit.h(0);
-  circuit.barrier();
-  circuit.h(1);  // after the barrier: level 2 even though qubit 1 was idle
-  EXPECT_EQ(circuitDepth(circuit), 2U);
-}
-
-TEST(CircuitDepth, CompoundBlocksAreFlattened) {
-  Circuit circuit(1);
-  Circuit block(1);
-  block.h(0);
-  block.t(0);
-  circuit.appendRepeated(std::move(block), 3);
-  EXPECT_EQ(circuitDepth(circuit), 6U);
-}
-
 }  // namespace
 }  // namespace ddsim::ir

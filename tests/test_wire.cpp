@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -235,9 +236,14 @@ serve::CachedOutcome goldenOutcome() {
           goldenStats()};
 }
 
-/// Fresh per-test spill directory under the gtest temp dir.
+/// Fresh spill directory under the gtest temp dir, named after the running
+/// test too: ctest runs each test as its own process, so tests that share a
+/// \p name must not share the directory.
 std::string freshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "ddsim_wire_" + name;
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = std::string(info->test_suite_name()) + "." + info->name();
+  std::ranges::replace(test, '/', '_');
+  const std::string dir = ::testing::TempDir() + "ddsim_wire_" + test + "_" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
