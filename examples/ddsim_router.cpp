@@ -28,10 +28,12 @@
 /// was lost (re-route budget or the whole ring exhausted), 1 on usage or
 /// connectivity errors.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,17 @@ void usage() {
       "[--out <results.json>] [--stats <stats.json>]\n\n"
       "workers are `ddsim_serve --listen <port>` processes; manifest format "
       "as for ddsim_serve (QASM paths relative to the manifest).\n");
+}
+
+/// The value \p text of \p flag as an unsigned integer;
+/// std::invalid_argument when it is not one.
+std::uint64_t unsignedFlag(const std::string& flag, const char* text) {
+  const auto v = ddsim::serve::parseUnsigned(text);
+  if (!v) {
+    throw std::invalid_argument(flag + ": expected an unsigned integer, got '" +
+                                text + "'");
+  }
+  return *v;
 }
 
 std::string dirOf(const std::string& path) {
@@ -124,25 +137,30 @@ int main(int argc, char** argv) {
   std::string outPath = "router_results.json";
   std::string statsPath;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool hasValue = i + 1 < argc;
-    if (arg == "--worker" && hasValue) {
-      routerConfig.workers.emplace_back(argv[++i]);
-    } else if (arg == "--vnodes" && hasValue) {
-      routerConfig.virtualNodes = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--retries" && hasValue) {
-      routerConfig.retry.maxAttempts =
-          std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--out" && hasValue) {
-      outPath = argv[++i];
-    } else if (arg == "--stats" && hasValue) {
-      statsPath = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      usage();
-      return 1;
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const bool hasValue = i + 1 < argc;
+      if (arg == "--worker" && hasValue) {
+        routerConfig.workers.emplace_back(argv[++i]);
+      } else if (arg == "--vnodes" && hasValue) {
+        routerConfig.virtualNodes = unsignedFlag(arg, argv[++i]);
+      } else if (arg == "--retries" && hasValue) {
+        routerConfig.retry.maxAttempts =
+            std::max<std::size_t>(1, unsignedFlag(arg, argv[++i]));
+      } else if (arg == "--out" && hasValue) {
+        outPath = argv[++i];
+      } else if (arg == "--stats" && hasValue) {
+        statsPath = argv[++i];
+      } else {
+        std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+        usage();
+        return 1;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
   if (routerConfig.workers.empty()) {
     std::fprintf(stderr, "error: at least one --worker <host:port> required\n");

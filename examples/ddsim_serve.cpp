@@ -51,9 +51,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,6 +93,35 @@ void usage() {
       "[detect-repetitions] [seed=<n>] "
       "[repeat=<n>] [priority=high|normal|low] [deadline=<s>] "
       "[time-limit=<s>] [node-budget=<n>] [label=<text>]\n");
+}
+
+/// The value \p text of \p flag as an unsigned integer no larger than
+/// \p max; std::invalid_argument when it is not one.
+std::uint64_t unsignedFlag(
+    const std::string& flag, const char* text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const auto v = ddsim::serve::parseUnsigned(text);
+  if (!v || *v > max) {
+    const std::string bound =
+        max < std::numeric_limits<std::uint64_t>::max()
+            ? " up to " + std::to_string(max)
+            : "";
+    throw std::invalid_argument(flag + ": expected an unsigned integer" +
+                                bound + ", got '" + text + "'");
+  }
+  return *v;
+}
+
+/// The value \p text of \p flag as a non-negative number of seconds;
+/// std::invalid_argument when it is not one.
+double secondsFlag(const std::string& flag, const char* text) {
+  const auto v = ddsim::serve::parseNumber(text);
+  if (!v || *v < 0.0) {
+    throw std::invalid_argument(
+        flag + ": expected a non-negative number of seconds, got '" + text +
+        "'");
+  }
+  return *v;
 }
 
 std::string dirOf(const std::string& path) {
@@ -195,43 +226,47 @@ int main(int argc, char** argv) {
   // Worker mode: bind this port instead of reading a manifest.
   std::optional<std::uint16_t> listenPort;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool hasValue = i + 1 < argc;
-    if (!arg.empty() && arg.front() != '-') {
-      manifestPath = arg;
-    } else if (arg == "--listen" && hasValue) {
-      listenPort = static_cast<std::uint16_t>(
-          std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--workers" && hasValue) {
-      serviceConfig.workers = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--queue" && hasValue) {
-      serviceConfig.queueCapacity = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--cache" && hasValue) {
-      serviceConfig.cacheCapacity = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--cache-dir" && hasValue) {
-      serviceConfig.cacheDir = argv[++i];
-    } else if (arg == "--retries" && hasValue) {
-      serviceConfig.retry.maxAttempts =
-          std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--retry-backoff" && hasValue) {
-      serviceConfig.retry.baseBackoffSeconds = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--checkpoint-interval" && hasValue) {
-      serviceConfig.checkpointIntervalOps =
-          std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--out" && hasValue) {
-      outPath = argv[++i];
-    } else if (arg == "--stats" && hasValue) {
-      statsPath = argv[++i];
-    } else if (arg == "--trace-out" && hasValue) {
-      tracePath = argv[++i];
-    } else if (arg == "--stats-dump" && hasValue) {
-      statsDumpSeconds = std::strtod(argv[++i], nullptr);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      usage();
-      return 1;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const bool hasValue = i + 1 < argc;
+      if (!arg.empty() && arg.front() != '-') {
+        manifestPath = arg;
+      } else if (arg == "--listen" && hasValue) {
+        listenPort = static_cast<std::uint16_t>(unsignedFlag(
+            arg, argv[++i], std::numeric_limits<std::uint16_t>::max()));
+      } else if (arg == "--workers" && hasValue) {
+        serviceConfig.workers = unsignedFlag(arg, argv[++i]);
+      } else if (arg == "--queue" && hasValue) {
+        serviceConfig.queueCapacity = unsignedFlag(arg, argv[++i]);
+      } else if (arg == "--cache" && hasValue) {
+        serviceConfig.cacheCapacity = unsignedFlag(arg, argv[++i]);
+      } else if (arg == "--cache-dir" && hasValue) {
+        serviceConfig.cacheDir = argv[++i];
+      } else if (arg == "--retries" && hasValue) {
+        serviceConfig.retry.maxAttempts =
+            std::max<std::size_t>(1, unsignedFlag(arg, argv[++i]));
+      } else if (arg == "--retry-backoff" && hasValue) {
+        serviceConfig.retry.baseBackoffSeconds = secondsFlag(arg, argv[++i]);
+      } else if (arg == "--checkpoint-interval" && hasValue) {
+        serviceConfig.checkpointIntervalOps = unsignedFlag(arg, argv[++i]);
+      } else if (arg == "--out" && hasValue) {
+        outPath = argv[++i];
+      } else if (arg == "--stats" && hasValue) {
+        statsPath = argv[++i];
+      } else if (arg == "--trace-out" && hasValue) {
+        tracePath = argv[++i];
+      } else if (arg == "--stats-dump" && hasValue) {
+        statsDumpSeconds = secondsFlag(arg, argv[++i]);
+      } else {
+        std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+        usage();
+        return 1;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 
   if (listenPort) {

@@ -30,6 +30,9 @@
 
 namespace ddsim::dd {
 
+/// The soft rung sits at this fraction of each hard limit.
+inline constexpr double kSoftBudgetFraction = 0.75;
+
 /// Resource limits enforced by a ResourceGovernor. A zero limit means
 /// "unlimited" for that dimension; a default-constructed budget disables
 /// the governor entirely.
@@ -38,8 +41,6 @@ struct ResourceBudget {
   std::size_t maxLiveNodes = 0;
   /// Hard cap on bytes held by the node allocators (chunk memory).
   std::size_t maxBytes = 0;
-  /// Soft rung at softFraction * hard limit; must be in (0, 1].
-  double softFraction = 0.75;
 
   [[nodiscard]] bool active() const noexcept {
     return maxLiveNodes != 0 || maxBytes != 0;
@@ -106,13 +107,9 @@ class ResourceGovernor {
       std::function<void(ResourcePressure, std::size_t /*liveNodes*/)>;
 
   void setBudget(const ResourceBudget& budget) {
-    if (budget.softFraction <= 0.0 || budget.softFraction > 1.0) {
-      throw std::invalid_argument(
-          "ResourceBudget: softFraction must be in (0, 1]");
-    }
     budget_ = budget;
-    softNodes_ = scaled(budget.maxLiveNodes, budget.softFraction);
-    softBytes_ = scaled(budget.maxBytes, budget.softFraction);
+    softNodes_ = soft(budget.maxLiveNodes);
+    softBytes_ = soft(budget.maxBytes);
     signaled_ = false;
   }
 
@@ -147,10 +144,9 @@ class ResourceGovernor {
   }
 
  private:
-  static std::size_t scaled(std::size_t limit, double fraction) noexcept {
-    return limit == 0 ? 0
-                      : static_cast<std::size_t>(
-                            static_cast<double>(limit) * fraction);
+  static std::size_t soft(std::size_t limit) noexcept {
+    return static_cast<std::size_t>(static_cast<double>(limit) *
+                                    kSoftBudgetFraction);
   }
 
   ResourceBudget budget_;

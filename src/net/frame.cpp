@@ -94,11 +94,8 @@ void configFields(IO& io, C& c) {
   io.flag(c.collectTrace);
   io.f64(c.timeLimitSeconds);
   io.f64(c.approximateFidelity);
-  io.u64(c.approximateThreshold);
   io.u64(c.nodeBudget);
   io.u64(c.byteBudget);
-  io.f64(c.softBudgetFraction);
-  io.u64(c.degradeCooldownOps);
   io.u64(c.checkpointIntervalOps);
 }
 

@@ -51,7 +51,7 @@ class FrameError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x46534444U;  // "DDSF"
-inline constexpr std::uint16_t kWireVersion = 5;
+inline constexpr std::uint16_t kWireVersion = 6;
 /// Payload ceiling: a submission is QASM text + config (KiB), a result is
 /// packed bits + stats (KiB), a checkpoint blob is two flat DDs (MiB for
 /// big states). Anything above this is a corrupted length field.

@@ -124,6 +124,15 @@ struct Router::Pending {
 
 // --------------------------------------------------------------- Router
 
+namespace {
+
+/// Give up on a worker that does not accept within this many seconds.
+constexpr double kConnectTimeoutSeconds = 5.0;
+/// Write deadline on a connected worker's socket.
+constexpr double kWriteDeadlineSeconds = 30.0;
+
+}  // namespace
+
 Router::Router(RouterConfig config)
     : config_(std::move(config)), ring_(config_.virtualNodes) {}
 
@@ -143,15 +152,15 @@ void Router::connect() {
     try {
       ch->conn = net::TcpConnection::connect(
           host, static_cast<std::uint16_t>(port),
-          config_.connectTimeoutSeconds);
+          kConnectTimeoutSeconds);
     } catch (const net::SocketError&) {
       obs::traceInstant("router.connect-failed", obs::cat::kRouter);
       continue;  // never joins the ring
     }
     // Reads block until the worker speaks (results arrive whenever the
-    // simulation finishes); writes get the configured deadline.
+    // simulation finishes); writes get a deadline.
     ch->conn.setDeadlines(/*readSeconds=*/0.0,
-                          /*writeSeconds=*/config_.ioDeadlineSeconds);
+                          /*writeSeconds=*/kWriteDeadlineSeconds);
     ch->alive.store(true, std::memory_order_relaxed);
     {
       const std::lock_guard<std::mutex> lock(mutex_);

@@ -103,9 +103,6 @@ struct RouterConfig {
   /// Re-route/rejection budget per job: maxAttempts total wire
   /// submissions, backoff applied before retrying a rejection.
   serve::RetryPolicy retry{.maxAttempts = 3};
-  double connectTimeoutSeconds = 5.0;
-  /// Per-operation socket deadlines once connected.
-  double ioDeadlineSeconds = 30.0;
 };
 
 /// Router-side counters (monotonic since construction).

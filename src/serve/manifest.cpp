@@ -1,7 +1,7 @@
 #include "serve/manifest.hpp"
 
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -24,49 +24,71 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 std::uint64_t parseUint(const std::string& value, const std::string& what,
                         std::size_t line) {
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0') {
+  const auto v = parseUnsigned(value);
+  if (!v) {
     throw ManifestError(what + ": expected an unsigned integer, got '" +
                             value + "'",
                         line);
   }
-  return v;
+  return *v;
 }
 
 double parseDouble(const std::string& value, const std::string& what,
                    std::size_t line) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end == value.c_str() || *end != '\0') {
+  const auto v = parseNumber(value);
+  if (!v) {
     throw ManifestError(what + ": expected a number, got '" + value + "'",
                         line);
   }
-  return v;
+  return *v;
 }
 
 }  // namespace
 
+std::optional<std::uint64_t> parseUnsigned(std::string_view text) {
+  // from_chars takes no sign, no space and no base prefix for an unsigned
+  // target, and reports overflow instead of wrapping.
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<double> parseNumber(std::string_view text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
 std::optional<sim::StrategyConfig> parseStrategySpec(const std::string& spec) {
   using sim::StrategyConfig;
-  if (spec == "seq" || spec == "sequential") {
+  const std::string_view s = spec;
+  if (s == "seq" || s == "sequential") {
     return StrategyConfig::sequential();
   }
-  if (spec.rfind("k=", 0) == 0) {
-    return StrategyConfig::kOperations(
-        std::strtoul(spec.c_str() + 2, nullptr, 10));
+  if (s.starts_with("k=")) {
+    const auto k = parseUnsigned(s.substr(2));
+    return k ? std::optional(StrategyConfig::kOperations(*k)) : std::nullopt;
   }
-  if (spec.rfind("maxsize=", 0) == 0) {
-    return StrategyConfig::maxSizeStrategy(
-        std::strtoul(spec.c_str() + 8, nullptr, 10));
+  if (s.starts_with("maxsize=")) {
+    const auto sMax = parseUnsigned(s.substr(8));
+    return sMax ? std::optional(StrategyConfig::maxSizeStrategy(*sMax))
+                : std::nullopt;
   }
-  if (spec == "adaptive") {
+  if (s == "adaptive") {
     return StrategyConfig::adaptive();
   }
-  if (spec.rfind("adaptive=", 0) == 0) {
-    return StrategyConfig::adaptive(std::strtod(spec.c_str() + 9, nullptr));
+  if (s.starts_with("adaptive=")) {
+    const auto ratio = parseNumber(s.substr(9));
+    return ratio ? std::optional(StrategyConfig::adaptive(*ratio))
+                 : std::nullopt;
   }
   return std::nullopt;
 }
@@ -94,7 +116,8 @@ std::vector<ManifestEntry> parseManifest(std::istream& in) {
       if (key == "strategy") {
         const auto config = parseStrategySpec(value);
         if (!config) {
-          throw ManifestError("unknown strategy '" + value + "'", lineNo);
+          throw ManifestError("unrecognized strategy '" + value + "'",
+                              lineNo);
         }
         // Preserve options already set by earlier tokens.
         const sim::StrategyConfig base = entry.config;

@@ -27,8 +27,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/service.hpp"
@@ -61,9 +63,18 @@ struct ManifestEntry {
   bool detectRepetitions = false;  ///< run ir::detectRepetitions first
 };
 
+/// Strict number parsing, shared by the manifest and the command-line
+/// flags of ddsim_serve and ddsim_router: all of \p text must be the
+/// number. parseUnsigned takes decimal digits only (no sign, no space) and
+/// rejects values above 2^64 - 1; parseNumber takes a finite decimal
+/// floating-point value. Empty optional otherwise.
+[[nodiscard]] std::optional<std::uint64_t> parseUnsigned(
+    std::string_view text);
+[[nodiscard]] std::optional<double> parseNumber(std::string_view text);
+
 /// Parse a strategy spec ("seq", "k=4", "maxsize=4096", "adaptive",
 /// "adaptive=0.5") into a StrategyConfig with all other fields default.
-/// Empty optional on an unrecognized spec.
+/// Empty optional on an unrecognized spec or a malformed number.
 [[nodiscard]] std::optional<sim::StrategyConfig> parseStrategySpec(
     const std::string& spec);
 

@@ -77,13 +77,6 @@ CacheSpill::CacheSpill(std::string dir) : dir_(std::move(dir)) {
     throw std::runtime_error("CacheSpill: cannot create cache directory '" +
                              dir_ + "': " + ec.message());
   }
-  // Seed the journal-size gauge from any pre-existing log so the byte
-  // threshold counts a restarted service's carried-over records too.
-  std::error_code sizeEc;
-  const auto existing = std::filesystem::file_size(logPath(), sizeEc);
-  if (!sizeEc) {
-    logBytes_ = existing;
-  }
 }
 
 CacheSpill::~CacheSpill() {
@@ -175,13 +168,7 @@ void CacheSpill::append(const CacheKey& key, const CachedOutcome& outcome) {
     // torn in-flight record is skipped (and counted) by the loader.
     std::fflush(log_);
     ++appended_;
-    logBytes_ += record.size();
   }
-}
-
-std::uint64_t CacheSpill::logBytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return logBytes_;
 }
 
 bool CacheSpill::snapshot(
@@ -216,7 +203,6 @@ bool CacheSpill::snapshot(
   if (std::FILE* trunc = std::fopen(logPath().c_str(), "wb")) {
     std::fclose(trunc);
   }
-  logBytes_ = 0;
   ++snapshots_;
   return true;
 }

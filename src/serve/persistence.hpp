@@ -70,12 +70,6 @@ class CacheSpill {
   /// Append one record to the journal and flush it to the OS. Thread-safe.
   void append(const CacheKey& key, const CachedOutcome& outcome);
 
-  /// Current journal size in bytes (existing file at construction plus
-  /// every record appended since, reset to 0 by snapshot()'s truncation).
-  /// The serve layer compares it against ServiceConfig::spillCompactBytes
-  /// to trigger inline snapshot+truncate compaction between shutdowns.
-  [[nodiscard]] std::uint64_t logBytes() const;
-
   /// Atomically replace the snapshot with \p entries (tmp + fsync +
   /// rename), then truncate the journal. Thread-safe; returns false when
   /// any filesystem step failed (the previous snapshot stays intact).
@@ -101,7 +95,6 @@ class CacheSpill {
   std::FILE* log_ = nullptr;
 
   std::uint64_t appended_ = 0;
-  std::uint64_t logBytes_ = 0;
   std::uint64_t loaded_ = 0;
   std::uint64_t corruptSkipped_ = 0;
   std::uint64_t snapshots_ = 0;

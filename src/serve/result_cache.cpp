@@ -1,49 +1,21 @@
 #include "serve/result_cache.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace ddsim::serve {
-
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity) {
-  const std::size_t shardCount =
-      std::max<std::size_t>(1, std::min(shards, std::max<std::size_t>(
-                                                    1, capacity)));
-  // Distribute the budget so per-shard capacities sum to exactly
-  // `capacity`: floor(capacity / shardCount) each, with the remainder
-  // handed out one slot at a time to the leading shards.
-  const std::size_t base = capacity / shardCount;
-  const std::size_t remainder = capacity % shardCount;
-  shards_.reserve(shardCount);
-  for (std::size_t i = 0; i < shardCount; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->capacity = base + (i < remainder ? 1 : 0);
-  }
-}
-
-std::size_t ResultCache::effectiveCapacity() const noexcept {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->capacity;
-  }
-  return total;
-}
 
 std::optional<CachedOutcome> ResultCache::lookup(const CacheKey& key) {
   if (capacity_ == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  Shard& shard = shardFor(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->second;
 }
@@ -52,37 +24,29 @@ void ResultCache::insert(const CacheKey& key, CachedOutcome outcome) {
   if (capacity_ == 0) {
     return;
   }
-  Shard& shard = shardFor(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
     it->second->second = std::move(outcome);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  if (shard.lru.size() >= shard.capacity) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
+  if (lru_.size() >= capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
     entries_.fetch_sub(1, std::memory_order_relaxed);
   }
-  shard.lru.emplace_front(key, std::move(outcome));
-  shard.index.emplace(key, shard.lru.begin());
+  lru_.emplace_front(key, std::move(outcome));
+  index_.emplace(key, lru_.begin());
   insertions_.fetch_add(1, std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::pair<CacheKey, CachedOutcome>> ResultCache::snapshotEntries()
     const {
-  std::vector<std::pair<CacheKey, CachedOutcome>> out;
-  out.reserve(entries_.load(std::memory_order_relaxed));
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& entry : shard->lru) {
-      out.push_back(entry);
-    }
-  }
-  return out;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return {lru_.begin(), lru_.end()};
 }
 
 CacheCounters ResultCache::counters() const {

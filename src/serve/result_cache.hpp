@@ -1,6 +1,5 @@
 /// \file result_cache.hpp
-/// \brief Sharded, content-addressed LRU cache of finished simulation
-///        results.
+/// \brief Content-addressed LRU cache of finished simulation results.
 ///
 /// The batch-simulation service answers duplicate submissions without
 /// re-simulating. A cache entry is keyed by the triple
@@ -8,12 +7,11 @@
 /// ir::contentHash over the canonicalized operation stream, the config hash
 /// is sim::StrategyConfig::contentHash, and the seed pins the stochastic
 /// measurement outcomes. The full triple is stored and compared — the
-/// 64-bit hashes only pick the shard/bucket, so a hash collision costs a
-/// missed dedup opportunity, never a wrong answer being served.
+/// 64-bit hashes only pick the bucket, so a hash collision costs a missed
+/// dedup opportunity, never a wrong answer being served.
 ///
-/// Sharding: the key is mixed down to a shard index; each shard holds an
-/// independent mutex, hash map and LRU list, so concurrent workers on
-/// different keys rarely contend. Counters are process-wide atomics.
+/// One mutex guards one hash map and one LRU list. Counters are atomics,
+/// so counters() never takes the lock.
 
 #pragma once
 
@@ -23,6 +21,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/hash.hpp"
@@ -38,7 +37,7 @@ struct CacheKey {
 
   bool operator==(const CacheKey&) const noexcept = default;
 
-  /// Mixed 64-bit digest used for shard and bucket selection.
+  /// Mixed 64-bit digest used for bucket selection.
   [[nodiscard]] std::uint64_t digest() const noexcept {
     std::uint64_t h = ir::hashCombine(ir::kHashSeed, circuitHash);
     h = ir::hashCombine(h, configHash);
@@ -65,17 +64,14 @@ struct CacheCounters {
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
-  std::size_t entries = 0;  ///< current live entries across all shards
+  std::size_t entries = 0;  ///< current live entries
 };
 
 class ResultCache {
  public:
-  /// \p capacity is the total entry budget, distributed across \p shards
-  /// independent LRU shards: every shard gets floor(capacity / shards)
-  /// slots and the first capacity % shards shards one extra, so the
-  /// per-shard capacities always sum to exactly \p capacity.
-  /// capacity == 0 disables the cache (every lookup misses, inserts drop).
-  explicit ResultCache(std::size_t capacity, std::size_t shards = 8);
+  /// \p capacity is the entry budget; capacity == 0 disables the cache
+  /// (every lookup misses, inserts drop).
+  explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -83,38 +79,24 @@ class ResultCache {
   /// Look up and touch (move to most-recently-used) an entry.
   [[nodiscard]] std::optional<CachedOutcome> lookup(const CacheKey& key);
 
-  /// Insert or refresh an entry, evicting the shard's LRU tail if full.
+  /// Insert or refresh an entry, evicting the LRU tail if full.
   void insert(const CacheKey& key, CachedOutcome outcome);
 
   [[nodiscard]] CacheCounters counters() const;
 
-  /// Copy out every live entry (shard by shard, most-recently-used first
-  /// within a shard) — the input of a persistence snapshot. Each shard is
-  /// locked only while it is being copied, so the view is per-shard
-  /// consistent, which is all a crash-consistent spill needs.
+  /// Copy out every live entry, most-recently-used first — the input of a
+  /// persistence snapshot.
   [[nodiscard]] std::vector<std::pair<CacheKey, CachedOutcome>>
   snapshotEntries() const;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Sum of per-shard capacities; equals capacity() by construction.
-  [[nodiscard]] std::size_t effectiveCapacity() const noexcept;
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    std::size_t capacity = 0;
-    /// Front = most recently used.
-    std::list<std::pair<CacheKey, CachedOutcome>> lru;
-    std::unordered_map<CacheKey, decltype(lru)::iterator, CacheKeyHash> index;
-  };
-
-  [[nodiscard]] Shard& shardFor(const CacheKey& key) noexcept {
-    // Shard on the high digest bits; the map re-hashes the low ones.
-    return *shards_[(key.digest() >> 48) % shards_.size()];
-  }
-
-  std::size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  /// Front = most recently used.
+  std::list<std::pair<CacheKey, CachedOutcome>> lru_;
+  std::unordered_map<CacheKey, decltype(lru_)::iterator, CacheKeyHash> index_;
 
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};

@@ -23,7 +23,6 @@ struct JobRecord {
   JobSpec spec;
   std::uint64_t id = 0;
   CacheKey key{};
-  bool cacheable = false;
   std::chrono::steady_clock::time_point submitted;
   std::atomic<bool> cancelRequested{false};
 
@@ -134,7 +133,7 @@ bool JobHandle::cancel() const {
 
 SimulationService::SimulationService(ServiceConfig config)
     : config_(config),
-      cache_(config.cacheCapacity, config.cacheShards),
+      cache_(config.cacheCapacity),
       started_(Clock::now()),
       paused_(config.startPaused) {
   if (!config_.cacheDir.empty()) {
@@ -185,13 +184,12 @@ JobHandle SimulationService::submit(JobSpec spec) {
   auto rec = std::make_shared<JobRecord>();
   rec->id = nextJobId_.fetch_add(1, std::memory_order_relaxed);
   rec->submitted = Clock::now();
-  rec->cacheable = !spec.bypassCache && cache_.capacity() > 0;
   rec->spec = std::move(spec);
   // A handed-over checkpoint (distributed re-route) primes the same slot
   // retry resume uses, so the first attempt continues where the previous
   // process left off.
   rec->checkpoint = rec->spec.initialCheckpoint;
-  if (rec->cacheable) {
+  if (caching()) {
     // Hashing is the expensive part of admission — keep it off the lock.
     rec->key = CacheKey{ir::contentHash(*rec->spec.circuit),
                         rec->spec.config.contentHash(), rec->spec.seed};
@@ -209,7 +207,7 @@ JobHandle SimulationService::submit(JobSpec spec) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       throw AdmissionError("submit: service is shutting down");
     }
-    if (rec->cacheable) {
+    if (caching()) {
       const auto it = inflight_.find(rec->key);
       if (it != inflight_.end()) {
         it->second->followers.push_back(rec);
@@ -228,14 +226,11 @@ JobHandle SimulationService::submit(JobSpec spec) {
       }
       queues_[static_cast<int>(rec->spec.priority)].push_back(rec);
       ++queueDepth_;
-      if (rec->cacheable) {
+      if (caching()) {
         inflight_.emplace(rec->key, rec);
       }
       submitted_.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  if (rec->spec.bypassCache) {
-    cacheBypassed_.fetch_add(1, std::memory_order_relaxed);
   }
   if (hit) {
     submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -485,7 +480,7 @@ void SimulationService::workerLoop(int workerId) {
     }
     rec->runTotal += runTimer.seconds();
     r.runSeconds = rec->runTotal;  // simulation time across every attempt
-    if (config_.retry.shouldRetry(r.status) && scheduleRetry(rec, r)) {
+    if (RetryPolicy::shouldRetry(r.status) && scheduleRetry(rec, r)) {
       continue;  // parked for a delayed re-admission; no result published
     }
     finishJob(rec, std::move(r));
@@ -497,36 +492,20 @@ void SimulationService::finishJob(const std::shared_ptr<JobRecord>& rec,
   // Insert into the cache BEFORE retiring the in-flight entry: submit()
   // checks inflight-then-cache under the queue lock, so this order leaves
   // no window in which a duplicate sees neither and re-simulates.
-  if (result.status == JobStatus::Completed && rec->cacheable) {
+  if (result.status == JobStatus::Completed && caching()) {
     cache_.insert(rec->key, CachedOutcome{result.classicalBits, result.stats});
     if (spill_) {
       // Journal after the in-memory insert: a crash between the two costs
       // the on-disk copy of this one entry, never serves a stale answer.
       spill_->append(rec->key,
                      CachedOutcome{result.classicalBits, result.stats});
-      if (config_.spillCompactBytes > 0 &&
-          spill_->logBytes() > config_.spillCompactBytes) {
-        // Inline compaction: fold the journal into the snapshot and
-        // truncate it, bounding journal growth between shutdowns. The
-        // spill mutex serializes racing workers; the loser sees a log
-        // already below the threshold and skips.
-        if (spill_->snapshot(cache_.snapshotEntries())) {
-          obs::traceInstant("serve.spill.compacted", obs::cat::kServe,
-                            rec->id);
-        }
-      }
     }
   }
 
   std::vector<std::shared_ptr<JobRecord>> followers;
   {
     const std::lock_guard<std::mutex> lock(queueMutex_);
-    if (rec->cacheable) {
-      const auto it = inflight_.find(rec->key);
-      if (it != inflight_.end() && it->second == rec) {
-        inflight_.erase(it);
-      }
-    }
+    retireInflightLocked(rec);
     followers = std::move(rec->followers);
     rec->followers.clear();
   }
@@ -539,6 +518,14 @@ void SimulationService::finishJob(const std::shared_ptr<JobRecord>& rec,
     publish(follower, std::move(fr));
   }
   publish(rec, std::move(result));
+}
+
+void SimulationService::retireInflightLocked(
+    const std::shared_ptr<JobRecord>& rec) {
+  const auto it = inflight_.find(rec->key);
+  if (it != inflight_.end() && it->second == rec) {
+    inflight_.erase(it);
+  }
 }
 
 void SimulationService::publish(const std::shared_ptr<JobRecord>& rec,
@@ -609,12 +596,7 @@ void SimulationService::shutdown(bool drain) {
     if (!drain) {
       for (auto& queue : queues_) {
         for (auto& rec : queue) {
-          if (rec->cacheable) {
-            const auto it = inflight_.find(rec->key);
-            if (it != inflight_.end() && it->second == rec) {
-              inflight_.erase(it);
-            }
-          }
+          retireInflightLocked(rec);
           orphans.push_back(std::move(rec));
         }
         queue.clear();
@@ -623,12 +605,7 @@ void SimulationService::shutdown(bool drain) {
       // Backoff-parked retries are as unstarted as queued jobs: cancel
       // them too instead of letting workers run one last attempt.
       for (auto& [due, rec] : delayed_) {
-        if (rec->cacheable) {
-          const auto it = inflight_.find(rec->key);
-          if (it != inflight_.end() && it->second == rec) {
-            inflight_.erase(it);
-          }
-        }
+        retireInflightLocked(rec);
         orphans.push_back(std::move(rec));
       }
       delayed_.clear();
@@ -690,7 +667,6 @@ ServiceStats SimulationService::stats() const {
   s.queueLatencyHistogram = queueLatencyHist_.snapshot();
   s.execHistogram = execHist_.snapshot();
   s.degradationPerJobHistogram = degradationPerJobHist_.snapshot();
-  s.cacheBypassed = cacheBypassed_.load(std::memory_order_relaxed);
   s.cache = cache_.counters();
   if (spill_) {
     s.spill = spill_->counters();

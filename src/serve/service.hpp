@@ -8,7 +8,7 @@
 ///    (unique table, compute tables, complex table). No DD state is ever
 ///    shared between threads, so the hot DD paths need no locking at all;
 ///    the only synchronized structures are the admission queue, the result
-///    cache shards and the stats counters.
+///    cache and the stats counters.
 ///  * **Admission** — a bounded queue with three priority bands (High /
 ///    Normal / Low, FIFO within a band). A full queue rejects at submit
 ///    time (AdmissionError) instead of buffering unboundedly.
@@ -89,8 +89,6 @@ struct JobSpec {
   double deadlineSeconds = 0.0;
   /// Presentation label for manifests/reports (not part of the cache key).
   std::string label;
-  /// Skip cache lookup, coalescing and insertion for this job.
-  bool bypassCache = false;
   /// Non-empty: a serialized sim::Checkpoint the FIRST attempt resumes
   /// from instead of starting at |0...0> — the cross-process hand-off used
   /// by the distributed router when it re-routes a job whose original
@@ -167,9 +165,9 @@ class AdmissionError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// When and how a transiently failed job is re-admitted. Retries are
-/// delayed re-admissions: the failed job re-enters its priority band after
-/// an exponential backoff (base x multiplier^(attempt-1)) and — when a
+/// When a transiently failed job is re-admitted. Retries are delayed
+/// re-admissions: the failed job re-enters its priority band after a
+/// backoff that doubles per retry (base x 2^(attempt-1)) and — when a
 /// checkpoint was captured during the failed attempt — resumes from it
 /// instead of restarting. Re-admission bypasses the queue-capacity check
 /// (the job already holds a handle; rejecting the retry would strand it).
@@ -178,30 +176,22 @@ struct RetryPolicy {
   std::size_t maxAttempts = 1;
   /// Backoff before the first retry.
   double baseBackoffSeconds = 0.01;
-  /// Backoff growth factor per further retry.
-  double backoffMultiplier = 2.0;
-  /// Retry ResourceExhausted outcomes (transient by construction: the
-  /// degradation ladder already tried to recover, another attempt on a
-  /// fresh package — resumed past the completed prefix — may succeed).
-  bool retryResourceExhausted = true;
-  /// Retry Failed outcomes (opt-in: most are deterministic — bad circuit,
-  /// bad config — and would fail identically every attempt).
-  bool retryFailed = false;
 
-  /// Whether \p status is transient under this policy. TimedOut, Expired
-  /// and Cancelled are never retried: the first two mean the time budget
-  /// is spent, the last is the caller's explicit intent.
-  [[nodiscard]] bool shouldRetry(JobStatus status) const noexcept {
-    return (status == JobStatus::ResourceExhausted &&
-            retryResourceExhausted) ||
-           (status == JobStatus::Failed && retryFailed);
+  /// Whether \p status is transient. Only ResourceExhausted is: the
+  /// degradation ladder already tried to recover, and another attempt on a
+  /// fresh package — resumed past the completed prefix — may succeed.
+  /// Failed outcomes (bad circuit, bad config) would fail identically every
+  /// attempt; TimedOut and Expired mean the time budget is spent;
+  /// Cancelled is the caller's explicit intent.
+  [[nodiscard]] static bool shouldRetry(JobStatus status) noexcept {
+    return status == JobStatus::ResourceExhausted;
   }
   /// Backoff before re-admitting a job whose 1-based attempt \p attempt
   /// just failed.
   [[nodiscard]] double backoffFor(std::size_t attempt) const noexcept {
     double backoff = baseBackoffSeconds;
     for (std::size_t i = 1; i < attempt; ++i) {
-      backoff *= backoffMultiplier;
+      backoff *= 2.0;
     }
     return backoff;
   }
@@ -214,7 +204,6 @@ struct ServiceConfig {
   std::size_t queueCapacity = 256;
   /// Total result-cache entries (0 disables caching and coalescing).
   std::size_t cacheCapacity = 1024;
-  std::size_t cacheShards = 8;
   /// Construct with workers idle until start() — lets tests (and batch
   /// drivers that want strict priority order) enqueue everything first.
   bool startPaused = false;
@@ -222,14 +211,8 @@ struct ServiceConfig {
   /// (see serve/persistence.hpp). Empty (the default) keeps the cache
   /// purely in-memory. When set, previously completed jobs are restored at
   /// construction, every completed job is journaled, and shutdown() writes
-  /// an atomic snapshot.
+  /// an atomic snapshot and truncates the journal.
   std::string cacheDir = {};
-  /// Compaction threshold for the cache spill journal: once `cache.log`
-  /// exceeds this many bytes, the next completed job triggers an inline
-  /// snapshot+truncate (same atomic tmp+fsync+rename as shutdown), so the
-  /// journal never grows unboundedly between graceful shutdowns. 0 (the
-  /// default) keeps the PR 7 behaviour: compaction only at shutdown.
-  std::uint64_t spillCompactBytes = 0;
   /// Default StrategyConfig::checkpointIntervalOps for jobs that leave the
   /// knob at 0. Nonzero makes every job resumable after a transient
   /// failure; 0 leaves checkpointing to per-job opt-in.
@@ -287,9 +270,6 @@ struct ServiceStats {
   /// Degradation-ladder engagements per simulated job (how hard each job
   /// leaned on the governor, not just the process-wide total).
   obs::HistogramSnapshot degradationPerJobHistogram;
-
-  /// Submissions that opted out of the cache (bypassCache).
-  std::uint64_t cacheBypassed = 0;
 
   CacheCounters cache;
   /// Result-cache spill-file counters (all zeros without a cacheDir).
@@ -377,7 +357,6 @@ void visitFields(V&& v, S&... s) {
   v("cache", "insertions", R::Sum, s.cache.insertions...);
   v("cache", "evictions", R::Sum, s.cache.evictions...);
   v("cache", "entries", R::Sum, s.cache.entries...);
-  v("cache", "bypassed", R::Sum, s.cacheBypassed...);
   v("degradation", "events", R::Sum, s.degradationEvents...);
   v("degradation", "pressure_flushes", R::Sum, s.pressureFlushes...);
   v("degradation", "sequential_fallback_ops", R::Sum,
@@ -455,9 +434,14 @@ class SimulationService {
                      const JobResult& result);
   void finishJob(const std::shared_ptr<detail::JobRecord>& rec,
                  JobResult result);
+  /// Drop \p rec's in-flight entry if it leads one (no-op otherwise).
+  /// Caller holds queueMutex_.
+  void retireInflightLocked(const std::shared_ptr<detail::JobRecord>& rec);
   void publish(const std::shared_ptr<detail::JobRecord>& rec,
                JobResult result);
   void accumulate(const JobResult& result);
+  /// Whether jobs are cached and coalesced (cacheCapacity > 0).
+  [[nodiscard]] bool caching() const noexcept { return cache_.capacity() > 0; }
 
   ServiceConfig config_;
   ResultCache cache_;
@@ -502,7 +486,6 @@ class SimulationService {
   std::atomic<std::uint64_t> resourceExhausted_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> execSumNs_{0};
-  std::atomic<std::uint64_t> cacheBypassed_{0};
   obs::Histogram queueLatencyHist_;
   obs::Histogram execHist_;
   obs::Histogram degradationPerJobHist_;

@@ -18,6 +18,16 @@ using dd::MEdge;
 using dd::VEdge;
 using ir::OpKind;
 
+namespace {
+
+/// Approximate-while-simulating prunes the state only above this many nodes.
+constexpr std::size_t kApproximateThreshold = 512;
+/// Operations run sequentially (MxV only) after a pressure event before
+/// combination is re-enabled.
+constexpr std::size_t kDegradeCooldownOps = 16;
+
+}  // namespace
+
 CircuitSimulator::CircuitSimulator(const ir::Circuit& circuit,
                                    StrategyConfig config, std::uint64_t seed)
     : circuit_(circuit),
@@ -37,8 +47,7 @@ CircuitSimulator::CircuitSimulator(const ir::Circuit& circuit,
     }
   }
   if (config_.nodeBudget > 0 || config_.byteBudget > 0) {
-    pkg_->governor().setBudget({config_.nodeBudget, config_.byteBudget,
-                                config_.softBudgetFraction});
+    pkg_->governor().setBudget({config_.nodeBudget, config_.byteBudget});
     // Fires deep inside a multiplication; only flag it — the ladder reacts
     // at the next quiescent point.
     pkg_->governor().setPressureCallback(
@@ -392,7 +401,7 @@ void CircuitSimulator::applyToState(const MEdge& m) {
   // state DD (the size of which is exactly what every further step pays
   // for, per Section III of the paper).
   if (config_.approximateFidelity < 1.0 &&
-      lastStateSize_ > config_.approximateThreshold) {
+      lastStateSize_ > kApproximateThreshold) {
     const auto approx =
         dd::approximate(*pkg_, state_, config_.approximateFidelity);
     if (approx.removedEdges > 0) {
@@ -443,7 +452,7 @@ void CircuitSimulator::afterStep() {
 
 void CircuitSimulator::enterCooldown() {
   obs::traceInstant("sim.rung.sequential-fallback", obs::cat::kSim);
-  sequentialCooldown_ = config_.degradeCooldownOps;
+  sequentialCooldown_ = kDegradeCooldownOps;
 }
 
 /// Prune the state DD down to the configured per-step fidelity, counting

@@ -37,10 +37,6 @@ void StrategyConfig::validate() const {
     throw std::invalid_argument(
         "StrategyConfig: approximateFidelity must be in (0, 1]");
   }
-  if (!(softBudgetFraction > 0.0) || softBudgetFraction > 1.0) {
-    throw std::invalid_argument(
-        "StrategyConfig: softBudgetFraction must be in (0, 1]");
-  }
 }
 
 std::uint64_t StrategyConfig::contentHash() const noexcept {
@@ -57,11 +53,8 @@ std::uint64_t StrategyConfig::contentHash() const noexcept {
   // trace-off submissions must coalesce to the same cache entry.
   h = hashDouble(h, timeLimitSeconds);
   h = hashDouble(h, approximateFidelity);
-  h = hashCombine(h, approximateThreshold);
   h = hashCombine(h, nodeBudget);
   h = hashCombine(h, byteBudget);
-  h = hashDouble(h, softBudgetFraction);
-  h = hashCombine(h, degradeCooldownOps);
   return h;
 }
 

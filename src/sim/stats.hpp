@@ -54,28 +54,22 @@ struct StrategyConfig {
   /// evaluation (">7 200.00" entries in Table II).
   double timeLimitSeconds = 0.0;
   /// Approximate-while-simulating: after every state update, if the state DD
-  /// exceeds approximateThreshold nodes, prune it down with a per-step
-  /// fidelity target of approximateFidelity (see dd::approximate). 1.0 (the
+  /// exceeds 512 nodes, prune it down with a per-step fidelity target of
+  /// approximateFidelity (see dd::approximate). 1.0 (the
   /// default) disables approximation. The product of the per-step fidelities
   /// is reported in SimulationStats::approxFidelity — a lower bound on the
   /// fidelity of the final state against the exact run.
   double approximateFidelity = 1.0;
-  std::size_t approximateThreshold = 512;
   /// Resource budget: abort-or-degrade once the package holds this many
   /// live DD nodes (0 = unlimited; the DDSIM_NODE_BUDGET environment
   /// variable supplies a default when unset). Soft pressure starts at
-  /// softBudgetFraction x nodeBudget and triggers the degradation ladder
-  /// (emergency collection, accumulator flush, sequential fallback,
-  /// forced approximation); only the hard limit aborts.
+  /// dd::kSoftBudgetFraction x nodeBudget and triggers the degradation
+  /// ladder (emergency collection, accumulator flush, sequential fallback
+  /// for 16 operations, forced approximation); only the hard limit aborts.
   std::size_t nodeBudget = 0;
   /// Resource budget in bytes across node chunks and unique-table buckets
   /// (0 = unlimited).
   std::size_t byteBudget = 0;
-  /// Fraction of the hard budget at which soft pressure fires, in (0, 1].
-  double softBudgetFraction = 0.75;
-  /// After a pressure event the simulator stays in sequential (MxV-only)
-  /// mode for this many operations before re-enabling combination.
-  std::size_t degradeCooldownOps = 16;
   /// Durability: snapshot simulation progress into a Checkpoint (see
   /// sim/checkpoint.hpp) every this many top-level circuit operations and
   /// hand it to the sink installed via CircuitSimulator::setCheckpointSink.
@@ -108,9 +102,9 @@ struct StrategyConfig {
   /// Reject malformed configurations with std::invalid_argument. Checked
   /// unconditionally (a k of 0 is invalid even under Schedule::Sequential):
   /// k >= 1, maxSize > 0, adaptiveRatio > 0 and finite, a non-negative
-  /// finite time limit, approximateFidelity in (0, 1], softBudgetFraction
-  /// in (0, 1]. CircuitSimulator calls this at construction so a bad config
-  /// fails fast instead of silently misbehaving mid-run.
+  /// finite time limit, approximateFidelity in (0, 1]. CircuitSimulator
+  /// calls this at construction so a bad config fails fast instead of
+  /// silently misbehaving mid-run.
   void validate() const;
 
   /// Stable 64-bit content hash over every field that influences the

@@ -42,12 +42,12 @@ TEST(Frame, HeaderGoldenBytes) {
   const net::Frame frame{net::FrameType::Hello, {0x01, 0x02}};
   const std::vector<std::uint8_t> bytes = net::encodeFrame(frame);
   ASSERT_EQ(bytes.size(), wire::kHeaderSize + 2);
-  // magic "DDSF" little-endian, version 5, type Hello, reserved 0,
+  // magic "DDSF" little-endian, version 6, type Hello, reserved 0,
   // u64 length 2 — all byte positions pinned so the format cannot silently
   // drift.
   const std::vector<std::uint8_t> header = {
       0x44, 0x44, 0x53, 0x46,  // "DDSF"
-      0x05, 0x00,              // version
+      0x06, 0x00,              // version
       0x01,                    // FrameType::Hello
       0x00,                    // reserved
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload length
@@ -105,10 +105,12 @@ TEST(Frame, CorruptionMatrixThrowsNeverUB) {
 TEST(Frame, PreviousVersionFrameIsRejected) {
   // Well-formed frames — checksum included — claiming the older layouts:
   // version 1 still carried the pipeline fields, version 2 the kernel
-  // thread count, version 3 the derived stats figures and version 4 the
-  // 20-byte header and a shipped queue-latency maximum.
+  // thread count, version 3 the derived stats figures, version 4 the
+  // 20-byte header and a shipped queue-latency maximum, and version 5 the
+  // soft budget fraction, degradation cooldown and approximation
+  // threshold in the Submit config.
   const std::vector<std::uint8_t> payload = {0xDE, 0xAD, 0xBE, 0xEF};
-  for (const std::uint16_t version : {1, 2, 3, 4}) {
+  for (const std::uint16_t version : {1, 2, 3, 4, 5}) {
     const std::vector<std::uint8_t> old = wire::seal(
         net::kFrameMagic, version,
         static_cast<std::uint8_t>(net::FrameType::Submit), payload);

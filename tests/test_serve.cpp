@@ -68,14 +68,16 @@ serve::JobSpec spec(std::shared_ptr<const ir::Circuit> circuit,
   return s;
 }
 
-/// Long-circuit jobs skip the cache: content-hashing 46M flattened gates
-/// costs real time in submit(), which would eat into deadline budgets.
+/// Long-circuit jobs run on a service without a cache: content-hashing 46M
+/// flattened gates costs real time in submit(), which would eat into
+/// deadline budgets.
 serve::JobSpec longSpec(std::uint64_t seed,
                         sim::StrategyConfig config = {}) {
-  serve::JobSpec s = spec(makeLongCircuit(), seed, config);
-  s.bypassCache = true;
-  return s;
+  return spec(makeLongCircuit(), seed, config);
 }
+
+/// One worker and no result cache: the service for longSpec jobs.
+const serve::ServiceConfig kUncached{.workers = 1, .cacheCapacity = 0};
 
 // ------------------------------------------------------------ basic service
 
@@ -185,7 +187,7 @@ TEST(SimulationService, CancelBeforeExecutionSkipsSimulation) {
 }
 
 TEST(SimulationService, CancelMidRunYieldsPartialResult) {
-  serve::SimulationService service({.workers = 1});
+  serve::SimulationService service(kUncached);
   const auto handle = service.submit(longSpec(1));
 
   // Wait until the worker has actually started simulating, then cancel.
@@ -221,7 +223,7 @@ TEST(SimulationService, DeadlinePassedWhileQueuedExpiresWithoutSimulating) {
 }
 
 TEST(SimulationService, DeadlineBindingMidRunExpiresWithPartial) {
-  serve::SimulationService service({.workers = 1});
+  serve::SimulationService service(kUncached);
   serve::JobSpec job = longSpec(2);
   job.deadlineSeconds = 0.25;
   const auto handle = service.submit(std::move(job));
@@ -235,7 +237,7 @@ TEST(SimulationService, DeadlineBindingMidRunExpiresWithPartial) {
 }
 
 TEST(SimulationService, ConfigTimeLimitSurfacesAsTimedOut) {
-  serve::SimulationService service({.workers = 1});
+  serve::SimulationService service(kUncached);
   sim::StrategyConfig config;
   config.timeLimitSeconds = 0.2;
   const auto handle = service.submit(longSpec(3, config));
@@ -278,18 +280,6 @@ TEST(SimulationService, DistinctSeedsAndConfigsDoNotShareCacheEntries) {
   service.submit(spec(bell, 1, sim::StrategyConfig::kOperations(2))).wait();
 
   EXPECT_EQ(service.stats().simulationsRun, 3U);
-}
-
-TEST(SimulationService, BypassCacheForcesResimulation) {
-  serve::SimulationService service({.workers = 1});
-  const auto bell = makeBell();
-  serve::JobSpec a = spec(bell, 4);
-  a.bypassCache = true;
-  serve::JobSpec b = spec(bell, 4);
-  b.bypassCache = true;
-  service.submit(std::move(a)).wait();
-  service.submit(std::move(b)).wait();
-  EXPECT_EQ(service.stats().simulationsRun, 2U);
 }
 
 TEST(SimulationService, TraceFlagDoesNotSplitCacheIdentity) {
@@ -361,22 +351,31 @@ serve::CacheKey key(std::uint64_t n) {
 }
 
 TEST(ResultCache, EvictsLeastRecentlyUsedAtCapacity) {
-  serve::ResultCache cache(/*capacity=*/2, /*shards=*/1);
+  // One LRU order spans every key, whatever the high bits of its digest.
+  for (std::uint64_t a = 1; a <= 3; ++a) {
+    for (std::uint64_t b = a + 1; b <= 4; ++b) {
+      ASSERT_NE(key(a).digest() >> 48, key(b).digest() >> 48);
+    }
+  }
+  serve::ResultCache cache(/*capacity=*/2);
   cache.insert(key(1), {{true}, {}});
   cache.insert(key(2), {{false}, {}});
   ASSERT_TRUE(cache.lookup(key(1)).has_value());  // touch 1: now 2 is LRU
   cache.insert(key(3), {{true, true}, {}});       // evicts 2
 
   EXPECT_FALSE(cache.lookup(key(2)).has_value());
+  EXPECT_TRUE(cache.lookup(key(1)).has_value());  // now 3 is LRU
+  cache.insert(key(4), {{false, true}, {}});      // evicts 3
+  EXPECT_FALSE(cache.lookup(key(3)).has_value());
   EXPECT_TRUE(cache.lookup(key(1)).has_value());
-  EXPECT_TRUE(cache.lookup(key(3)).has_value());
+  EXPECT_TRUE(cache.lookup(key(4)).has_value());
 
   const serve::CacheCounters c = cache.counters();
-  EXPECT_EQ(c.insertions, 3U);
-  EXPECT_EQ(c.evictions, 1U);
+  EXPECT_EQ(c.insertions, 4U);
+  EXPECT_EQ(c.evictions, 2U);
   EXPECT_EQ(c.entries, 2U);
-  EXPECT_EQ(c.hits, 3U);
-  EXPECT_EQ(c.misses, 1U);
+  EXPECT_EQ(c.hits, 4U);
+  EXPECT_EQ(c.misses, 2U);
 }
 
 TEST(ResultCache, ZeroCapacityDisablesCaching) {
@@ -386,32 +385,9 @@ TEST(ResultCache, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(cache.counters().entries, 0U);
 }
 
-TEST(ResultCache, CapacityIsFullyUsableWithNonDivisibleShardCount) {
-  // Regression: per-shard capacity used to be floor(capacity / shards),
-  // silently dropping the remainder (10/4 -> 8 usable slots).
-  serve::ResultCache cache(/*capacity=*/10, /*shards=*/4);
-  EXPECT_EQ(cache.effectiveCapacity(), 10U);
-
-  // Saturate every shard: far more distinct keys than capacity.
-  for (std::uint64_t n = 0; n < 1000; ++n) {
-    cache.insert(key(n), {{true}, {}});
-  }
-  EXPECT_EQ(cache.counters().entries, 10U);
-}
-
-TEST(ResultCache, EffectiveCapacityMatchesRequestedAcrossShardCounts) {
-  for (std::size_t capacity : {1U, 2U, 5U, 7U, 10U, 64U, 1000U}) {
-    for (std::size_t shards : {1U, 2U, 3U, 4U, 7U, 8U, 16U}) {
-      serve::ResultCache cache(capacity, shards);
-      EXPECT_EQ(cache.effectiveCapacity(), capacity)
-          << "capacity=" << capacity << " shards=" << shards;
-    }
-  }
-}
-
 TEST(ResultCache, FullKeyComparisonSurvivesDigestCollisions) {
   // Same digest inputs arranged differently must not alias.
-  serve::ResultCache cache(8, 1);
+  serve::ResultCache cache(8);
   cache.insert(serve::CacheKey{1, 2, 3}, {{true}, {}});
   EXPECT_FALSE(cache.lookup(serve::CacheKey{3, 2, 1}).has_value());
   EXPECT_TRUE(cache.lookup(serve::CacheKey{1, 2, 3}).has_value());
@@ -545,6 +521,41 @@ TEST(Manifest, StrategySpecGrammar) {
   EXPECT_FALSE(serve::parseStrategySpec("bogus").has_value());
 }
 
+TEST(Manifest, MalformedNumbersAreRejectedWithTheirLine) {
+  // Each token follows a good line, so the error must name line 2.
+  for (const char* token :
+       {"strategy=k=4x", "strategy=k=", "strategy=k=-4", "strategy=k=+4",
+        "strategy=maxsize=-1", "strategy=maxsize=99999999999999999999",
+        "strategy=adaptive=0.5junk", "strategy=adaptive=",
+        "strategy=adaptive=nan",
+        "seed=-1", "seed=+1", "seed=1.5", "seed=18446744073709551616",
+        "repeat=-1", "repeat=2x", "node-budget=-5", "byte-budget=1e6",
+        "deadline=1s", "deadline=inf", "deadline=1e999", "time-limit=",
+        "approx=0.9x"}) {
+    const std::string text = std::string("good.qasm\nbad.qasm ") + token;
+    try {
+      (void)serve::parseManifest(text);
+      ADD_FAILURE() << "accepted '" << token << "'";
+    } catch (const serve::ManifestError& e) {
+      EXPECT_EQ(e.line(), 2U) << token;
+    }
+  }
+  // The same parsers read the command-line flags of ddsim_serve and
+  // ddsim_router, where a value may also carry spaces.
+  EXPECT_EQ(serve::parseUnsigned("0"), 0U);
+  EXPECT_EQ(serve::parseUnsigned("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_DOUBLE_EQ(serve::parseNumber("-0.25").value_or(0.0), -0.25);
+  EXPECT_DOUBLE_EQ(serve::parseNumber("1e-3").value_or(0.0), 1e-3);
+  for (const char* bad : {"", " 1", "1 ", "abc", "-1", "+1", "0x10", "1.0",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(serve::parseUnsigned(bad).has_value()) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", " 1", "1x", "abc", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(serve::parseNumber(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 // --------------------------------------------------- durability & retries
 
 /// Fresh per-test spill directory under the gtest temp dir.
@@ -586,15 +597,13 @@ TEST(RetryPolicy, BackoffGrowsGeometricallyAndFiltersStatuses) {
   serve::RetryPolicy policy;
   policy.maxAttempts = 3;
   policy.baseBackoffSeconds = 0.5;
-  policy.backoffMultiplier = 3.0;
   EXPECT_DOUBLE_EQ(policy.backoffFor(1), 0.5);
-  EXPECT_DOUBLE_EQ(policy.backoffFor(2), 1.5);
-  EXPECT_DOUBLE_EQ(policy.backoffFor(3), 4.5);
+  EXPECT_DOUBLE_EQ(policy.backoffFor(2), 1.0);
+  EXPECT_DOUBLE_EQ(policy.backoffFor(3), 2.0);
 
   EXPECT_TRUE(policy.shouldRetry(serve::JobStatus::ResourceExhausted));
+  // Failed outcomes (bad circuit, bad config) would fail again.
   EXPECT_FALSE(policy.shouldRetry(serve::JobStatus::Failed));
-  policy.retryFailed = true;
-  EXPECT_TRUE(policy.shouldRetry(serve::JobStatus::Failed));
   // Deadline-style and user-initiated outcomes are never retried: the
   // deadline would just expire again, and a cancel is a decision.
   EXPECT_FALSE(policy.shouldRetry(serve::JobStatus::TimedOut));
@@ -681,49 +690,9 @@ TEST(SimulationService, UnsnapshottedJournalAloneSurvivesRestart) {
   EXPECT_EQ(restarted.stats().simulationsRun, 0U);
 }
 
-TEST(SimulationService, SpillJournalCompactsInlineWhenOverBudget) {
-  // Regression: the append-only journal used to grow without bound until
-  // shutdown. With spillCompactBytes set, finishing a job whose append
-  // pushes the journal past the budget triggers an inline snapshot that
-  // truncates it.
-  const std::string dir = freshCacheDir("compact");
-  const auto bell = makeBell();
-  constexpr std::uint64_t kDistinctJobs = 5;
-  {
-    serve::ServiceConfig sc;
-    sc.workers = 1;
-    sc.cacheDir = dir;
-    sc.spillCompactBytes = 1;  // every append overflows the budget
-    serve::SimulationService service(sc);
-    for (std::uint64_t seed = 1; seed <= kDistinctJobs; ++seed) {
-      service.submit(spec(bell, seed)).wait();
-    }
-    const serve::ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.spill.appended, kDistinctJobs);
-    // One inline compaction per overflowing append — no shutdown needed.
-    EXPECT_GE(stats.spill.snapshots, kDistinctJobs);
-    // The journal shrank: the last compaction left it empty.
-    EXPECT_EQ(std::filesystem::file_size(dir + "/cache.log"), 0U);
-    service.shutdown();
-  }
-
-  // Replay is idempotent: everything lives in the snapshot, nothing was
-  // lost across the repeated truncations.
-  serve::ServiceConfig sc;
-  sc.workers = 1;
-  sc.cacheDir = dir;
-  serve::SimulationService restarted(sc);
-  EXPECT_EQ(restarted.stats().spill.loaded, kDistinctJobs);
-  for (std::uint64_t seed = 1; seed <= kDistinctJobs; ++seed) {
-    const auto handle = restarted.submit(spec(bell, seed));
-    EXPECT_EQ(handle.wait().status, serve::JobStatus::Cached);
-  }
-  EXPECT_EQ(restarted.stats().simulationsRun, 0U);
-}
-
-TEST(SimulationService, SpillJournalGrowsUnboundedOnlyWhenCompactionOff) {
-  // The default (spillCompactBytes == 0) keeps the seed behaviour:
-  // journal grows per append, one snapshot only at shutdown.
+TEST(SimulationService, SpillJournalGrowsUntilShutdown) {
+  // The journal grows per append and is folded into one snapshot at
+  // shutdown, never before.
   const std::string dir = freshCacheDir("no_compact");
   const auto bell = makeBell();
   serve::ServiceConfig sc;
@@ -1001,7 +970,6 @@ serve::ServiceStats fixedSnapshot() {
   s.execP50Seconds = s.execHistogram.p50;
   s.execP95Seconds = s.execHistogram.p95;
   s.execP99Seconds = s.execHistogram.p99;
-  s.cacheBypassed = 1;
   s.cache = {2, 5, 4, 1, 3};
   s.spill = {4, 2, 1, 1};
   s.retriesScheduled = 3;
@@ -1048,7 +1016,7 @@ TEST(ServiceStats, JsonOfFixedSnapshotIsGolden) {
       ", \"count\": 1}, {\"le\": 2.18416, \"count\": 1}, {\"le\": 3.27625"
       ", \"count\": 1}]}, \"cache\": {\"hits\": 2, \"misses\": 5"
       ", \"insertions\": 4, \"evictions\": 1, \"entries\": 3"
-      ", \"bypassed\": 1}, \"degradation\": {\"events\": 6"
+      "}, \"degradation\": {\"events\": 6"
       ", \"pressure_flushes\": 2, \"sequential_fallback_ops\": 7"
       ", \"pressure_approximations\": 1, \"resource_recoveries\": 1}"
       ", \"retry\": {\"scheduled\": 3, \"resumed_attempts\": 2"

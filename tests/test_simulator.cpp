@@ -501,14 +501,11 @@ TEST(Simulator, ValidateRejectsEachMalformedField) {
   });
   reject([](StrategyConfig& c) { c.approximateFidelity = 0.0; });
   reject([](StrategyConfig& c) { c.approximateFidelity = 1.5; });
-  reject([](StrategyConfig& c) { c.softBudgetFraction = 0.0; });
-  reject([](StrategyConfig& c) { c.softBudgetFraction = 1.01; });
 
   // The default config and sane edge values still pass.
   EXPECT_NO_THROW(StrategyConfig{}.validate());
   StrategyConfig edge;
   edge.approximateFidelity = 1.0;
-  edge.softBudgetFraction = 1.0;
   edge.timeLimitSeconds = 0.0;
   EXPECT_NO_THROW(edge.validate());
 }
@@ -600,7 +597,6 @@ TEST(Simulator, ApproximateWhileSimulatingBoundsStateSize) {
 
   StrategyConfig approx = StrategyConfig::sequential();
   approx.approximateFidelity = 0.995;
-  approx.approximateThreshold = 128;
   CircuitSimulator approxSim(circuit, approx);
   const auto approxRes = approxSim.run();
 

@@ -291,7 +291,9 @@ std::uint16_t versionOf(const Bytes& sealed) {
 // and FNV-1a digest. The sealed formats were re-captured when they moved
 // into the one envelope (checkpoint version 3, spill magic "LPSR" version
 // 3); the StatsReport payload when its queue-latency maximum became a
-// derived figure.
+// derived figure. Frame version 6 re-captured the Submit payload (three
+// StrategyConfig fields became constants) and the StatsReport payload
+// (the cache-bypass counter went).
 
 TEST(WireGolden, SpillRecordBytes) {
   // Layout: the envelope header (magic "LPSR", version 3, kind 0, u64
@@ -416,8 +418,8 @@ TEST(WireGolden, CheckpointSizeAndDigest) {
 
 TEST(WireGolden, SubmitPayloadSizeAndDigest) {
   const Bytes bytes = net::encodeSubmit(goldenSubmit());
-  EXPECT_EQ(bytes.size(), 260U);
-  EXPECT_EQ(digest(bytes), 0x520E8F27E7846572ULL);
+  EXPECT_EQ(bytes.size(), 236U);
+  EXPECT_EQ(digest(bytes), 0x04F5FB7887646CDFULL);
   EXPECT_EQ(net::encodeSubmit(net::decodeSubmit(bytes)), bytes);
 }
 
@@ -430,8 +432,8 @@ TEST(WireGolden, ResultPayloadSizeAndDigest) {
 
 TEST(WireGolden, ServiceStatsSizeAndDigest) {
   const Bytes bytes = net::encodeServiceStats(goldenServiceStats());
-  EXPECT_EQ(bytes.size(), 392U);
-  EXPECT_EQ(digest(bytes), 0x335DEAE296AFFE5EULL);
+  EXPECT_EQ(bytes.size(), 384U);
+  EXPECT_EQ(digest(bytes), 0xCE7363BC7854D39EULL);
   EXPECT_EQ(net::encodeServiceStats(net::decodeServiceStats(bytes)), bytes);
 }
 
